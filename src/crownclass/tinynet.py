@@ -152,71 +152,107 @@ def _check_shape(name: str, arr: np.ndarray, expected: tuple[int, ...]) -> None:
         raise AssertionError(f"{name}: shape {arr.shape}, expected {expected}")
 
 
-def conv3x3_depthwise(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1."""
-    *lead, c, h, w = x.shape
-    _check_shape("conv kernels", kernels, (c, 3, 3))
-    padded = np.zeros((*lead, c, h + 2, w + 2), dtype=x.dtype)
+def _pad1(x: np.ndarray) -> np.ndarray:
+    *lead, h, w = x.shape
+    padded = np.zeros((*lead, h + 2, w + 2), dtype=x.dtype)
     padded[..., 1 : h + 1, 1 : w + 1] = x
+    return padded
+
+
+def _correlate3x3(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, no bias."""
+    *_, h, w = x.shape
+    padded = _pad1(x)
     out = np.zeros_like(x)
     for di in range(3):
         for dj in range(3):
             out += kernels[:, di, dj][:, None, None] * padded[
                 ..., di : di + h, dj : dj + w
             ]
-    return out + biases[:, None, None]
+    return out
+
+
+def conv3x3_depthwise(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
+    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1."""
+    _check_shape("conv kernels", kernels, (x.shape[-3], 3, 3))
+    return _correlate3x3(x, kernels) + biases[:, None, None]
+
+
+def _conv3x3_param_grads(
+    x: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (d_kernels, d_biases) of the depthwise conv.
+
+    One einsum per tap reduces over batch and space in a single pass;
+    plain einsum calls no BLAS, so the sums do not depend on thread count.
+    """
+    _, c, h, w = x.shape
+    padded = _pad1(x)
+    d_kernels = np.empty((c, 3, 3), dtype=x.dtype)
+    for di in range(3):
+        for dj in range(3):
+            d_kernels[:, di, dj] = np.einsum(
+                "nchw,nchw->c", grad, padded[..., di : di + h, dj : dj + w]
+            )
+    return d_kernels, grad.sum(axis=(0, 2, 3))
 
 
 def conv3x3_depthwise_backward(
     x: np.ndarray, grad: np.ndarray, kernels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_kernels, d_biases, d_input) of the depthwise conv."""
-    *lead, c, h, w = x.shape
-    lead_axes = tuple(range(len(lead)))
-    spatial_axes = tuple(range(len(lead) + 1, len(lead) + 3))
-    padded = np.zeros((*lead, c, h + 2, w + 2), dtype=x.dtype)
-    padded[..., 1 : h + 1, 1 : w + 1] = x
-    d_padded = np.zeros_like(padded)
-    d_kernels = np.zeros_like(kernels)
-    for di in range(3):
-        for dj in range(3):
-            window = padded[..., di : di + h, dj : dj + w]
-            d_kernels[:, di, dj] = (grad * window).sum(axis=lead_axes + spatial_axes)
-            d_padded[..., di : di + h, dj : dj + w] += (
-                kernels[:, di, dj][:, None, None] * grad
-            )
-    d_biases = grad.sum(axis=lead_axes + spatial_axes)
-    return d_kernels, d_biases, d_padded[..., 1 : h + 1, 1 : w + 1]
+    """Gradients (d_kernels, d_biases, d_input) of the depthwise conv.
+
+    d_input is the forward correlation of grad with the flipped kernel.
+    """
+    d_kernels, d_biases = _conv3x3_param_grads(x, grad)
+    return d_kernels, d_biases, _correlate3x3(grad, kernels[:, ::-1, ::-1])
 
 
-def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max over disjoint 2x2 windows; also returns the argmax index per
-    window (first in row-major order on ties) for backward routing."""
-    *lead, c, h, w = x.shape
+def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Max over disjoint 2x2 windows [[a, b], [c, d]].
+
+    Also returns the record backward needs to route each gradient to the
+    first maximum in row-major order: three boolean masks, b > a, d > c
+    and max(c, d) > max(a, b).
+    """
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise AssertionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    windows = x.reshape(*lead, c, h // 2, 2, w // 2, 2)
-    windows = np.moveaxis(windows, -3, -2)
-    flat = windows.reshape(*lead, c, h // 2, w // 2, 4)
-    idx = np.argmax(flat, axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+    a = x[..., 0::2, 0::2]
+    b = x[..., 0::2, 1::2]
+    c = x[..., 1::2, 0::2]
+    d = x[..., 1::2, 1::2]
+    top = np.maximum(a, b)
+    bottom = np.maximum(c, d)
+    return np.maximum(top, bottom), (b > a, d > c, bottom > top)
 
 
 def maxpool2x2_backward(
-    grad: np.ndarray, idx: np.ndarray, input_shape: tuple[int, ...]
+    grad: np.ndarray, record: tuple[np.ndarray, ...], input_shape: tuple[int, ...]
 ) -> np.ndarray:
-    *lead, c, h, w = input_shape
-    flat = np.zeros((*lead, c, h // 2, w // 2, 4), dtype=grad.dtype)
-    np.put_along_axis(flat, idx[..., None], grad[..., None], axis=-1)
-    windows = flat.reshape(*lead, c, h // 2, w // 2, 2, 2)
-    windows = np.moveaxis(windows, -2, -3)
-    return windows.reshape(*lead, c, h, w)
+    """Scatter grad back to the window maximum recorded by maxpool2x2."""
+    right_top, right_bottom, bottom = record
+    # A 0/1 mask product and its difference from the whole split a value
+    # exactly: one part is the value, the other zero.
+    low = grad * bottom
+    top = grad - low
+    out = np.empty(input_shape, dtype=grad.dtype)
+    np.multiply(top, right_top, out=out[..., 0::2, 1::2])
+    np.subtract(top, out[..., 0::2, 1::2], out=out[..., 0::2, 0::2])
+    np.multiply(low, right_bottom, out=out[..., 1::2, 1::2])
+    np.subtract(low, out[..., 1::2, 1::2], out=out[..., 1::2, 0::2])
+    return out
 
 
 def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
     out = x @ weight.T + bias
     return np.maximum(out, 0) if relu else out
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - log_norm
 
 
 def softmax_xent(
@@ -226,12 +262,9 @@ def softmax_xent(
 
     The gradient of the loss at the logits is probs - onehot.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_norm
-    probs = np.exp(log_probs)
+    log_probs = _log_softmax(logits)
     loss = -(onehot * log_probs).sum(axis=-1)
-    return probs, loss
+    return np.exp(log_probs), loss
 
 
 def _forward(
@@ -276,13 +309,14 @@ def _forward(
             )
             _check_shape(f"{prefix}conv{i}", pre, (batch, channels, hw, hw))
             note(f"{prefix}conv{i}", pre)
-            act = np.maximum(pre, 0)
-            pooled, idx = maxpool2x2(act)
+            # max and relu commute, so the relu runs on the pooled quarter.
+            pooled, record = maxpool2x2(pre)
+            pooled = np.maximum(pooled, 0)
             hw //= 2
             _check_shape(f"{prefix}pool{i}", pooled, (batch, channels, hw, hw))
             note(f"{prefix}pool{i}", pooled)
             if cache is not None:
-                cache[f"{prefix}layer{i}"] = (x, pre, act.shape, idx)
+                cache[f"{prefix}layer{i}"] = (x, record, pooled)
             x = pooled
         flats.append(x.reshape(batch, -1))
 
@@ -334,7 +368,7 @@ def network_forward(
 ) -> np.ndarray:
     """Class probabilities, shape (batch, 2)."""
     logits = _forward(params, images, scalars, trace=trace)
-    probs, _ = softmax_xent(logits, np.zeros_like(logits))
+    probs = np.exp(_log_softmax(logits))
     if trace is not None:
         trace.append(("probs", tuple(probs.shape)))
     if not np.isfinite(probs).all():
@@ -399,12 +433,15 @@ def network_gradients(
         d_x = d_flat[:, offset : offset + width].reshape(batch, channels, final, final)
         offset += width
         for i in reversed(range(spec.conv_pairs)):
-            x_in, pre, act_shape, idx = cache[f"{prefix}layer{i}"]
-            d_act = maxpool2x2_backward(d_x, idx, act_shape)
-            d_pre = d_act * (pre > 0)
-            d_kernel, d_bias, d_x = conv3x3_depthwise_backward(
-                x_in, d_pre, params.tensors[f"{prefix}conv{i}.kernel"]
-            )
+            x_in, record, pooled = cache[f"{prefix}layer{i}"]
+            d_pre = maxpool2x2_backward(d_x * (pooled > 0), record, x_in.shape)
+            if i == 0:
+                # The images need no gradient.
+                d_kernel, d_bias = _conv3x3_param_grads(x_in, d_pre)
+            else:
+                d_kernel, d_bias, d_x = conv3x3_depthwise_backward(
+                    x_in, d_pre, params.tensors[f"{prefix}conv{i}.kernel"]
+                )
             grads[f"{prefix}conv{i}.kernel"] = d_kernel
             grads[f"{prefix}conv{i}.bias"] = d_bias
 

@@ -61,15 +61,18 @@ def finite_difference_grads(params, images, scalars, onehot, h=1e-5):
     return fd
 
 
-def max_gradient_error(params, images, scalars, onehot, h=1e-5, abs_floor=1e-7):
-    """Worst relative disagreement between analytic and FD gradients.
+def gradient_errors(params, images, scalars, onehot, h=1e-5, abs_floor=1e-7):
+    """Worst (relative, absolute) disagreement between analytic and FD
+    gradients over every parameter.
 
     Entries where both gradients are below abs_floor in absolute
-    difference are treated as agreeing (relative error undefined near 0).
+    difference are treated as agreeing (relative error undefined near 0);
+    the absolute error is reported without that floor.
     """
     analytic, _, _ = network_gradients(params, images, scalars, onehot)
     fd = finite_difference_grads(params, images, scalars, onehot, h=h)
-    worst = 0.0
+    worst_rel = 0.0
+    worst_abs = 0.0
     for name in params.tensors:
         a = analytic[name].reshape(-1)
         n = fd[name].reshape(-1)
@@ -77,5 +80,11 @@ def max_gradient_error(params, images, scalars, onehot, h=1e-5, abs_floor=1e-7):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-300)
         rel = diff / denom
         rel[diff < abs_floor] = 0.0
-        worst = max(worst, float(rel.max()))
-    return worst
+        worst_rel = max(worst_rel, float(rel.max()))
+        worst_abs = max(worst_abs, float(diff.max()))
+    return worst_rel, worst_abs
+
+
+def max_gradient_error(params, images, scalars, onehot, h=1e-5, abs_floor=1e-7):
+    """Worst relative disagreement between analytic and FD gradients."""
+    return gradient_errors(params, images, scalars, onehot, h, abs_floor)[0]

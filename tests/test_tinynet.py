@@ -1,10 +1,14 @@
 """Tests for the network core: layer math, shapes, gradients against
-finite differences, Adam, training behavior, and snapshots."""
+finite differences and against reference implementations, Adam, training
+behavior, and snapshots."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradtools import max_gradient_error, random_inputs, randomize_biases
 from crownclass.tinynet import (
@@ -23,6 +27,116 @@ from crownclass.tinynet import (
     save_params,
     softmax_xent,
     train_network,
+)
+
+
+# Straightforward reference implementations the optimized kernels must
+# agree with: argmax pooling over reshaped windows, scatter-add conv
+# backward, and relu-then-pool gradients with an input gradient at every
+# layer.
+
+
+def reference_maxpool2x2(x):
+    *lead, c, h, w = x.shape
+    windows = np.moveaxis(x.reshape(*lead, c, h // 2, 2, w // 2, 2), -3, -2)
+    flat = windows.reshape(*lead, c, h // 2, w // 2, 4)
+    idx = np.argmax(flat, axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_maxpool2x2_backward(grad, idx, input_shape):
+    *lead, c, h, w = input_shape
+    flat = np.zeros((*lead, c, h // 2, w // 2, 4), dtype=grad.dtype)
+    np.put_along_axis(flat, idx[..., None], grad[..., None], axis=-1)
+    windows = np.moveaxis(flat.reshape(*lead, c, h // 2, w // 2, 2, 2), -2, -3)
+    return windows.reshape(*lead, c, h, w)
+
+
+def reference_conv_backward(x, grad, kernels):
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    padded[..., 1 : h + 1, 1 : w + 1] = x
+    d_padded = np.zeros_like(padded)
+    d_kernels = np.zeros_like(kernels)
+    for di in range(3):
+        for dj in range(3):
+            window = padded[..., di : di + h, dj : dj + w]
+            d_kernels[:, di, dj] = (grad * window).sum(axis=(0, 2, 3))
+            d_padded[..., di : di + h, dj : dj + w] += kernels[:, di, dj][:, None, None] * grad
+    return d_kernels, grad.sum(axis=(0, 2, 3)), d_padded[..., 1 : h + 1, 1 : w + 1]
+
+
+def reference_network_gradients(params, images, scalars, onehot):
+    """(grads, probs) from relu-then-pool layers and the reference kernels."""
+    spec, t = params.spec, params.tensors
+    batch = len(images)
+    prefixes = [
+        f"img{b}." if len(spec.branch_channels) > 1 else ""
+        for b in range(len(spec.branch_channels))
+    ]
+    layers, flats, offset = {}, [], 0
+    for prefix, channels in zip(prefixes, spec.branch_channels):
+        x = images[:, offset : offset + channels]
+        offset += channels
+        for i in range(spec.conv_pairs):
+            pre = conv3x3_depthwise(x, t[f"{prefix}conv{i}.kernel"], t[f"{prefix}conv{i}.bias"])
+            pooled, idx = reference_maxpool2x2(np.maximum(pre, 0))
+            layers[prefix, i] = (x, pre, idx)
+            x = pooled
+        flats.append(x.reshape(batch, -1))
+    side0 = dense(scalars, t["side0.weight"], t["side0.bias"], relu=True)
+    side1 = dense(side0, t["side1.weight"], t["side1.bias"], relu=True)
+    concat = np.concatenate(flats + [side1], axis=1)
+    head0 = dense(concat, t["head0.weight"], t["head0.bias"], relu=True)
+    head1 = dense(head0, t["head1.weight"], t["head1.bias"], relu=True)
+    logits = dense(head1, t["out.weight"], t["out.bias"], relu=False)
+    probs, _ = softmax_xent(logits, onehot)
+
+    grads = {}
+
+    def back(grad, x, name, activated=None):
+        if activated is not None:
+            grad = grad * (activated > 0)
+        grads[name + ".weight"] = grad.T @ x
+        grads[name + ".bias"] = grad.sum(axis=0)
+        return grad @ t[name + ".weight"]
+
+    d_head1 = back((probs - onehot) / batch, head1, "out")
+    d_head0 = back(d_head1, head0, "head1", head1)
+    d_concat = back(d_head0, concat, "head0", head0)
+    d_side0 = back(d_concat[:, spec.flatten_dim :], side0, "side1", side1)
+    back(d_side0, scalars, "side0", side0)
+    final, offset = spec.final_hw, 0
+    for prefix, channels in zip(prefixes, spec.branch_channels):
+        width = channels * final * final
+        d_x = d_concat[:, offset : offset + width].reshape(batch, channels, final, final)
+        offset += width
+        for i in reversed(range(spec.conv_pairs)):
+            x, pre, idx = layers[prefix, i]
+            d_act = reference_maxpool2x2_backward(d_x, idx, pre.shape)
+            grads[f"{prefix}conv{i}.kernel"], grads[f"{prefix}conv{i}.bias"], d_x = (
+                reference_conv_backward(x, d_act * (pre > 0), t[f"{prefix}conv{i}.kernel"])
+            )
+    return grads, probs
+
+
+def dsm_like(rng, shape, dtype=np.float64):
+    """Crown-like rasters: a zero background around a disc of heights
+    quantized to quarter steps, so pooling windows often hold ties."""
+    *_, h, w = shape
+    rows, cols = np.mgrid[0:h, 0:w]
+    radius = rng.uniform(0.2, 0.5, size=shape[:-2] + (1, 1)) * min(h, w)
+    inside = (rows - h / 2) ** 2 + (cols - w / 2) ** 2 < radius**2
+    heights = np.round(rng.uniform(0.0, 2.0, size=shape) * 4) / 4
+    return np.where(inside, heights, 0.0).astype(dtype)
+
+
+even_side = st.integers(1, 4).map(lambda k: 2 * k)
+# Few distinct values, signed zeros among them: ties in almost every window.
+tie_prone = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 2), st.integers(1, 3), even_side, even_side),
+    elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
 )
 
 
@@ -103,6 +217,55 @@ class TestMaxPool:
     def test_odd_dims_rejected(self):
         with pytest.raises(AssertionError, match="even"):
             maxpool2x2(np.zeros((1, 1, 3, 4)))
+
+    @staticmethod
+    def assert_matches_reference(x, grad):
+        out, record = maxpool2x2(x)
+        ref_out, idx = reference_maxpool2x2(x)
+        # Equal values; a tie of -0.0 and 0.0 may keep either sign.
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(
+            maxpool2x2_backward(grad, record, x.shape),
+            reference_maxpool2x2_backward(grad, idx, x.shape),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=tie_prone, seed=st.integers(0, 2**32 - 1))
+    def test_matches_argmax_reference_on_ties(self, x, seed):
+        grad = np.random.default_rng(seed).normal(size=reference_maxpool2x2(x)[0].shape)
+        self.assert_matches_reference(x, grad)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_matches_argmax_reference_on_dsm_like_rasters(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        x = dsm_like(rng, (2, 4, 32, 32), dtype)
+        self.assert_matches_reference(x, rng.normal(size=(2, 4, 16, 16)).astype(dtype))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=tie_prone)
+    def test_pool_then_relu_is_bit_identical_to_relu_then_pool(self, x):
+        pooled, _ = maxpool2x2(x)
+        ref, _ = reference_maxpool2x2(np.maximum(x, 0))
+        assert np.maximum(pooled, 0).tobytes() == ref.tobytes()
+
+
+class TestConvBackward:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scatter_add_reference(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        grad = rng.normal(size=shape)
+        kernels = rng.normal(size=(shape[1], 3, 3))
+        for got, ref in zip(
+            conv3x3_depthwise_backward(x, grad, kernels),
+            reference_conv_backward(x, grad, kernels),
+        ):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
 class TestDense:
@@ -212,6 +375,31 @@ class TestGradients:
         randomize_biases(params, rng)
         images, scalars, onehot = random_inputs(tag, rng)
         assert max_gradient_error(params, images, scalars, onehot) < 1e-4
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        tag=st.sampled_from(["dsm", "views", "views_reduced"]),
+        seed=st.integers(0, 2**32 - 1),
+        crown_like=st.booleans(),
+    )
+    def test_matches_reference_backward(self, tag, seed, crown_like):
+        """Pooled relu, strided pool, flipped-kernel backward and no
+        layer-0 input gradient: forward probabilities bit-identical and
+        every gradient within 1e-12 of the reference backward."""
+        rng = np.random.default_rng(seed)
+        params = randomize_biases(init_params(tag, seed=seed % 1000, dtype=np.float64), rng)
+        images, scalars, onehot = random_inputs(tag, rng, batch=2)
+        if crown_like:
+            images = dsm_like(rng, images.shape)
+        grads, probs, _ = network_gradients(params, images, scalars, onehot)
+        ref_grads, ref_probs = reference_network_gradients(params, images, scalars, onehot)
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert network_forward(params, images, scalars).tobytes() == ref_probs.tobytes()
+        assert list(grads) == list(params.tensors)
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(
+                grads[name], ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()), err_msg=name
+            )
 
     def test_zero_image_branch_kernel_gradient_is_zero(self):
         params = init_params("views", seed=13, dtype=np.float64)
