@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import CONIFER, DECIDUOUS, __version__
+from . import CLASS_INDEX, CONIFER, DECIDUOUS, __version__
 from . import ensemble as ens
 from .ingest import (
     GROUND,
@@ -42,11 +42,12 @@ from .rasterize import (
 )
 from .register import read_registrations, register_crowns, write_registrations
 from .synthforest import SynthParams, generate_dataset, write_truth_file
-from .util import default_threads, derive_seed
+from .util import InputError, default_threads, derive_seed, read_csv_rows
 
 logger = logging.getLogger(__name__)
 
 SUMMARY_COLUMNS = "label,accuracy,ci_half_width,n"
+LABEL_COLUMNS = "crown_id,label,original_label"
 FIGURE_COLUMNS = "figure,series,x,y"
 
 REPRESENTATIONS = ("views4", "dsm4")
@@ -182,12 +183,11 @@ def write_summary(path: Path, result: ens.ClassifyResult) -> None:
 
 
 def read_summary(path: Path) -> list[tuple[str, float, float, int]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SUMMARY_COLUMNS.split(","):
-            raise ValueError(f"{path}: expected header {SUMMARY_COLUMNS!r}")
-        return [(r[0], float(r[1]), float(r[2]), int(r[3])) for r in reader]
+    return read_csv_rows(
+        path,
+        SUMMARY_COLUMNS.split(","),
+        lambda r: (r[0], float(r[1]), float(r[2]), int(r[3])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +277,7 @@ def cmd_rasterize(config: dict, out_dir: Path) -> list[str]:
         out_dir / "rasters.bin",
         out_dir / "rasters.json",
         reps,
+        kind,
         n_rotations=int(config["n_rotations"]),
         step=float(config["rotation_step"]),
     )
@@ -285,38 +286,40 @@ def cmd_rasterize(config: dict, out_dir: Path) -> list[str]:
 
 def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_file"):
     tensor_path = require_input(config, tensor_key)
-    manifest = read_manifest(require_input(config, manifest_key))
-    reps = read_all_representations(tensor_path, manifest)
-    dataset = ens.from_representations(reps, kind=config["representation"])
-    labels_file = config.get("labels_file")
-    if labels_file:
-        path = Path(labels_file)
-        if not path.exists():
-            raise ConfigError(f"labels_file does not exist: {path}")
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["crown_id", "label", "original_label"]:
-                raise ConfigError(f"{path}: not a corrected-labels table")
-            overrides = {row[0]: row[1] for row in reader}
+    manifest_path = require_input(config, manifest_key)
+    manifest = read_manifest(manifest_path)
+    if manifest["kind"] != config["representation"]:
+        raise ConfigError(
+            f"{manifest_path} holds {manifest['kind']} rasters but "
+            f"representation is {config['representation']}"
+        )
+    images = read_all_representations(tensor_path, manifest)
+    dataset = ens.from_store(images, manifest)
+    if config.get("labels_file"):
+        path = require_input(config, "labels_file")
+        overrides = dict(read_csv_rows(path, LABEL_COLUMNS.split(","), _label_override))
         for instance in dataset.instances:
-            if instance.crown_id in overrides:
-                instance.label = overrides[instance.crown_id]
+            instance.label = overrides.get(instance.crown_id, instance.label)
     return dataset
 
 
-def apply_ablation(dataset, config: dict):
-    name = config["ablation"]
-    if name == "none":
-        return dataset
-    if name == "no-leaf-off":
-        return ens.select_channels(dataset, ens.LEAF_ON_CHANNELS)
-    if name == "no-leaf-on":
-        return ens.select_channels(dataset, ens.LEAF_OFF_CHANNELS)
-    if name == "binary-intensity":
-        return ens.binarize_intensity(dataset)
-    # raw-intensity: swap in the dataset rasterized from raw points.
-    return load_dataset(config, "raw_tensor_file", "raw_manifest_file")
+def _label_override(fields: list[str]) -> tuple[str, str]:
+    crown_id, label, _ = fields
+    if label not in CLASS_INDEX:
+        raise ValueError(f"unknown label {label!r}")
+    return crown_id, label
+
+
+def load_ablated_dataset(config: dict):
+    """The dataset classify trains on under the configured ablation; the
+    raw-intensity variant is the store rasterized from raw points."""
+    dataset = load_dataset(config)
+    alternates = None
+    if config["ablation"] == "raw-intensity":
+        alternates = {
+            "raw-intensity": load_dataset(config, "raw_tensor_file", "raw_manifest_file")
+        }
+    return ens.ablate(dataset, config["ablation"], alternates)
 
 
 def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
@@ -337,7 +340,7 @@ def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
         logger.warning("correction hit max_iterations without converging")
     with open(out_dir / "corrected_labels.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["crown_id", "label", "original_label"])
+        writer.writerow(LABEL_COLUMNS.split(","))
         for instance in dataset.instances:
             writer.writerow([instance.crown_id, instance.label, instance.original_label])
     ens.write_history(out_dir / "history.csv", history)
@@ -345,7 +348,7 @@ def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_classify(config: dict, out_dir: Path) -> list[str]:
-    dataset = apply_ablation(load_dataset(config), config)
+    dataset = load_ablated_dataset(config)
     result = ens.ensemble_classify(
         dataset,
         n_networks=int(config["n_networks"]),
@@ -495,7 +498,7 @@ def main(argv: "list[str] | None" = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = COMMANDS[args.command](config, out_dir)
-    except ConfigError as error:
+    except (ConfigError, InputError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except Exception as error:  # runtime failure

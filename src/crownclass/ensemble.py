@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +18,17 @@ from scipy import special
 
 from . import CLASS_INDEX, CONIFER, DECIDUOUS, INDEX_CLASS
 from .ingest import OVERSTORY_CLASSES
+from .rasterize import stack_representation
 from .tinynet import (
     ADAM_LR,
+    ARCHITECTURES,
     BATCH_SIZE,
     NetworkParams,
     init_params,
     predict_probs,
     train_network,
 )
-from .util import default_threads, derive_seed, parallel_map
+from .util import default_threads, derive_seed, parallel_map, read_csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -70,11 +72,9 @@ def student_t_cdf(t: "float | np.ndarray", df: float) -> "float | np.ndarray":
 
 @dataclass
 class Instance:
-    """One crown's augmented tensors plus its mutable class label."""
+    """One crown's metadata plus its mutable class label."""
 
     crown_id: str
-    images: np.ndarray  # (augmentations, channels, size, size) float32
-    scalars: np.ndarray  # (augmentations, scalar_dim) float32
     label: str
     crown_class: str
     original_label: str
@@ -83,16 +83,19 @@ class Instance:
 
 @dataclass
 class LabeledDataset:
-    """Instances sharing one network architecture and augmentation count."""
+    """Crowns sharing one network architecture and augmentation count;
+    row i of images and scalars belongs to instances[i]."""
 
     tag: str  # architecture the tensors fit: dsm | views | views_reduced
     instances: list[Instance]
+    images: np.ndarray  # (crowns, augmentations, channels, size, size) float32
+    scalars: np.ndarray  # (crowns, scalar_dim) float32, equal over augmentations
 
     def __post_init__(self) -> None:
-        counts = {inst.images.shape[0] for inst in self.instances}
-        if len(counts) > 1:
+        if not len(self.instances) == len(self.images) == len(self.scalars):
             raise ValueError(
-                f"augmentation counts differ across instances: {sorted(counts)}"
+                f"{len(self.instances)} instances but {len(self.images)} image "
+                f"rows and {len(self.scalars)} scalar rows"
             )
         for inst in self.instances:
             if inst.label not in CLASS_INDEX:
@@ -103,75 +106,63 @@ class LabeledDataset:
 
     @property
     def augmentations(self) -> int:
-        return self.instances[0].images.shape[0] if self.instances else 0
+        return self.images.shape[1]
 
     def pool(self, label: str) -> list[int]:
         return [i for i, inst in enumerate(self.instances) if inst.label == label]
 
+    def derive(self, tag: str, images: np.ndarray) -> "LabeledDataset":
+        """Same crowns with other image tensors and copied instances."""
+        return LabeledDataset(
+            tag, [replace(inst) for inst in self.instances], images, self.scalars
+        )
+
+
+def from_store(images: np.ndarray, manifest: dict) -> LabeledDataset:
+    """Dataset over a raster store's images, (crowns, rotations, C, H, W),
+    and the kind, scaled flag and per-crown columns of its manifest."""
+    if not manifest["scaled"]:
+        raise ValueError("representations must be scaled")
+    tag = "views" if manifest["kind"] == "views4" else "dsm"
+    instances = [
+        Instance(crown_id, label, crown_class, label, float(density))
+        for crown_id, label, crown_class, density in zip(
+            manifest["crown_id"],
+            manifest["label"],
+            manifest["crown_class"],
+            manifest["density"],
+        )
+    ]
+    scalars = np.asarray(manifest["scalars"], dtype=np.float32)
+    scalars = scalars.reshape(len(instances), ARCHITECTURES[tag].scalar_dim)
+    return LabeledDataset(tag, instances, images, scalars)
+
 
 def from_representations(reps: list, kind: str = "views4") -> LabeledDataset:
-    """Build a dataset from scaled representation sets.
+    """In-memory dataset from scaled representation sets, in the given
+    order.
 
     views4 feeds the four-branch architecture with (width, height)
     scalars; dsm4 feeds the early-fusion architecture with (area,).
     """
-    if kind not in ("views4", "dsm4"):
-        raise ValueError(f"unknown representation kind {kind!r}")
-    instances = []
-    for rep in reps:
-        if not rep.scaled:
-            raise ValueError(f"{rep.crown_id}: representations must be scaled")
-        if kind == "views4":
-            if rep.entries and rep.entries[0].views4 is None:
-                raise ValueError(f"{rep.crown_id}: no views4 tensors present")
-            images = np.stack([e.views4.images for e in rep.entries])
-            scalars = np.array(
-                [
-                    [e.views4.crown_width, e.views4.tree_height]
-                    for e in rep.entries
-                ],
-                dtype=np.float32,
-            )
-        else:
-            if rep.entries and rep.entries[0].dsm4 is None:
-                raise ValueError(f"{rep.crown_id}: no dsm4 tensors present")
-            images = np.stack([e.dsm4.channels for e in rep.entries])
-            scalars = np.array(
-                [[e.dsm4.crown_area] for e in rep.entries], dtype=np.float32
-            )
-        instances.append(
-            Instance(
-                crown_id=rep.crown_id,
-                images=images,
-                scalars=scalars,
-                label=rep.label,
-                crown_class=rep.crown_class,
-                original_label=rep.label,
-                density=rep.density,
-            )
-        )
-    tag = "views" if kind == "views4" else "dsm"
-    return LabeledDataset(tag, instances)
+    stacked = [stack_representation(rep, kind) for rep in reps]
+    columns = {
+        "kind": kind,
+        "scaled": all(rep.scaled for rep in reps),
+        "crown_id": [rep.crown_id for rep in reps],
+        "label": [rep.label for rep in reps],
+        "crown_class": [rep.crown_class for rep in reps],
+        "density": [rep.density for rep in reps],
+        "scalars": [scalars for _, scalars in stacked],
+    }
+    return from_store(np.stack([images for images, _ in stacked]), columns)
 
 
 def select_channels(dataset: LabeledDataset, channels: tuple[int, ...]) -> LabeledDataset:
     """Single-season variant of a views dataset (2 of 4 image channels)."""
     if dataset.tag != "views" or len(channels) != 2:
         raise ValueError("channel selection needs a views dataset and 2 channels")
-    picked = list(channels)
-    instances = [
-        Instance(
-            crown_id=inst.crown_id,
-            images=inst.images[:, picked],
-            scalars=inst.scalars,
-            label=inst.label,
-            crown_class=inst.crown_class,
-            original_label=inst.original_label,
-            density=inst.density,
-        )
-        for inst in dataset.instances
-    ]
-    return LabeledDataset("views_reduced", instances)
+    return dataset.derive("views_reduced", dataset.images[:, :, list(channels)])
 
 
 def binarize_intensity(dataset: LabeledDataset) -> LabeledDataset:
@@ -180,47 +171,47 @@ def binarize_intensity(dataset: LabeledDataset) -> LabeledDataset:
     View images are intensity rasters, so every channel binarizes; DSM
     intensity channels (1 and 3) binarize while heights are kept.
     """
-    instances = []
-    for inst in dataset.instances:
-        images = inst.images.copy()
-        if dataset.tag == "dsm":
-            for c in (1, 3):
-                images[:, c] = (images[:, c] > 0).astype(np.float32)
-        else:
-            images = (images > 0).astype(np.float32)
-        instances.append(
-            Instance(
-                crown_id=inst.crown_id,
-                images=images,
-                scalars=inst.scalars,
-                label=inst.label,
-                crown_class=inst.crown_class,
-                original_label=inst.original_label,
-                density=inst.density,
-            )
-        )
-    return LabeledDataset(dataset.tag, instances)
+    if dataset.tag == "dsm":
+        images = np.array(dataset.images)
+        images[:, :, [1, 3]] = images[:, :, [1, 3]] > 0
+    else:
+        images = (dataset.images > 0).astype(np.float32)
+    return dataset.derive(dataset.tag, images)
 
 
 def truncate_augmentations(dataset: LabeledDataset, count: int) -> LabeledDataset:
-    """Keep only the first ``count`` rotations of every instance."""
+    """Keep only the first ``count`` rotations of every instance, as a view."""
     if not 1 <= count <= dataset.augmentations:
         raise ValueError(
             f"augmentation count {count} outside 1..{dataset.augmentations}"
         )
-    instances = [
-        Instance(
-            crown_id=inst.crown_id,
-            images=inst.images[:count],
-            scalars=inst.scalars[:count],
-            label=inst.label,
-            crown_class=inst.crown_class,
-            original_label=inst.original_label,
-            density=inst.density,
+    return dataset.derive(dataset.tag, dataset.images[:, :count])
+
+
+def ablate(
+    dataset: LabeledDataset,
+    name: str,
+    alternates: "dict[str, LabeledDataset] | None" = None,
+) -> LabeledDataset:
+    """The dataset variant one ablation trains on. raw-intensity takes a
+    dataset built without intensity normalization from
+    alternates={"raw-intensity": dataset}."""
+    if name == "none":
+        return dataset
+    if name == "no-leaf-off":
+        return select_channels(dataset, LEAF_ON_CHANNELS)
+    if name == "no-leaf-on":
+        return select_channels(dataset, LEAF_OFF_CHANNELS)
+    if name == "binary-intensity":
+        return binarize_intensity(dataset)
+    if name != "raw-intensity":
+        raise ValueError(f"unknown ablation {name!r}")
+    if not alternates or name not in alternates:
+        raise ValueError(
+            "raw-intensity ablation needs a dataset built without "
+            "intensity normalization"
         )
-        for inst in dataset.instances
-    ]
-    return LabeledDataset(dataset.tag, instances)
+    return alternates[name]
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +281,14 @@ class EnsembleRun:
 
 
 def _training_tensors(dataset: LabeledDataset, membership: list[int]):
-    images = np.concatenate([dataset.instances[i].images for i in membership])
-    scalars = np.concatenate([dataset.instances[i].scalars for i in membership])
-    onehots = np.zeros((len(images), 2), dtype=np.float32)
-    row = 0
-    for i in membership:
-        inst = dataset.instances[i]
-        count = inst.images.shape[0]
-        onehots[row : row + count, CLASS_INDEX[inst.label]] = 1.0
-        row += count
+    """One gather of the members' samples, membership-major and
+    rotation-minor, with their scalars and one-hot labels."""
+    aug = dataset.augmentations
+    images = dataset.images[membership]
+    images = images.reshape(len(images) * aug, *images.shape[2:])
+    scalars = np.repeat(dataset.scalars[membership], aug, axis=0)
+    classes = [CLASS_INDEX[dataset.instances[i].label] for i in membership]
+    onehots = np.eye(2, dtype=np.float32)[np.repeat(classes, aug)]
     return images, scalars, onehots
 
 
@@ -380,28 +370,14 @@ def train_ensemble(
 def _instance_probs(run: EnsembleRun, dataset: LabeledDataset, threads=None):
     """Per network, softmax probabilities for every instance augmentation,
     shaped (instances, augmentations, 2)."""
-    n = len(dataset.instances)
-    aug = dataset.augmentations
-    images = np.concatenate([inst.images for inst in dataset.instances])
-    scalars = np.concatenate([inst.scalars for inst in dataset.instances])
+    n, aug = dataset.images.shape[:2]
+    images = dataset.images.reshape(n * aug, *dataset.images.shape[2:])
+    scalars = np.repeat(dataset.scalars, aug, axis=0)
 
     def predict(net: TrainedNetwork):
         return predict_probs(net.params, images, scalars).reshape(n, aug, 2)
 
     return parallel_map(predict, run.networks, threads or default_threads())
-
-
-def holdout_accuracy(net: TrainedNetwork, instance: Instance, index: int | None = None) -> float:
-    """Fraction of an instance's augmentations classified to its label.
-
-    When the dataset index is given, membership is checked so the caller
-    cannot accidentally score a network on its own training crown.
-    """
-    if index is not None and index in net.held:
-        raise ValueError("instance was in the network's training sample")
-    probs = predict_probs(net.params, instance.images, instance.scalars)
-    predicted = np.argmax(probs, axis=1)
-    return float(np.mean(predicted == CLASS_INDEX[instance.label]))
 
 
 @dataclass
@@ -703,9 +679,9 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return r, p_value
 
 
-def _row_from_result(variant: str, param: str, result: ClassifyResult) -> SweepRow:
-    con = result.accuracies[CONIFER]
-    dec = result.accuracies[DECIDUOUS]
+def _row(variant: str, param: str, accuracies: dict[str, ClassAccuracy]) -> SweepRow:
+    con = accuracies[CONIFER]
+    dec = accuracies[DECIDUOUS]
     return SweepRow(
         variant, param, con.accuracy, con.ci_half_width, dec.accuracy, dec.ci_half_width
     )
@@ -728,15 +704,26 @@ def run_sweep(
     The raw-intensity ablation needs a dataset rebuilt without intensity
     normalization, passed via alternates={"raw-intensity": dataset}.
     """
-    classify_args = dict(lr=lr, batch_size=batch_size, threads=threads)
     rows: list[SweepRow] = []
+
+    def classify(variant_dataset, *seed_path, classes=per_class) -> ClassifyResult:
+        return ensemble_classify(
+            variant_dataset,
+            n_networks,
+            classes,
+            epochs,
+            seed=derive_seed(seed, *seed_path),
+            lr=lr,
+            batch_size=batch_size,
+            threads=threads,
+        )
 
     if spec.variant == "size":
         for fraction in spec.fractions:
             per_label_acc = {CONIFER: [], DECIDUOUS: []}
             for repeat in range(spec.repeats):
-                sub_seed = derive_seed(seed, "size", f"{fraction:g}", repeat)
-                rng = np.random.default_rng(sub_seed)
+                seed_path = ("size", f"{fraction:g}", repeat)
+                rng = np.random.default_rng(derive_seed(seed, *seed_path))
                 chosen: list[int] = []
                 for label in (CONIFER, DECIDUOUS):
                     pool = dataset.pool(label)
@@ -744,16 +731,15 @@ def run_sweep(
                     k = min(k, len(pool))
                     picked = rng.choice(len(pool), size=k, replace=False)
                     chosen.extend(pool[j] for j in picked)
+                rows_kept = sorted(chosen)
                 subset = LabeledDataset(
-                    dataset.tag, [dataset.instances[i] for i in sorted(chosen)]
+                    dataset.tag,
+                    [dataset.instances[i] for i in rows_kept],
+                    dataset.images[rows_kept],
+                    dataset.scalars[rows_kept],
                 )
-                result = ensemble_classify(
-                    subset,
-                    n_networks,
-                    max(1, int(round(fraction * per_class))),
-                    epochs,
-                    seed=sub_seed,
-                    **classify_args,
+                result = classify(
+                    subset, *seed_path, classes=max(1, int(round(fraction * per_class)))
                 )
                 for label in (CONIFER, DECIDUOUS):
                     per_label_acc[label].append(result.accuracies[label].accuracy)
@@ -780,55 +766,16 @@ def run_sweep(
 
     elif spec.variant == "augmentation":
         for count in spec.augmentations:
-            truncated = truncate_augmentations(dataset, count)
-            result = ensemble_classify(
-                truncated,
-                n_networks,
-                per_class,
-                epochs,
-                seed=derive_seed(seed, "augmentation", count),
-                **classify_args,
-            )
-            rows.append(_row_from_result("augmentation", str(count), result))
+            result = classify(truncate_augmentations(dataset, count), "augmentation", count)
+            rows.append(_row("augmentation", str(count), result.accuracies))
 
     elif spec.variant == "ablation":
         for name in spec.ablations:
-            if name == "none":
-                variant_dataset = dataset
-            elif name == "no-leaf-off":
-                variant_dataset = select_channels(dataset, LEAF_ON_CHANNELS)
-            elif name == "no-leaf-on":
-                variant_dataset = select_channels(dataset, LEAF_OFF_CHANNELS)
-            elif name == "binary-intensity":
-                variant_dataset = binarize_intensity(dataset)
-            elif name == "raw-intensity":
-                if not alternates or "raw-intensity" not in alternates:
-                    raise ValueError(
-                        "raw-intensity ablation needs a dataset built without "
-                        "intensity normalization"
-                    )
-                variant_dataset = alternates["raw-intensity"]
-            else:
-                raise ValueError(f"unknown ablation {name!r}")
-            result = ensemble_classify(
-                variant_dataset,
-                n_networks,
-                per_class,
-                epochs,
-                seed=derive_seed(seed, "ablation", name),
-                **classify_args,
-            )
-            rows.append(_row_from_result("ablation", name, result))
+            result = classify(ablate(dataset, name, alternates), "ablation", name)
+            rows.append(_row("ablation", name, result.accuracies))
 
     elif spec.variant == "crown_class":
-        result = ensemble_classify(
-            dataset,
-            n_networks,
-            per_class,
-            epochs,
-            seed=derive_seed(seed, "crown-class"),
-            **classify_args,
-        )
+        result = classify(dataset, "crown-class")
         group_of = {
             inst.crown_id: (
                 "overstory" if inst.crown_class in OVERSTORY_CLASSES else "understory"
@@ -839,27 +786,12 @@ def run_sweep(
             group_preds = [
                 p for p in result.predictions if group_of[p.crown_id] == group
             ]
-            accuracies = accuracies_from_predictions(group_preds)
             rows.append(
-                SweepRow(
-                    "crown_class",
-                    group,
-                    accuracies[CONIFER].accuracy,
-                    accuracies[CONIFER].ci_half_width,
-                    accuracies[DECIDUOUS].accuracy,
-                    accuracies[DECIDUOUS].ci_half_width,
-                )
+                _row("crown_class", group, accuracies_from_predictions(group_preds))
             )
 
     elif spec.variant == "density":
-        result = ensemble_classify(
-            dataset,
-            n_networks,
-            per_class,
-            epochs,
-            seed=derive_seed(seed, "density"),
-            **classify_args,
-        )
+        result = classify(dataset, "density")
         by_id = {inst.crown_id: inst for inst in dataset.instances}
         stats = {}
         for label in (CONIFER, DECIDUOUS):
@@ -912,15 +844,11 @@ def write_history(path: "str | Path", history: CorrectionHistory) -> None:
 
 
 def read_history(path: "str | Path") -> list[HistoryRow]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != HISTORY_COLUMNS.split(","):
-            raise ValueError(f"{path}: expected header {HISTORY_COLUMNS!r}")
-        return [
-            HistoryRow(int(row[0]), int(row[1]), int(row[2]), float(row[3]))
-            for row in reader
-        ]
+    return read_csv_rows(
+        path,
+        HISTORY_COLUMNS.split(","),
+        lambda r: HistoryRow(int(r[0]), int(r[1]), int(r[2]), float(r[3])),
+    )
 
 
 def write_predictions(path: "str | Path", predictions: list[InstancePrediction]) -> None:
@@ -934,15 +862,11 @@ def write_predictions(path: "str | Path", predictions: list[InstancePrediction])
 
 
 def read_predictions(path: "str | Path") -> list[InstancePrediction]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != PREDICTION_COLUMNS.split(","):
-            raise ValueError(f"{path}: expected header {PREDICTION_COLUMNS!r}")
-        return [
-            InstancePrediction(row[0], row[1], row[2], float(row[3]), int(row[4]))
-            for row in reader
-        ]
+    return read_csv_rows(
+        path,
+        PREDICTION_COLUMNS.split(","),
+        lambda r: InstancePrediction(r[0], r[1], r[2], float(r[3]), int(r[4])),
+    )
 
 
 def write_sweep_table(path: "str | Path", rows: list[SweepRow]) -> None:
@@ -963,14 +887,8 @@ def write_sweep_table(path: "str | Path", rows: list[SweepRow]) -> None:
 
 
 def read_sweep_table(path: "str | Path") -> list[SweepRow]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SWEEP_COLUMNS.split(","):
-            raise ValueError(f"{path}: expected header {SWEEP_COLUMNS!r}")
-        return [
-            SweepRow(
-                row[0], row[1], float(row[2]), float(row[3]), float(row[4]), float(row[5])
-            )
-            for row in reader
-        ]
+    return read_csv_rows(
+        path,
+        SWEEP_COLUMNS.split(","),
+        lambda r: SweepRow(r[0], r[1], *(float(value) for value in r[2:])),
+    )

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
+from .util import read_csv_rows
+
 logger = logging.getLogger(__name__)
 
 # Season / point-class codes used in the array containers.
@@ -308,48 +310,39 @@ def assemble_crowns(
     return crowns
 
 
-def _parse_point_row(row: dict[str, str], line: int) -> LidarPoint:
-    try:
-        point = LidarPoint(
-            x=float(row["x"]),
-            y=float(row["y"]),
-            z=float(row["z"]),
-            intensity=int(row["intensity"]),
-            return_number=int(row["return_number"]),
-            scan_angle=float(row["scan_angle"]),
-            range_m=float(row["range"]),
-            season=row["season"],
-            pclass=row["pclass"],
-            crown_id=row["crown_id"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"point file line {line}: {exc}") from exc
+def _parse_point_row(fields: list[str]) -> LidarPoint:
+    crown_id, x, y, z, intensity, returns, angle, range_m, season, pclass = fields
+    point = LidarPoint(
+        x=float(x),
+        y=float(y),
+        z=float(z),
+        intensity=int(intensity),
+        return_number=int(returns),
+        scan_angle=float(angle),
+        range_m=float(range_m),
+        season=season,
+        pclass=pclass,
+        crown_id=crown_id,
+    )
     if point.season not in SEASON_TOKENS:
-        raise ValueError(f"point file line {line}: unknown season {point.season!r}")
+        raise ValueError(f"unknown season {point.season!r}")
     if point.pclass not in PCLASS_TOKENS:
-        raise ValueError(f"point file line {line}: unknown pclass {point.pclass!r}")
+        raise ValueError(f"unknown pclass {point.pclass!r}")
     if not 0 <= point.intensity <= 255:
-        raise ValueError(f"point file line {line}: intensity {point.intensity} outside [0,255]")
+        raise ValueError(f"intensity {point.intensity} outside [0,255]")
     if not 1 <= point.return_number <= 4:
-        raise ValueError(f"point file line {line}: return_number {point.return_number} outside 1..4")
+        raise ValueError(f"return_number {point.return_number} outside 1..4")
     if point.season == "off" and point.return_number > 3:
-        raise ValueError(f"point file line {line}: leaf-off return_number > 3")
+        raise ValueError("leaf-off return_number > 3")
     if point.range_m <= 0:
-        raise ValueError(f"point file line {line}: range must be > 0")
+        raise ValueError("range must be > 0")
     return point
 
 
 def read_point_file(path: str | Path) -> PointCloud:
     """Read the comma-separated point file; ground rows have an empty
-    crown_id."""
-    points: list[LidarPoint] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        expected = POINT_COLUMNS.split(",")
-        if reader.fieldnames != expected:
-            raise ValueError(f"point file header {reader.fieldnames} != {expected}")
-        for line, row in enumerate(reader, start=2):
-            points.append(_parse_point_row(row, line))
+    crown_id. A malformed row raises InputError naming path:line."""
+    points = read_csv_rows(path, POINT_COLUMNS.split(","), _parse_point_row)
     return PointCloud.from_points(points)
 
 
@@ -375,37 +368,25 @@ def write_point_file(path: str | Path, points: PointCloud) -> None:
             )
 
 
+def _parse_stem_row(fields: list[str]) -> FieldStem:
+    stem_id, x, y, height, species, crown_class, status = fields
+    stem = FieldStem(
+        stem_id, float(x), float(y), float(height), species, crown_class, status
+    )
+    if stem.species_class not in ("conifer", "deciduous"):
+        raise ValueError(f"unknown species {stem.species_class!r}")
+    if stem.crown_class not in CROWN_CLASSES:
+        raise ValueError(f"unknown crown_class {stem.crown_class!r}")
+    if stem.status not in ("live", "dead"):
+        raise ValueError(f"unknown status {stem.status!r}")
+    return stem
+
+
 def read_stem_file(path: str | Path, drop_dead: bool = True) -> list[FieldStem]:
-    """Read the stem file; dead stems are dropped on ingestion."""
-    stems: list[FieldStem] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        expected = STEM_COLUMNS.split(",")
-        if reader.fieldnames != expected:
-            raise ValueError(f"stem file header {reader.fieldnames} != {expected}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                stem = FieldStem(
-                    stem_id=row["stem_id"],
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    height=float(row["height"]),
-                    species_class=row["species"],
-                    crown_class=row["crown_class"],
-                    status=row["status"],
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"stem file line {line}: {exc}") from exc
-            if stem.species_class not in ("conifer", "deciduous"):
-                raise ValueError(f"stem file line {line}: unknown species {stem.species_class!r}")
-            if stem.crown_class not in CROWN_CLASSES:
-                raise ValueError(f"stem file line {line}: unknown crown_class {stem.crown_class!r}")
-            if stem.status not in ("live", "dead"):
-                raise ValueError(f"stem file line {line}: unknown status {stem.status!r}")
-            if drop_dead and stem.status == "dead":
-                continue
-            stems.append(stem)
-    return stems
+    """Read the stem file; dead stems are dropped on ingestion. A
+    malformed row raises InputError naming path:line."""
+    stems = read_csv_rows(path, STEM_COLUMNS.split(","), _parse_stem_row)
+    return [stem for stem in stems if not (drop_dead and stem.status == "dead")]
 
 
 def write_stem_file(path: str | Path, stems: list[FieldStem]) -> None:

@@ -1,6 +1,6 @@
 """Crown discretization: a four-channel 128x128 surface-model raster and
 a four-image 64x64 view stack, plus rotational augmentation and the
-binary tensor store that feeds network training.
+memory-mapped raster store that feeds network training.
 
 Both representations cover 16x16 m centered on the crown apex. Grid
 origins are chosen so the apex falls at the exact center of its pixel;
@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.format import open_memmap, write_array_header_1_0
 
 from .ingest import LEAF_OFF, LEAF_ON, CrownCloud
+from .util import InputError
 
 DSM_SIZE = 128
 DSM_CELL = 0.125
@@ -30,11 +31,16 @@ HEIGHT_SCALE = 50.0
 INTENSITY_SCALE = 255.0
 AREA_SCALE = 300.0
 WIDTH_SCALE = 20.0
+# dsm4 channels are [height, intensity, height, intensity].
+DSM_CHANNEL_SCALES = np.array(
+    [HEIGHT_SCALE, INTENSITY_SCALE, HEIGHT_SCALE, INTENSITY_SCALE], dtype=np.float32
+)[:, None, None]
 
-MAGIC = b"CRWN"
-FORMAT_VERSION = 1
-FLAG_DSM = 1
-FLAG_VIEWS = 2
+# Per-rotation image shape of each representation kind in the store.
+KIND_SHAPES = {"views4": (4, VIEW_SIZE, VIEW_SIZE), "dsm4": (4, DSM_SIZE, DSM_SIZE)}
+# Store manifest: these facts plus one list per crown column, row order.
+STORE_KEYS = ("kind", "n_rotations", "step", "scaled")
+CROWN_COLUMNS = ("crown_id", "label", "crown_class", "density", "scalars")
 
 
 @dataclass
@@ -220,15 +226,12 @@ def scale_for_network(rep: RepresentationSet) -> RepresentationSet:
         raise ValueError(f"representation set {rep.crown_id} already scaled")
     entries = []
     for entry in rep.entries:
-        dsm4 = None
+        dsm4 = views4 = None
         if entry.dsm4 is not None:
-            channels = entry.dsm4.channels.copy()
-            channels[0] /= HEIGHT_SCALE
-            channels[1] /= INTENSITY_SCALE
-            channels[2] /= HEIGHT_SCALE
-            channels[3] /= INTENSITY_SCALE
-            dsm4 = Dsm4(channels=channels, crown_area=entry.dsm4.crown_area / AREA_SCALE)
-        views4 = None
+            dsm4 = Dsm4(
+                channels=entry.dsm4.channels / DSM_CHANNEL_SCALES,
+                crown_area=entry.dsm4.crown_area / AREA_SCALE,
+            )
         if entry.views4 is not None:
             views4 = Views4(
                 images=entry.views4.images / INTENSITY_SCALE,
@@ -236,69 +239,69 @@ def scale_for_network(rep: RepresentationSet) -> RepresentationSet:
                 crown_width=entry.views4.crown_width / WIDTH_SCALE,
             )
         entries.append(RotatedRep(entry.rotation, dsm4, views4))
-    return RepresentationSet(
-        crown_id=rep.crown_id,
-        label=rep.label,
-        crown_class=rep.crown_class,
-        density=rep.density,
-        entries=entries,
-        scaled=True,
-    )
+    return replace(rep, entries=entries, scaled=True)
 
 
-def _record_bytes(rep: RepresentationSet) -> bytes:
-    first = rep.entries[0]
-    flags = (FLAG_DSM if first.dsm4 is not None else 0) | (
-        FLAG_VIEWS if first.views4 is not None else 0
-    )
-    parts = [MAGIC, struct.pack("<HHI", FORMAT_VERSION, flags, len(rep.entries))]
-    if first.dsm4 is not None:
-        parts.append(struct.pack("<III", *first.dsm4.channels.shape))
-    if first.views4 is not None:
-        parts.append(struct.pack("<III", *first.views4.images.shape))
-    for entry in rep.entries:
-        parts.append(struct.pack("<f", entry.rotation))
-        if entry.dsm4 is not None:
-            parts.append(entry.dsm4.channels.astype("<f4").tobytes())
-        if entry.views4 is not None:
-            parts.append(entry.views4.images.astype("<f4").tobytes())
-    crown_area = (
-        first.dsm4.crown_area if first.dsm4 is not None else 0.0
-    )
-    tree_height = first.views4.tree_height if first.views4 is not None else 0.0
-    crown_width = first.views4.crown_width if first.views4 is not None else 0.0
-    parts.append(struct.pack("<fff", crown_area, tree_height, crown_width))
-    return b"".join(parts)
+def stack_representation(
+    rep: RepresentationSet, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """One crown's (rotations, C, H, W) float32 images of one kind and
+    its float32 scalar features: (width, height) for views4, (area,) for
+    dsm4. Scalars are equal across rotations, so the first entry's serve."""
+    if kind not in KIND_SHAPES:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    if not rep.entries or getattr(rep.entries[0], kind) is None:
+        raise ValueError(f"{rep.crown_id}: no {kind} tensors present")
+    if kind == "views4":
+        images = np.stack([e.views4.images for e in rep.entries])
+        first = rep.entries[0].views4
+        scalars = [first.crown_width, first.tree_height]
+    else:
+        images = np.stack([e.dsm4.channels for e in rep.entries])
+        scalars = [rep.entries[0].dsm4.crown_area]
+    return images.astype(np.float32, copy=False), np.array(scalars, dtype=np.float32)
 
 
 def write_representation_file(
     tensor_path: "str | Path",
     manifest_path: "str | Path",
     reps: list[RepresentationSet],
+    kind: str,
     n_rotations: int,
     step: float,
 ) -> None:
-    """Write all representation sets to one binary file plus a JSON
-    manifest mapping crown_id to its record offset and metadata."""
-    records: dict[str, dict] = {}
-    offset = 0
+    """Write one kind of every representation set as a raster store.
+
+    The tensor file is one .npy float32 array of shape (crowns,
+    rotations, C, H, W), streamed crown by crown in sorted crown_id
+    order; the JSON manifest holds the per-crown columns in that order.
+    """
+    reps = sorted(reps, key=lambda rep: rep.crown_id)
+    shape = (len(reps), n_rotations) + KIND_SHAPES[kind]
+    scalars = []
     with open(tensor_path, "wb") as handle:
+        write_array_header_1_0(
+            handle, {"descr": "<f4", "fortran_order": False, "shape": shape}
+        )
         for rep in reps:
-            blob = _record_bytes(rep)
-            records[rep.crown_id] = {
-                "offset": offset,
-                "label": rep.label,
-                "crown_class": rep.crown_class,
-                "density": rep.density,
-            }
-            handle.write(blob)
-            offset += len(blob)
+            images, crown_scalars = stack_representation(rep, kind)
+            if images.shape != shape[1:]:
+                raise ValueError(
+                    f"{rep.crown_id}: {kind} tensors {images.shape} do not fit "
+                    f"the store's {shape[1:]}"
+                )
+            handle.write(images.astype("<f4", copy=False).tobytes())
+            scalars.append([float(value) for value in crown_scalars])
     manifest = {
-        "version": FORMAT_VERSION,
+        "kind": kind,
         "n_rotations": n_rotations,
         "step": step,
         "scaled": all(rep.scaled for rep in reps),
-        "records": records,
+        "crown_id": [rep.crown_id for rep in reps],
+        "label": [rep.label for rep in reps],
+        "crown_class": [rep.crown_class for rep in reps],
+        "density": [rep.density for rep in reps],
+        "scalars": scalars,
     }
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -306,75 +309,34 @@ def write_representation_file(
 
 
 def read_manifest(manifest_path: "str | Path") -> dict:
-    with open(manifest_path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _read_exact(handle, count: int) -> bytes:
-    blob = handle.read(count)
-    if len(blob) != count:
-        raise ValueError("truncated tensor file")
-    return blob
-
-
-def read_representation(
-    tensor_path: "str | Path", manifest: dict, crown_id: str
-) -> RepresentationSet:
-    meta = manifest["records"][crown_id]
-    with open(tensor_path, "rb") as handle:
-        handle.seek(meta["offset"])
-        if _read_exact(handle, 4) != MAGIC:
-            raise ValueError(f"bad magic at offset {meta['offset']}")
-        version, flags, n_entries = struct.unpack("<HHI", _read_exact(handle, 8))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported tensor format version {version}")
-        dsm_shape = views_shape = None
-        if flags & FLAG_DSM:
-            dsm_shape = struct.unpack("<III", _read_exact(handle, 12))
-        if flags & FLAG_VIEWS:
-            views_shape = struct.unpack("<III", _read_exact(handle, 12))
-        raw_entries = []
-        for _ in range(n_entries):
-            (rotation,) = struct.unpack("<f", _read_exact(handle, 4))
-            dsm = views = None
-            if dsm_shape:
-                n = int(np.prod(dsm_shape))
-                dsm = np.frombuffer(_read_exact(handle, 4 * n), dtype="<f4").reshape(
-                    dsm_shape
-                )
-            if views_shape:
-                n = int(np.prod(views_shape))
-                views = np.frombuffer(_read_exact(handle, 4 * n), dtype="<f4").reshape(
-                    views_shape
-                )
-            raw_entries.append((rotation, dsm, views))
-        crown_area, tree_height, crown_width = struct.unpack(
-            "<fff", _read_exact(handle, 12)
+    try:
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except json.JSONDecodeError as error:
+        raise InputError(f"{manifest_path}: not valid JSON: {error}") from error
+    missing = [key for key in STORE_KEYS + CROWN_COLUMNS if key not in manifest]
+    if missing or manifest["kind"] not in KIND_SHAPES:
+        raise InputError(
+            f"{manifest_path}: not a raster store manifest "
+            f"(missing {', '.join(missing) or 'a known kind'})"
         )
-    entries = [
-        RotatedRep(
-            rotation=rotation,
-            dsm4=None if dsm is None else Dsm4(dsm.copy(), crown_area),
-            views4=None
-            if views is None
-            else Views4(views.copy(), tree_height, crown_width),
-        )
-        for rotation, dsm, views in raw_entries
-    ]
-    return RepresentationSet(
-        crown_id=crown_id,
-        label=meta["label"],
-        crown_class=meta["crown_class"],
-        density=meta["density"],
-        entries=entries,
-        scaled=manifest["scaled"],
-    )
+    return manifest
 
 
 def read_all_representations(
     tensor_path: "str | Path", manifest: dict
-) -> list[RepresentationSet]:
-    return [
-        read_representation(tensor_path, manifest, crown_id)
-        for crown_id in sorted(manifest["records"])
-    ]
+) -> np.ndarray:
+    """Memory-map the store read-only: (crowns, rotations, C, H, W)
+    float32, rows in the manifest's crown order."""
+    try:
+        images = open_memmap(tensor_path, mode="r")
+    except ValueError as error:
+        raise InputError(f"{tensor_path}: not a raster store: {error}") from error
+    rows = (len(manifest["crown_id"]), manifest["n_rotations"])
+    expected = rows + KIND_SHAPES[manifest["kind"]]
+    if images.shape != expected or images.dtype != np.float32:
+        raise InputError(
+            f"{tensor_path}: {images.dtype} array of shape {images.shape} "
+            f"disagrees with its manifest (float32 {expected})"
+        )
+    return images

@@ -12,7 +12,11 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import SPECIES_CLASSES
 from .ingest import CrownCloud, FieldStem
+from .util import read_csv_rows
+
+REGISTRATION_COLUMNS = ("crown_id", "stem_id", "score", "label", "crown_class")
 
 SCORE_TIERS = (
     (0.10, 5.0, 100),
@@ -112,7 +116,7 @@ def register_crowns(
 def write_registrations(path: "str | Path", labeled: list[LabeledCrown]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["crown_id", "stem_id", "score", "label", "crown_class"])
+        writer.writerow(REGISTRATION_COLUMNS)
         for item in labeled:
             writer.writerow(
                 [
@@ -125,18 +129,14 @@ def write_registrations(path: "str | Path", labeled: list[LabeledCrown]) -> None
             )
 
 
+def _parse_registration_row(fields: list[str]) -> Registration:
+    crown_id, stem_id, score, label, crown_class = fields
+    if label not in SPECIES_CLASSES:
+        raise ValueError(f"unknown label {label!r}")
+    return Registration(crown_id, stem_id, int(score), label, crown_class)
+
+
 def read_registrations(path: "str | Path") -> list[Registration]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            rows.append(
-                Registration(
-                    crown_id=row["crown_id"],
-                    stem_id=row["stem_id"],
-                    score=int(row["score"]),
-                    label=row["label"],
-                    crown_class=row["crown_class"],
-                )
-            )
-    return rows
+    """Read a registrations table; a malformed row raises InputError
+    naming path:line."""
+    return read_csv_rows(path, REGISTRATION_COLUMNS, _parse_registration_row)

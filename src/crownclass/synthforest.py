@@ -29,7 +29,7 @@ from .ingest import (
     PointCloud,
 )
 from . import CONIFER, DECIDUOUS
-from .util import derive_seed
+from .util import derive_seed, read_csv_rows
 
 TRUTH_COLUMNS = "crown_id,true_label,recorded_label"
 
@@ -382,9 +382,4 @@ def write_truth_file(path: str | Path, truth: list[TruthRow]) -> None:
 
 
 def read_truth_file(path: str | Path) -> list[TruthRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRUTH_COLUMNS.split(","):
-            raise ValueError(f"{path}: expected header {TRUTH_COLUMNS!r}")
-        return [TruthRow(*row) for row in reader]
+    return read_csv_rows(path, TRUTH_COLUMNS.split(","), lambda r: TruthRow(*r))

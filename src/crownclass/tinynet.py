@@ -19,9 +19,7 @@ graph to float64 (used by gradient checks).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +30,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BATCH_SIZE = 32
-
-MAGIC = b"TNET"
-SNAPSHOT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -296,6 +291,7 @@ def _forward(
 
     flats = []
     offset = 0
+    # Depth-first per branch keeps each layer chain in cache; a fused stack ran slower.
     for branch, channels in enumerate(spec.branch_channels):
         prefix = _branch_prefix(spec, branch)
         x = images[:, offset : offset + channels]
@@ -540,44 +536,3 @@ def train_network(
         np.mean(np.argmax(probs, axis=1) == np.argmax(onehots, axis=1))
     )
     return params, accuracy
-
-
-def save_params(path: "str | Path", params: NetworkParams) -> None:
-    """Snapshot: magic, version, architecture tag, then per-tensor name,
-    dims, and float32 little-endian values in declaration order."""
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        tag_bytes = params.tag.encode("utf-8")
-        handle.write(struct.pack("<HBH", SNAPSHOT_VERSION, len(tag_bytes), len(params.tensors)))
-        handle.write(tag_bytes)
-        for name, tensor in params.tensors.items():
-            name_bytes = name.encode("utf-8")
-            handle.write(struct.pack("<B", len(name_bytes)))
-            handle.write(name_bytes)
-            handle.write(struct.pack("<B", tensor.ndim))
-            handle.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            handle.write(tensor.astype("<f4").tobytes())
-
-
-def load_params(path: "str | Path") -> NetworkParams:
-    with open(path, "rb") as handle:
-        if handle.read(4) != MAGIC:
-            raise ValueError("not a parameter snapshot")
-        version, tag_len, n_tensors = struct.unpack("<HBH", handle.read(5))
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        tag = handle.read(tag_len).decode("utf-8")
-        if tag not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture tag {tag!r}")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<B", handle.read(1))
-            name = handle.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", handle.read(1))
-            shape = struct.unpack(f"<{ndim}I", handle.read(4 * ndim))
-            count = int(np.prod(shape))
-            blob = handle.read(4 * count)
-            if len(blob) != 4 * count:
-                raise ValueError("truncated parameter snapshot")
-            tensors[name] = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
-    return NetworkParams(tag, tensors)

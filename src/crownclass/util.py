@@ -1,7 +1,9 @@
-"""Small shared helpers: seed derivation and bounded parallel mapping."""
+"""Small shared helpers: seed derivation, bounded parallel mapping, and
+validated CSV input."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,3 +38,32 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+class InputError(ValueError):
+    """A malformed input file; the command line exits 1 on it."""
+
+
+def read_csv_rows(path, columns: Sequence[str], parse: Callable[[list[str]], R]) -> list[R]:
+    """Parse every row of a CSV file whose header must equal ``columns``.
+
+    ``parse`` maps a row's fields, one per column, to a record and raises
+    ValueError on a bad value; a bad header, field count or value raises
+    InputError as ``path:line: problem``. Blank lines are skipped.
+    """
+    records = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != list(columns):
+            raise InputError(f"{path}:1: header {header} != {list(columns)}")
+        for fields in reader:
+            if not fields:
+                continue
+            try:
+                if len(fields) != len(columns):
+                    raise ValueError(f"{len(fields)} fields, expected {len(columns)}")
+                records.append(parse(fields))
+            except ValueError as error:
+                raise InputError(f"{path}:{reader.line_num}: {error}") from error
+    return records

@@ -166,10 +166,10 @@ class TestPipelineOutputs:
             "rasterize", pipeline["config"], target, "--representation", "dsm4"
         ) == 0
         manifest = read_manifest(target / "rasters.json")
-        reps = read_all_representations(target / "rasters.bin", manifest)
-        entry = reps[0].entries[0]
-        assert entry.dsm4 is not None and entry.views4 is None
-        assert entry.dsm4.channels.shape == (4, 128, 128)
+        images = read_all_representations(target / "rasters.bin", manifest)
+        assert manifest["kind"] == "dsm4"
+        assert images.shape == (24, 4, 4, 128, 128)
+        assert manifest["crown_id"] == sorted(manifest["crown_id"])
 
     def test_no_intensity_norm_passthrough(self, pipeline):
         out = pipeline["out"]
@@ -253,6 +253,71 @@ class TestErrorPaths:
         )
         assert run("sweep", config, tmp_path) == 1
         assert "raw_tensor_file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["correct-labels", "classify", "sweep"])
+    def test_store_of_other_representation_exits_1(
+        self, tmp_path, pipeline, capsys, command
+    ):
+        out = pipeline["out"]
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+        )
+        assert run(command, config, tmp_path, "--representation", "dsm4") == 1
+        assert "representation" in capsys.readouterr().err
+
+    def test_store_shape_disagreeing_with_manifest_exits_1(
+        self, tmp_path, pipeline, capsys
+    ):
+        out = pipeline["out"]
+        manifest = json.loads((out / "rasters.json").read_text())
+        manifest["n_rotations"] = 2
+        (tmp_path / "short.json").write_text(json.dumps(manifest))
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(tmp_path / "short.json"),
+        )
+        assert run("classify", config, tmp_path) == 1
+        assert "rasters.bin" in capsys.readouterr().err
+
+    def test_malformed_point_file_exits_1(self, tmp_path, pipeline, capsys):
+        lines = (pipeline["out"] / "points.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4] = "300"  # intensity
+        lines[2] = ",".join(fields)
+        (tmp_path / "points.csv").write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path / "config.json", points_file=str(tmp_path / "points.csv")
+        )
+        assert run("normalize-intensity", config, tmp_path) == 1
+        assert "points.csv:3: intensity 300" in capsys.readouterr().err
+
+    def test_malformed_stem_file_exits_1(self, tmp_path, pipeline, capsys):
+        stems = tmp_path / "stems.csv"
+        stems.write_text(
+            "stem_id,x,y,height,species,crown_class,status\n"
+            "s1,1.0,2.0,twenty,conifer,dominant,live\n"
+        )
+        config = write_config(
+            tmp_path / "config.json",
+            points_file=str(pipeline["out"] / "points.csv"),
+            stems_file=str(stems),
+        )
+        assert run("register", config, tmp_path) == 1
+        assert "stems.csv:2:" in capsys.readouterr().err
+
+    def test_registrations_missing_column_exits_1(self, tmp_path, pipeline, capsys):
+        registrations = tmp_path / "registrations.csv"
+        registrations.write_text("crown_id,stem_id,score,crown_class\n")
+        config = write_config(
+            tmp_path / "config.json",
+            points_file=str(pipeline["out"] / "points.csv"),
+            registrations_file=str(registrations),
+        )
+        assert run("rasterize", config, tmp_path) == 1
+        assert "registrations.csv:1: header" in capsys.readouterr().err
 
 
 class TestConfigHelpers:

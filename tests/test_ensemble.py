@@ -22,7 +22,6 @@ from crownclass.ensemble import (
     ensemble_predictions,
     flip_decision,
     from_representations,
-    holdout_accuracy,
     mislabel_iteration,
     read_history,
     read_predictions,
@@ -40,6 +39,7 @@ from crownclass.ensemble import (
     InstancePrediction,
     SweepRow,
     _pearson,
+    _training_tensors,
 )
 from crownclass.ingest import CrownCloud, PointCloud, LEAF_ON, LEAF_OFF
 from crownclass.rasterize import augment_rotations, scale_for_network
@@ -89,61 +89,61 @@ class TestStudentTCdf:
             student_t_cdf(1.0, 0)
 
 
-def light_instance(cid, label, aug=1):
-    """Featherweight instance for sampling logic; tensors never touched."""
-    return Instance(
-        cid,
-        np.zeros((aug, 1, 1, 1), dtype=np.float32),
-        np.zeros((aug, 1), dtype=np.float32),
-        label,
-        "dominant",
-        label,
-        1.0,
-    )
+def light_instance(cid, label):
+    return Instance(cid, label, "dominant", label, 1.0)
 
 
 def light_dataset(n_conifer, n_deciduous, aug=1):
+    """Featherweight dataset for sampling logic; tensors never touched."""
     instances = [
-        light_instance(f"c{i:03d}", "conifer", aug) for i in range(n_conifer)
-    ] + [light_instance(f"d{i:03d}", "deciduous", aug) for i in range(n_deciduous)]
-    return LabeledDataset("views", instances)
+        light_instance(f"c{i:03d}", "conifer") for i in range(n_conifer)
+    ] + [light_instance(f"d{i:03d}", "deciduous") for i in range(n_deciduous)]
+    n = len(instances)
+    return LabeledDataset(
+        "views",
+        instances,
+        np.zeros((n, aug, 1, 1, 1), dtype=np.float32),
+        np.zeros((n, 1), dtype=np.float32),
+    )
 
 
-def blob_instance(cid, label, rng, recorded=None, aug=2, channels=2, density=None):
-    """Trainable toy instance: class-specific bright block on 64x64."""
+def blob_images(label, rng, aug, channels):
+    """Trainable toy crown: class-specific bright block on 64x64."""
     images = np.zeros((aug, channels, 64, 64), dtype=np.float32)
     r0 = 6 if label == "conifer" else 38
     for a in range(aug):
         c0 = int(rng.integers(6, 46))
         images[a, :, r0 : r0 + 12, c0 : c0 + 12] = 0.8 + rng.uniform(-0.1, 0.1)
-    scalars = np.full((aug, channels and 2), 0.5, dtype=np.float32)
-    recorded = recorded or label
-    if density is None:
-        density = float(rng.uniform(0.5, 4.0))
-    return Instance(cid, images, scalars, recorded, "dominant", recorded, density)
+    return images
 
 
 def blob_dataset(n_conifer, n_deciduous, seed=0, aug=2, channels=2, tag="views_reduced"):
     rng = np.random.default_rng(seed)
-    instances = [
-        blob_instance(f"c{i:03d}", "conifer", rng, aug=aug, channels=channels)
-        for i in range(n_conifer)
-    ] + [
-        blob_instance(f"d{i:03d}", "deciduous", rng, aug=aug, channels=channels)
-        for i in range(n_deciduous)
+    ids = [(f"c{i:03d}", "conifer") for i in range(n_conifer)] + [
+        (f"d{i:03d}", "deciduous") for i in range(n_deciduous)
     ]
-    return LabeledDataset(tag, instances)
+    instances, images = [], []
+    for cid, label in ids:
+        images.append(blob_images(label, rng, aug, channels))
+        density = float(rng.uniform(0.5, 4.0))
+        instances.append(Instance(cid, label, "dominant", label, density))
+    scalars = np.full((len(ids), 2), 0.5, dtype=np.float32)
+    return LabeledDataset(tag, instances, np.stack(images), scalars)
 
 
 class TestLabeledDataset:
-    def test_mixed_augmentation_counts_rejected(self):
-        instances = [light_instance("a", "conifer", 2), light_instance("b", "deciduous", 3)]
-        with pytest.raises(ValueError, match="augmentation counts"):
-            LabeledDataset("views", instances)
+    def test_row_count_mismatch_rejected(self):
+        instances = [light_instance("a", "conifer"), light_instance("b", "deciduous")]
+        images = np.zeros((3, 2, 1, 1, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match="rows"):
+            LabeledDataset("views", instances, images, np.zeros((2, 1), np.float32))
 
     def test_unknown_label_rejected(self):
+        images = np.zeros((1, 1, 1, 1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="label"):
-            LabeledDataset("views", [light_instance("a", "shrub")])
+            LabeledDataset(
+                "views", [light_instance("a", "shrub")], images, np.zeros((1, 1))
+            )
 
     def test_pools(self):
         dataset = light_dataset(2, 3)
@@ -200,9 +200,9 @@ class TestFromRepresentations:
         dataset = self.build(("views4",), "views4")
         assert dataset.tag == "views"
         inst = dataset.instances[0]
-        assert inst.images.shape == (3, 4, 64, 64)
-        assert inst.scalars.shape == (3, 2)
-        np.testing.assert_allclose(inst.scalars[0], [2.5 / 20.0, 18.0 / 50.0])
+        assert dataset.images.shape == (1, 3, 4, 64, 64)
+        assert dataset.scalars.shape == (1, 2)
+        np.testing.assert_allclose(dataset.scalars[0], [2.5 / 20.0, 18.0 / 50.0])
         assert inst.label == "conifer"
         assert inst.original_label == "conifer"
         assert inst.crown_class == "codominant"
@@ -210,9 +210,8 @@ class TestFromRepresentations:
     def test_dsm_tensors_and_scalars(self):
         dataset = self.build(("dsm4",), "dsm4")
         assert dataset.tag == "dsm"
-        inst = dataset.instances[0]
-        assert inst.images.shape == (3, 4, 128, 128)
-        np.testing.assert_allclose(inst.scalars, np.full((3, 1), 4.0 / 300.0))
+        assert dataset.images.shape == (1, 3, 4, 128, 128)
+        np.testing.assert_allclose(dataset.scalars, np.full((1, 1), 4.0 / 300.0))
 
     def test_unscaled_rejected(self):
         with pytest.raises(ValueError, match="scaled"):
@@ -231,7 +230,7 @@ class TestDatasetTransforms:
         reduced = select_channels(dataset, (0, 2))
         assert reduced.tag == "views_reduced"
         np.testing.assert_array_equal(
-            reduced.instances[0].images, dataset.instances[0].images[:, [0, 2]]
+            reduced.images, dataset.images[:, :, [0, 2]]
         )
 
     def test_select_channels_needs_views(self):
@@ -242,27 +241,42 @@ class TestDatasetTransforms:
     def test_binarize_views_makes_masks(self):
         dataset = blob_dataset(2, 2, channels=4, tag="views")
         binary = binarize_intensity(dataset)
-        values = np.unique(binary.instances[0].images)
+        values = np.unique(binary.images)
         assert set(values.tolist()) <= {0.0, 1.0}
 
     def test_binarize_dsm_keeps_heights(self):
         dataset = blob_dataset(1, 1, channels=4, tag="dsm")
         binary = binarize_intensity(dataset)
-        original = dataset.instances[0].images
-        transformed = binary.instances[0].images
-        np.testing.assert_array_equal(transformed[:, 0], original[:, 0])
-        np.testing.assert_array_equal(transformed[:, 2], original[:, 2])
-        assert set(np.unique(transformed[:, 1]).tolist()) <= {0.0, 1.0}
+        original = dataset.images
+        transformed = binary.images
+        np.testing.assert_array_equal(transformed[:, :, 0], original[:, :, 0])
+        np.testing.assert_array_equal(transformed[:, :, 2], original[:, :, 2])
+        assert set(np.unique(transformed[:, :, 1]).tolist()) <= {0.0, 1.0}
+        assert set(np.unique(transformed[:, :, 3]).tolist()) <= {0.0, 1.0}
 
     def test_truncate_augmentations(self):
         dataset = blob_dataset(2, 2, aug=3)
         cut = truncate_augmentations(dataset, 2)
         assert cut.augmentations == 2
-        np.testing.assert_array_equal(
-            cut.instances[0].images, dataset.instances[0].images[:2]
-        )
+        np.testing.assert_array_equal(cut.images, dataset.images[:, :2])
         with pytest.raises(ValueError, match="augmentation count"):
             truncate_augmentations(dataset, 4)
+
+
+class TestTrainingTensors:
+    def test_membership_major_rotation_minor(self):
+        dataset = blob_dataset(2, 2, seed=19, aug=3)
+        dataset.scalars[:] = np.arange(8).reshape(4, 2)
+        membership = [2, 0, 2, 3]
+        images, scalars, onehots = _training_tensors(dataset, membership)
+        np.testing.assert_array_equal(
+            images, np.concatenate([dataset.images[i] for i in membership])
+        )
+        np.testing.assert_array_equal(
+            scalars, np.repeat(dataset.scalars[membership], 3, axis=0)
+        )
+        expected = [[0, 1]] * 3 + [[1, 0]] * 3 + [[0, 1]] * 6
+        np.testing.assert_array_equal(onehots, np.array(expected, dtype=np.float32))
 
 
 class TestBalancedCyclicSample:
@@ -344,29 +358,6 @@ class TestTrainEnsemble:
                 np.testing.assert_array_equal(
                     a.params.tensors[name], b.params.tensors[name]
                 )
-
-
-class TestHoldoutAccuracy:
-    def test_matches_direct_recount(self):
-        dataset = blob_dataset(3, 3, seed=2)
-        run = train_ensemble(dataset, 2, 2, 1, seed=13)
-        net = run.networks[0]
-        outside = [i for i in range(len(dataset)) if i not in net.held]
-        inst = dataset.instances[outside[0]]
-        value = holdout_accuracy(net, inst, outside[0])
-        probs = predict_probs(net.params, inst.images, inst.scalars)
-        label_index = 0 if inst.label == "conifer" else 1
-        expected = float(np.mean(np.argmax(probs, axis=1) == label_index))
-        assert value == expected
-        assert 0.0 <= value <= 1.0
-
-    def test_training_member_rejected(self):
-        dataset = blob_dataset(3, 3, seed=2)
-        run = train_ensemble(dataset, 2, 2, 1, seed=13)
-        net = run.networks[0]
-        inside = next(iter(net.held))
-        with pytest.raises(ValueError, match="training"):
-            holdout_accuracy(net, dataset.instances[inside], inside)
 
 
 class TestFlipDecision:
@@ -482,8 +473,9 @@ class TestEnsemblePredictions:
         run = identical_network_run(dataset)
         predictions = ensemble_predictions(run, dataset)
         params = run.networks[0].params
-        for inst, pred in zip(dataset.instances, predictions):
-            probs = predict_probs(params, inst.images, inst.scalars).mean(axis=0)
+        for i, pred in enumerate(predictions):
+            scalars = np.repeat(dataset.scalars[i : i + 1], dataset.augmentations, axis=0)
+            probs = predict_probs(params, dataset.images[i], scalars).mean(axis=0)
             expected = "conifer" if int(np.argmax(probs)) == 0 else "deciduous"
             assert pred.predicted == expected
             assert pred.p_conifer == pytest.approx(float(probs[0]), abs=1e-7)

@@ -22,6 +22,7 @@ from crownclass.ingest import (
     write_point_file,
     write_stem_file,
 )
+from crownclass.util import InputError
 
 
 def ground_cloud(coords):
@@ -293,25 +294,31 @@ class TestPointFile:
     def test_intensity_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         self._write_rows(path, ["c1,0,0,5,300,1,0,1000,on,vegetation"])
-        with pytest.raises(ValueError, match="line 2.*intensity"):
+        with pytest.raises(InputError, match=r"bad\.csv:2: intensity 300"):
             read_point_file(path)
 
     def test_leaf_off_fourth_return_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         self._write_rows(path, ["c1,0,0,5,100,4,0,1000,off,vegetation"])
-        with pytest.raises(ValueError, match="line 2.*leaf-off"):
+        with pytest.raises(InputError, match=r"bad\.csv:2: leaf-off"):
             read_point_file(path)
 
     def test_nonpositive_range_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         self._write_rows(path, ["c1,0,0,5,100,1,0,0,on,vegetation"])
-        with pytest.raises(ValueError, match="line 2.*range"):
+        with pytest.raises(InputError, match=r"bad\.csv:2: range"):
             read_point_file(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(InputError, match=r"bad\.csv:1: header"):
+            read_point_file(path)
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        self._write_rows(path, ["c1,0,0,5,100,1,0,1000,on,vegetation", "", "c1,0,0"])
+        with pytest.raises(InputError, match=r"bad\.csv:4: 3 fields, expected 10"):
             read_point_file(path)
 
 
@@ -340,5 +347,5 @@ class TestStemFile:
             "stem_id,x,y,height,species,crown_class,status\n"
             "s1,0,0,10,shrub,dominant,live\n"
         )
-        with pytest.raises(ValueError, match="line 2.*species"):
+        with pytest.raises(InputError, match=r"stems\.csv:2: unknown species"):
             read_stem_file(path)

@@ -1,21 +1,33 @@
 """Tests for crown rasterization: rotation, both representations,
-augmentation, input scaling, and the binary tensor store."""
+augmentation, input scaling, and the memory-mapped raster store."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crownclass.ensemble import from_store, truncate_augmentations
 from crownclass.ingest import CrownCloud, LidarPoint, PointCloud
 from crownclass.rasterize import (
+    Dsm4,
+    RepresentationSet,
+    RotatedRep,
+    Views4,
     augment_rotations,
     make_dsm4,
     make_views4,
     read_all_representations,
     read_manifest,
-    read_representation,
     rotate_about_apex,
     scale_for_network,
+    stack_representation,
     write_representation_file,
 )
+from crownclass.util import InputError
 
 
 def build_crown(pts, crown_id="t", width=3.0, area=7.0):
@@ -314,49 +326,159 @@ class TestRotationCommutation:
             assert np.count_nonzero(dsm_rot.channels[0]) > 30
 
 
+def random_rep(rng, crown_id, label, crown_class, density, n_rotations):
+    """Scaled representation set of both kinds with random float32 pixels,
+    signed zeros included."""
+    entries = []
+    for k in range(n_rotations):
+        dsm = rng.standard_normal((4, 128, 128)).astype(np.float32)
+        views = rng.standard_normal((4, 64, 64)).astype(np.float32)
+        dsm[0, :2] = -0.0
+        views[1, :2] = -0.0
+        entries.append(
+            RotatedRep(
+                rotation=2.0 * k,
+                dsm4=Dsm4(dsm, crown_area=float(rng.uniform(0.01, 2.0))),
+                views4=Views4(
+                    views,
+                    tree_height=float(rng.uniform(0.1, 1.0)),
+                    crown_width=float(rng.uniform(0.1, 1.0)),
+                ),
+            )
+        )
+    # Scalar features are equal across rotations.
+    for entry in entries[1:]:
+        entry.dsm4.crown_area = entries[0].dsm4.crown_area
+        entry.views4.tree_height = entries[0].views4.tree_height
+        entry.views4.crown_width = entries[0].views4.crown_width
+    return RepresentationSet(crown_id, label, crown_class, density, entries, scaled=True)
+
+
+def write_store(directory, reps, kind, n_rotations=3):
+    tensor = directory / "rasters.bin"
+    manifest_path = directory / "rasters.json"
+    write_representation_file(
+        tensor, manifest_path, reps, kind, n_rotations=n_rotations, step=2.0
+    )
+    manifest = read_manifest(manifest_path)
+    return read_all_representations(tensor, manifest), manifest
+
+
+def bits(array):
+    return np.asarray(array, dtype=np.float32).view(np.uint32)
+
+
+crown_rows = st.lists(
+    st.tuples(
+        st.text("abcdefgh0123456789", min_size=1, max_size=5),
+        st.sampled_from(["conifer", "deciduous"]),
+        st.sampled_from(["dominant", "codominant", "intermediate", "overtopped"]),
+        st.floats(0.1, 100.0),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda row: row[0],
+)
+
+
 class TestTensorStore:
-    def make_reps(self, scaled=True, kinds=("dsm4", "views4")):
+    def make_reps(self, kinds, ids=("b2", "a1")):
         rng = np.random.default_rng(12)
         reps = []
-        for crown_id, label in (("a1", "conifer"), ("b2", "deciduous")):
+        for crown_id, label in zip(ids, ("deciduous", "conifer")):
             crown = random_crown(rng, n=40)
             crown.crown_id = crown_id
             rep = augment_rotations(
                 crown, n=3, step=120.0, label=label, crown_class="dominant",
                 kinds=kinds,
             )
-            reps.append(scale_for_network(rep) if scaled else rep)
+            reps.append(scale_for_network(rep))
         return reps
 
     def test_round_trip(self, tmp_path):
-        reps = self.make_reps()
-        tensor = tmp_path / "crowns.bin"
-        manifest_path = tmp_path / "crowns.json"
-        write_representation_file(tensor, manifest_path, reps, n_rotations=3, step=120.0)
-        manifest = read_manifest(manifest_path)
-        assert manifest["n_rotations"] == 3
+        reps = self.make_reps(("dsm4",))
+        images, manifest = write_store(tmp_path, reps, "dsm4")
+        assert isinstance(images, np.memmap) and not images.flags.writeable
+        assert images.shape == (2, 3, 4, 128, 128)
+        assert manifest["kind"] == "dsm4"
+        assert (manifest["n_rotations"], manifest["step"]) == (3, 2.0)
         assert manifest["scaled"] is True
-        back = read_representation(tensor, manifest, "a1")
-        assert back.label == "conifer"
-        assert back.crown_class == "dominant"
-        assert len(back.entries) == 3
-        for orig, read in zip(reps[0].entries, back.entries):
-            assert read.rotation == np.float32(orig.rotation)
-            np.testing.assert_array_equal(
-                read.dsm4.channels, orig.dsm4.channels.astype(np.float32)
-            )
-            np.testing.assert_array_equal(
-                read.views4.images, orig.views4.images.astype(np.float32)
-            )
-            assert read.views4.tree_height == np.float32(orig.views4.tree_height)
-        np.testing.assert_allclose(back.density, reps[0].density)
+        assert manifest["crown_id"] == ["a1", "b2"]
+        assert manifest["label"] == ["conifer", "deciduous"]
+        assert manifest["crown_class"] == ["dominant", "dominant"]
+        for row, rep in enumerate(reversed(reps)):
+            for rotation, entry in enumerate(rep.entries):
+                np.testing.assert_array_equal(images[row, rotation], entry.dsm4.channels)
+            area = rep.entries[0].dsm4.crown_area
+            assert manifest["scalars"][row] == [float(np.float32(area))]
+            assert manifest["density"][row] == rep.density
 
     def test_views_only_file(self, tmp_path):
-        reps = self.make_reps(kinds=("views4",))
-        tensor = tmp_path / "crowns.bin"
-        manifest_path = tmp_path / "crowns.json"
-        write_representation_file(tensor, manifest_path, reps, n_rotations=3, step=120.0)
-        back = read_all_representations(tensor, read_manifest(manifest_path))
-        assert [rep.crown_id for rep in back] == ["a1", "b2"]
-        assert back[0].entries[0].dsm4 is None
-        assert back[0].entries[0].views4 is not None
+        reps = self.make_reps(("views4",))
+        images, manifest = write_store(tmp_path, reps, "views4")
+        assert images.shape == (2, 3, 4, 64, 64)
+        np.testing.assert_array_equal(
+            np.load(tmp_path / "rasters.bin"), np.asarray(images)
+        )
+        views = reps[1].entries[0].views4
+        assert manifest["scalars"][0] == [
+            float(np.float32(views.crown_width)),
+            float(np.float32(views.tree_height)),
+        ]
+
+    def test_missing_kind_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no dsm4 tensors"):
+            write_store(tmp_path, self.make_reps(("views4",)), "dsm4")
+
+    def test_shape_disagreeing_with_manifest_names_file(self, tmp_path):
+        reps = self.make_reps(("views4",))
+        _, manifest = write_store(tmp_path, reps, "views4")
+        manifest["n_rotations"] = 4
+        with pytest.raises(InputError, match="rasters.bin.*disagrees"):
+            read_all_representations(tmp_path / "rasters.bin", manifest)
+        manifest["n_rotations"] = 3
+        (tmp_path / "rasters.bin").write_bytes(b"CRWN" + bytes(60))
+        with pytest.raises(InputError, match="rasters.bin: not a raster store"):
+            read_all_representations(tmp_path / "rasters.bin", manifest)
+
+    def test_foreign_manifest_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"version": 1, "records": {}}))
+        with pytest.raises(InputError, match="old.json.*missing kind"):
+            read_manifest(path)
+
+    def test_truncation_is_a_view_of_the_mapped_store(self, tmp_path):
+        images, manifest = write_store(tmp_path, self.make_reps(("views4",)), "views4")
+        dataset = from_store(images, manifest)
+        cut = truncate_augmentations(dataset, 2)
+        assert np.shares_memory(cut.images, images)
+        np.testing.assert_array_equal(cut.images, images[:, :2])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=crown_rows,
+        n_rotations=st.integers(1, 4),
+        kind=st.sampled_from(["views4", "dsm4"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, rows, n_rotations, kind, seed):
+        rng = np.random.default_rng(seed)
+        reps = [random_rep(rng, *row, n_rotations) for row in rows]
+        with tempfile.TemporaryDirectory() as directory:
+            images, manifest = write_store(Path(directory), reps, kind, n_rotations)
+            dataset = from_store(images, manifest)
+            expected = sorted(reps, key=lambda rep: rep.crown_id)
+            assert [inst.crown_id for inst in dataset.instances] == sorted(
+                row[0] for row in rows
+            )
+            for row, rep in enumerate(expected):
+                rep_images, rep_scalars = stack_representation(rep, kind)
+                np.testing.assert_array_equal(bits(images[row]), bits(rep_images))
+                np.testing.assert_array_equal(
+                    bits(dataset.scalars[row]), bits(rep_scalars)
+                )
+                inst = dataset.instances[row]
+                assert (inst.label, inst.original_label) == (rep.label, rep.label)
+                assert inst.crown_class == rep.crown_class
+                assert inst.density == rep.density
+            del dataset, images

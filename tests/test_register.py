@@ -15,6 +15,7 @@ from crownclass.register import (
     register_crowns,
     write_registrations,
 )
+from crownclass.util import InputError
 
 
 def make_crown(crown_id, apex_x, apex_y, tree_height):
@@ -211,3 +212,19 @@ class TestRegisterCrowns:
         assert rows[0].stem_id == "s"
         assert rows[0].score == 100
         assert rows[0].label == "conifer"
+
+    def test_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "registrations.csv"
+        path.write_text("crown_id,stem_id,score,crown_class\nc,s,100,dominant\n")
+        with pytest.raises(InputError, match=r"registrations\.csv:1: header"):
+            read_registrations(path)
+
+    def test_bad_row_names_its_line(self, tmp_path):
+        path = tmp_path / "registrations.csv"
+        path.write_text(
+            "crown_id,stem_id,score,label,crown_class\n"
+            "c,s,100,conifer,dominant\n"
+            "d,t,70,shrub,dominant\n"
+        )
+        with pytest.raises(InputError, match=r"registrations\.csv:3: unknown label"):
+            read_registrations(path)

@@ -19,12 +19,10 @@ from crownclass.tinynet import (
     dense,
     init_adam,
     init_params,
-    load_params,
     maxpool2x2,
     maxpool2x2_backward,
     network_forward,
     network_gradients,
-    save_params,
     softmax_xent,
     train_network,
 )
@@ -523,21 +521,3 @@ class TestTrain:
             params, images, scalars, labels, epochs=3, batch_size=8, seed=3
         )
         assert accuracy > 0.95
-
-
-class TestSnapshot:
-    def test_round_trip_bit_exact(self, tmp_path):
-        params = init_params("views", seed=22)
-        path = tmp_path / "net.tnet"
-        save_params(path, params)
-        back = load_params(path)
-        assert back.tag == "views"
-        assert list(back.tensors) == list(params.tensors)
-        for name in params.tensors:
-            np.testing.assert_array_equal(back.tensors[name], params.tensors[name])
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.tnet"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="not a parameter snapshot"):
-            load_params(path)
