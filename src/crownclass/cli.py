@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 configuration or input validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .ingest import (
     write_point_file,
     write_stem_file,
 )
-from .intensity import apply_residualization, fit_all_models, read_models, write_models
+from .intensity import apply_residualization, fit_all_models, write_models
 from .rasterize import (
     augment_rotations,
     read_all_representations,
@@ -42,13 +42,13 @@ from .rasterize import (
 )
 from .register import read_registrations, register_crowns, write_registrations
 from .synthforest import SynthParams, generate_dataset, write_truth_file
-from .util import InputError, default_threads, derive_seed, read_csv_rows
+from .util import InputError, default_threads, derive_seed, read_csv_rows, write_csv_rows
 
 logger = logging.getLogger(__name__)
 
-SUMMARY_COLUMNS = "label,accuracy,ci_half_width,n"
-LABEL_COLUMNS = "crown_id,label,original_label"
-FIGURE_COLUMNS = "figure,series,x,y"
+SUMMARY_COLUMNS = ("label", "accuracy", "ci_half_width", "n")
+LABEL_COLUMNS = ("crown_id", "label", "original_label")
+FIGURE_COLUMNS = ("figure", "series", "x", "y")
 
 REPRESENTATIONS = ("views4", "dsm4")
 ABLATIONS = ens.ABLATION_NAMES
@@ -112,6 +112,22 @@ CONFIG_DEFAULTS = {
 }
 
 
+# Counts and sizes; epochs and threads may also be left unset (null).
+POSITIVE_INTEGER_KEYS = (
+    "n_rotations",
+    "correction_networks",
+    "correction_per_class",
+    "correction_epochs",
+    "max_iterations",
+    "n_networks",
+    "per_class",
+    "epochs",
+    "batch_size",
+    "repeats",
+    "threads",
+)
+
+
 class ConfigError(Exception):
     """Configuration or input validation problem; maps to exit code 1."""
 
@@ -134,7 +150,18 @@ def load_config(path: str, overrides: dict) -> dict:
     config = dict(CONFIG_DEFAULTS)
     config.update(raw)
     config.update({k: v for k, v in overrides.items() if v is not None})
-    config["seed"] = int(config["seed"])
+    # type() rather than isinstance(): JSON true and false load as bools,
+    # which are ints.
+    if type(config["seed"]) is not int:
+        raise ConfigError(f"seed must be an integer, not {config['seed']!r}")
+    for key, default in CONFIG_DEFAULTS.items():
+        value = config[key]
+        if key in POSITIVE_INTEGER_KEYS:
+            unset = value is None and default is None
+            if not (unset or type(value) is int and value > 0):
+                raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+        elif type(default) in (int, float) and type(value) not in (int, float):
+            raise ConfigError(f"{key} must be a number, not {value!r}")
     if config["representation"] not in REPRESENTATIONS:
         raise ConfigError(f"representation must be one of {REPRESENTATIONS}")
     if config["ablation"] not in ABLATIONS:
@@ -144,12 +171,12 @@ def load_config(path: str, overrides: dict) -> dict:
 
 def effective_epochs(config: dict) -> int:
     if config["epochs"] is not None:
-        return int(config["epochs"])
+        return config["epochs"]
     return 5 if config["representation"] == "views4" else 15
 
 
 def effective_threads(config: dict) -> int:
-    return int(config["threads"]) if config["threads"] else default_threads()
+    return config["threads"] or default_threads()
 
 
 def require_input(config: dict, key: str) -> Path:
@@ -170,23 +197,18 @@ def write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]
         "outputs": sorted(outputs),
     }
     path = out_dir / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    path.write_text(text, encoding="utf-8")
 
 
 def write_summary(path: Path, result: ens.ClassifyResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS.split(","))
-        for label in (CONIFER, DECIDUOUS):
-            acc = result.accuracies[label]
-            writer.writerow([label, repr(acc.accuracy), repr(acc.ci_half_width), acc.n])
+    rows = (astuple(result.accuracies[label]) for label in (CONIFER, DECIDUOUS))
+    write_csv_rows(path, SUMMARY_COLUMNS, rows)
 
 
 def read_summary(path: Path) -> list[tuple[str, float, float, int]]:
     return read_csv_rows(
-        path,
-        SUMMARY_COLUMNS.split(","),
-        lambda r: (r[0], float(r[1]), float(r[2]), int(r[3])),
+        path, SUMMARY_COLUMNS, lambda r: (r[0], float(r[1]), float(r[2]), int(r[3]))
     )
 
 
@@ -254,32 +276,37 @@ def cmd_register(config: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_rasterize(config: dict, out_dir: Path) -> list[str]:
+    """Rasterize registered crowns one at a time, in sorted order, into the store."""
     crowns = {c.crown_id: c for c in crowns_from_points_file(config)}
     rows = read_registrations(require_input(config, "registrations_file"))
-    kind = config["representation"]
-    reps = []
     for row in rows:
-        crown = crowns.get(row.crown_id)
-        if crown is None:
+        if row.crown_id not in crowns:
             raise ValueError(
                 f"registration names crown {row.crown_id} absent from the points file"
             )
-        rep = augment_rotations(
-            crown,
-            n=int(config["n_rotations"]),
-            step=float(config["rotation_step"]),
-            label=row.label,
-            crown_class=row.crown_class,
-            kinds=(kind,),
+    rows.sort(key=lambda row: row.crown_id)
+    kind = config["representation"]
+    reps = (
+        scale_for_network(
+            augment_rotations(
+                crowns[row.crown_id],
+                n=config["n_rotations"],
+                step=float(config["rotation_step"]),
+                label=row.label,
+                crown_class=row.crown_class,
+                kinds=(kind,),
+            )
         )
-        reps.append(scale_for_network(rep))
+        for row in rows
+    )
     write_representation_file(
         out_dir / "rasters.bin",
         out_dir / "rasters.json",
         reps,
         kind,
-        n_rotations=int(config["n_rotations"]),
+        n_rotations=config["n_rotations"],
         step=float(config["rotation_step"]),
+        n_crowns=len(rows),
     )
     return ["rasters.bin", "rasters.json"]
 
@@ -297,7 +324,7 @@ def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_
     dataset = ens.from_store(images, manifest)
     if config.get("labels_file"):
         path = require_input(config, "labels_file")
-        overrides = dict(read_csv_rows(path, LABEL_COLUMNS.split(","), _label_override))
+        overrides = dict(read_csv_rows(path, LABEL_COLUMNS, _label_override))
         for instance in dataset.instances:
             instance.label = overrides.get(instance.crown_id, instance.label)
     return dataset
@@ -326,23 +353,23 @@ def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
     dataset = load_dataset(config, "tensor_file", "manifest_file")
     correction = ens.CorrectionConfig(
         seed=derive_seed(config["seed"], "correct-labels"),
-        n_networks=int(config["correction_networks"]),
-        per_class=int(config["correction_per_class"]),
-        epochs=int(config["correction_epochs"]),
+        n_networks=config["correction_networks"],
+        per_class=config["correction_per_class"],
+        epochs=config["correction_epochs"],
         alpha=float(config["alpha"]),
-        max_iterations=int(config["max_iterations"]),
+        max_iterations=config["max_iterations"],
         lr=float(config["lr"]),
-        batch_size=int(config["batch_size"]),
+        batch_size=config["batch_size"],
         threads=effective_threads(config),
     )
     dataset, history = ens.correct_mislabels(dataset, correction)
     if not history.converged:
         logger.warning("correction hit max_iterations without converging")
-    with open(out_dir / "corrected_labels.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(LABEL_COLUMNS.split(","))
-        for instance in dataset.instances:
-            writer.writerow([instance.crown_id, instance.label, instance.original_label])
+    write_csv_rows(
+        out_dir / "corrected_labels.csv",
+        LABEL_COLUMNS,
+        ([i.crown_id, i.label, i.original_label] for i in dataset.instances),
+    )
     ens.write_history(out_dir / "history.csv", history)
     return ["corrected_labels.csv", "history.csv"]
 
@@ -351,12 +378,12 @@ def cmd_classify(config: dict, out_dir: Path) -> list[str]:
     dataset = load_ablated_dataset(config)
     result = ens.ensemble_classify(
         dataset,
-        n_networks=int(config["n_networks"]),
-        per_class=int(config["per_class"]),
+        n_networks=config["n_networks"],
+        per_class=config["per_class"],
         epochs=effective_epochs(config),
         seed=derive_seed(config["seed"], "classify"),
         lr=float(config["lr"]),
-        batch_size=int(config["batch_size"]),
+        batch_size=config["batch_size"],
         threads=effective_threads(config),
     )
     ens.write_predictions(out_dir / "predictions.csv", result.predictions)
@@ -369,7 +396,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
     spec = ens.SweepSpec(
         variant=str(config["sweep_variant"]),
         fractions=tuple(float(f) for f in config["fractions"]),
-        repeats=int(config["repeats"]),
+        repeats=config["repeats"],
         augmentations=tuple(int(a) for a in config["augmentations"]),
         ablations=tuple(config["ablations"]),
     )
@@ -386,12 +413,12 @@ def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
     rows = ens.run_sweep(
         dataset,
         spec,
-        n_networks=int(config["n_networks"]),
-        per_class=int(config["per_class"]),
+        n_networks=config["n_networks"],
+        per_class=config["per_class"],
         epochs=effective_epochs(config),
         seed=derive_seed(config["seed"], "sweep"),
         lr=float(config["lr"]),
-        batch_size=int(config["batch_size"]),
+        batch_size=config["batch_size"],
         threads=effective_threads(config),
         alternates=alternates,
     )
@@ -402,11 +429,8 @@ def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
 def _figure_rows_from_history(rows) -> list[tuple]:
     out = []
     for row in rows:
-        out.append(("correction", "flips_to_conifer", row.iteration, row.flips_to_conifer))
-        out.append(
-            ("correction", "flips_to_deciduous", row.iteration, row.flips_to_deciduous)
-        )
-        out.append(("correction", "mean_acc", row.iteration, row.mean_acc))
+        for series in ("flips_to_conifer", "flips_to_deciduous", "mean_acc"):
+            out.append(("correction", series, row.iteration, getattr(row, series)))
     return out
 
 
@@ -436,11 +460,11 @@ def cmd_report(config: dict, out_dir: Path) -> list[str]:
     sweep_file = config.get("sweep_file")
     if sweep_file and Path(sweep_file).exists():
         rows.extend(_figure_rows_from_sweep(ens.read_sweep_table(sweep_file)))
-    with open(out_dir / "figures.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(FIGURE_COLUMNS.split(","))
-        for figure, series, x, y in rows:
-            writer.writerow([figure, series, repr(float(x)), repr(float(y))])
+    write_csv_rows(
+        out_dir / "figures.csv",
+        FIGURE_COLUMNS,
+        ([figure, series, float(x), float(y)] for figure, series, x, y in rows),
+    )
     return ["figures.csv"]
 
 

@@ -1,20 +1,16 @@
 """Network ensembles: balanced resampling, iterative mislabel correction
 via a one-sided T-test on holdout performance, cross-validated ensemble
 classification, and the evaluation sweeps built on top.
-
-Also home of the Student t CDF used by the regression significance tests.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import CLASS_INDEX, CONIFER, DECIDUOUS, INDEX_CLASS
 from .ingest import OVERSTORY_CLASSES
@@ -28,13 +24,27 @@ from .tinynet import (
     predict_probs,
     train_network,
 )
-from .util import default_threads, derive_seed, parallel_map, read_csv_rows
+from .util import (
+    default_threads,
+    derive_seed,
+    parallel_map,
+    read_csv_rows,
+    student_t_cdf,
+    write_csv_rows,
+)
 
 logger = logging.getLogger(__name__)
 
-HISTORY_COLUMNS = "iter,flips_conifer,flips_deciduous,mean_acc"
-PREDICTION_COLUMNS = "crown_id,true_label,pred_label,p_conifer,held_out_by"
-SWEEP_COLUMNS = "variant,param,acc_conifer,ci_conifer,acc_deciduous,ci_deciduous"
+HISTORY_COLUMNS = ("iter", "flips_conifer", "flips_deciduous", "mean_acc")
+PREDICTION_COLUMNS = ("crown_id", "true_label", "pred_label", "p_conifer", "held_out_by")
+SWEEP_COLUMNS = (
+    "variant",
+    "param",
+    "acc_conifer",
+    "ci_conifer",
+    "acc_deciduous",
+    "ci_deciduous",
+)
 
 ABLATION_NAMES = (
     "none",
@@ -49,21 +59,6 @@ ABLATION_NAMES = (
 # season ablations keep these channel pairs.
 LEAF_ON_CHANNELS = (0, 2)
 LEAF_OFF_CHANNELS = (1, 3)
-
-
-def student_t_cdf(t: "float | np.ndarray", df: float) -> "float | np.ndarray":
-    """Cumulative distribution of Student's t with ``df`` degrees of freedom.
-
-    Evaluated through the regularized incomplete beta function on the lower
-    tail only, so symmetry around zero is exact.
-    """
-    if df <= 0:
-        raise ValueError("df must be positive")
-    t_arr = np.asarray(t, dtype=np.float64)
-    x = df / (df + t_arr**2)
-    lower = 0.5 * special.betainc(df / 2.0, 0.5, x)
-    out = np.where(t_arr <= 0, lower, 1.0 - lower)
-    return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +271,6 @@ class TrainedNetwork:
 @dataclass
 class EnsembleRun:
     networks: list[TrainedNetwork]
-    seed: int
-    config: dict
 
 
 def _training_tensors(dataset: LabeledDataset, membership: list[int]):
@@ -352,15 +345,7 @@ def train_ensemble(
     networks = parallel_map(
         build, list(range(n_networks)), threads or default_threads()
     )
-    config = {
-        "tag": dataset.tag,
-        "n_networks": n_networks,
-        "per_class": per_class,
-        "epochs": epochs,
-        "lr": lr,
-        "batch_size": batch_size,
-    }
-    return EnsembleRun(networks, seed, config)
+    return EnsembleRun(networks)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +535,6 @@ class ClassAccuracy:
 class ClassifyResult:
     predictions: list[InstancePrediction]
     accuracies: dict[str, ClassAccuracy]
-    config: dict
 
 
 def binomial_interval(accuracy: float, n: int) -> float:
@@ -632,7 +616,7 @@ def ensemble_classify(
     )
     predictions = ensemble_predictions(run, dataset, threads)
     accuracies = accuracies_from_predictions(predictions)
-    return ClassifyResult(predictions, accuracies, dict(run.config, seed=seed))
+    return ClassifyResult(predictions, accuracies)
 
 
 # ---------------------------------------------------------------------------
@@ -743,25 +727,17 @@ def run_sweep(
                 )
                 for label in (CONIFER, DECIDUOUS):
                     per_label_acc[label].append(result.accuracies[label].accuracy)
-            means = {}
-            cis = {}
+            stats = {}  # per label: mean accuracy and its 95% half-width
             for label in (CONIFER, DECIDUOUS):
                 values = np.array(per_label_acc[label], dtype=np.float64)
-                means[label] = float(values.mean())
-                cis[label] = (
+                ci = (
                     float(1.96 * values.std(ddof=1) / math.sqrt(len(values)))
                     if len(values) > 1
                     else 0.0
                 )
+                stats[label] = (float(values.mean()), ci)
             rows.append(
-                SweepRow(
-                    "size",
-                    f"{fraction:g}",
-                    means[CONIFER],
-                    cis[CONIFER],
-                    means[DECIDUOUS],
-                    cis[DECIDUOUS],
-                )
+                SweepRow("size", f"{fraction:g}", *stats[CONIFER], *stats[DECIDUOUS])
             )
 
     elif spec.variant == "augmentation":
@@ -808,14 +784,7 @@ def run_sweep(
         # Schema reuse: correlation in the accuracy columns, its p-value
         # in the interval columns.
         rows.append(
-            SweepRow(
-                "density",
-                "pearson-r",
-                stats[CONIFER][0],
-                stats[CONIFER][1],
-                stats[DECIDUOUS][0],
-                stats[DECIDUOUS][1],
-            )
+            SweepRow("density", "pearson-r", *stats[CONIFER], *stats[DECIDUOUS])
         )
 
     else:
@@ -829,66 +798,36 @@ def run_sweep(
 
 
 def write_history(path: "str | Path", history: CorrectionHistory) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(HISTORY_COLUMNS.split(","))
-        for row in history.rows:
-            writer.writerow(
-                [
-                    row.iteration,
-                    row.flips_to_conifer,
-                    row.flips_to_deciduous,
-                    repr(row.mean_acc),
-                ]
-            )
+    write_csv_rows(path, HISTORY_COLUMNS, map(astuple, history.rows))
 
 
 def read_history(path: "str | Path") -> list[HistoryRow]:
     return read_csv_rows(
         path,
-        HISTORY_COLUMNS.split(","),
+        HISTORY_COLUMNS,
         lambda r: HistoryRow(int(r[0]), int(r[1]), int(r[2]), float(r[3])),
     )
 
 
 def write_predictions(path: "str | Path", predictions: list[InstancePrediction]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PREDICTION_COLUMNS.split(","))
-        for p in predictions:
-            writer.writerow(
-                [p.crown_id, p.label, p.predicted, repr(p.p_conifer), p.held_out_by]
-            )
+    write_csv_rows(path, PREDICTION_COLUMNS, map(astuple, predictions))
 
 
 def read_predictions(path: "str | Path") -> list[InstancePrediction]:
     return read_csv_rows(
         path,
-        PREDICTION_COLUMNS.split(","),
+        PREDICTION_COLUMNS,
         lambda r: InstancePrediction(r[0], r[1], r[2], float(r[3]), int(r[4])),
     )
 
 
 def write_sweep_table(path: "str | Path", rows: list[SweepRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    row.variant,
-                    row.param,
-                    repr(row.acc_conifer),
-                    repr(row.ci_conifer),
-                    repr(row.acc_deciduous),
-                    repr(row.ci_deciduous),
-                ]
-            )
+    write_csv_rows(path, SWEEP_COLUMNS, map(astuple, rows))
 
 
 def read_sweep_table(path: "str | Path") -> list[SweepRow]:
     return read_csv_rows(
         path,
-        SWEEP_COLUMNS.split(","),
+        SWEEP_COLUMNS,
         lambda r: SweepRow(r[0], r[1], *(float(value) for value in r[2:])),
     )

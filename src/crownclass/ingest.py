@@ -3,7 +3,6 @@ normalization, canopy filtering, and per-crown scalar features."""
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field, fields
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .util import read_csv_rows
+from .util import read_csv_rows, write_csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -31,9 +30,18 @@ CROWN_CLASSES = ("dominant", "codominant", "intermediate", "overtopped")
 OVERSTORY_CLASSES = ("dominant", "codominant")
 
 POINT_COLUMNS = (
-    "crown_id,x,y,z,intensity,return_number,scan_angle,range,season,pclass"
+    "crown_id",
+    "x",
+    "y",
+    "z",
+    "intensity",
+    "return_number",
+    "scan_angle",
+    "range",
+    "season",
+    "pclass",
 )
-STEM_COLUMNS = "stem_id,x,y,height,species,crown_class,status"
+STEM_COLUMNS = ("stem_id", "x", "y", "height", "species", "crown_class", "status")
 
 
 @dataclass
@@ -342,30 +350,31 @@ def _parse_point_row(fields: list[str]) -> LidarPoint:
 def read_point_file(path: str | Path) -> PointCloud:
     """Read the comma-separated point file; ground rows have an empty
     crown_id. A malformed row raises InputError naming path:line."""
-    points = read_csv_rows(path, POINT_COLUMNS.split(","), _parse_point_row)
+    points = read_csv_rows(path, POINT_COLUMNS, _parse_point_row)
     return PointCloud.from_points(points)
 
 
 def write_point_file(path: str | Path, points: PointCloud) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(POINT_COLUMNS.split(","))
-        ids = points.crown_id if points.crown_id is not None else [""] * len(points)
-        for i in range(len(points)):
-            writer.writerow(
-                [
-                    ids[i],
-                    f"{points.x[i]:.3f}",
-                    f"{points.y[i]:.3f}",
-                    f"{points.z[i]:.3f}",
-                    int(points.intensity[i]),
-                    int(points.return_number[i]),
-                    f"{points.scan_angle[i]:.2f}",
-                    f"{points.range_m[i]:.2f}",
-                    SEASON_NAMES[int(points.season[i])],
-                    PCLASS_NAMES[int(points.pclass[i])],
-                ]
-            )
+    ids = points.crown_id if points.crown_id is not None else [""] * len(points)
+    write_csv_rows(
+        path,
+        POINT_COLUMNS,
+        (
+            [
+                ids[i],
+                f"{points.x[i]:.3f}",
+                f"{points.y[i]:.3f}",
+                f"{points.z[i]:.3f}",
+                int(points.intensity[i]),
+                int(points.return_number[i]),
+                f"{points.scan_angle[i]:.2f}",
+                f"{points.range_m[i]:.2f}",
+                SEASON_NAMES[int(points.season[i])],
+                PCLASS_NAMES[int(points.pclass[i])],
+            ]
+            for i in range(len(points))
+        ),
+    )
 
 
 def _parse_stem_row(fields: list[str]) -> FieldStem:
@@ -385,23 +394,24 @@ def _parse_stem_row(fields: list[str]) -> FieldStem:
 def read_stem_file(path: str | Path, drop_dead: bool = True) -> list[FieldStem]:
     """Read the stem file; dead stems are dropped on ingestion. A
     malformed row raises InputError naming path:line."""
-    stems = read_csv_rows(path, STEM_COLUMNS.split(","), _parse_stem_row)
+    stems = read_csv_rows(path, STEM_COLUMNS, _parse_stem_row)
     return [stem for stem in stems if not (drop_dead and stem.status == "dead")]
 
 
 def write_stem_file(path: str | Path, stems: list[FieldStem]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(STEM_COLUMNS.split(","))
-        for stem in stems:
-            writer.writerow(
-                [
-                    stem.stem_id,
-                    f"{stem.x:.3f}",
-                    f"{stem.y:.3f}",
-                    f"{stem.height:.3f}",
-                    stem.species_class,
-                    stem.crown_class,
-                    stem.status,
-                ]
-            )
+    write_csv_rows(
+        path,
+        STEM_COLUMNS,
+        (
+            [
+                stem.stem_id,
+                f"{stem.x:.3f}",
+                f"{stem.y:.3f}",
+                f"{stem.height:.3f}",
+                stem.species_class,
+                stem.crown_class,
+                stem.status,
+            ]
+            for stem in stems
+        ),
+    )

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import student_t_cdf
 from .ingest import LEAF_OFF, LEAF_ON, SEASON_NAMES, VEGETATION, PointCloud
-from .util import derive_seed
+from .util import derive_seed, student_t_cdf
 
 logger = logging.getLogger(__name__)
 

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.format import open_memmap, write_array_header_1_0
@@ -265,25 +266,32 @@ def stack_representation(
 def write_representation_file(
     tensor_path: "str | Path",
     manifest_path: "str | Path",
-    reps: list[RepresentationSet],
+    reps: Iterable[RepresentationSet],
     kind: str,
     n_rotations: int,
     step: float,
+    n_crowns: int,
 ) -> None:
-    """Write one kind of every representation set as a raster store.
+    """Write one kind of ``n_crowns`` representation sets as a raster store.
 
     The tensor file is one .npy float32 array of shape (crowns,
-    rotations, C, H, W), streamed crown by crown in sorted crown_id
-    order; the JSON manifest holds the per-crown columns in that order.
+    rotations, C, H, W). ``reps`` must come in sorted crown_id order;
+    each set is written as it arrives, so a generator keeps one crown in
+    memory. The JSON manifest holds the per-crown columns in that order.
     """
-    reps = sorted(reps, key=lambda rep: rep.crown_id)
-    shape = (len(reps), n_rotations) + KIND_SHAPES[kind]
-    scalars = []
+    shape = (n_crowns, n_rotations) + KIND_SHAPES[kind]
+    rows = []  # per crown, its values of CROWN_COLUMNS in that order
+    scaled = True
     with open(tensor_path, "wb") as handle:
         write_array_header_1_0(
             handle, {"descr": "<f4", "fortran_order": False, "shape": shape}
         )
         for rep in reps:
+            if rows and rep.crown_id < rows[-1][0]:
+                raise ValueError(
+                    f"crown {rep.crown_id} follows {rows[-1][0]}; the store "
+                    f"needs crowns in sorted crown_id order"
+                )
             images, crown_scalars = stack_representation(rep, kind)
             if images.shape != shape[1:]:
                 raise ValueError(
@@ -291,18 +299,14 @@ def write_representation_file(
                     f"the store's {shape[1:]}"
                 )
             handle.write(images.astype("<f4", copy=False).tobytes())
-            scalars.append([float(value) for value in crown_scalars])
-    manifest = {
-        "kind": kind,
-        "n_rotations": n_rotations,
-        "step": step,
-        "scaled": all(rep.scaled for rep in reps),
-        "crown_id": [rep.crown_id for rep in reps],
-        "label": [rep.label for rep in reps],
-        "crown_class": [rep.crown_class for rep in reps],
-        "density": [rep.density for rep in reps],
-        "scalars": scalars,
-    }
+            scalars = [float(value) for value in crown_scalars]
+            rows.append((rep.crown_id, rep.label, rep.crown_class, rep.density, scalars))
+            scaled = scaled and rep.scaled
+    if len(rows) != n_crowns:
+        raise ValueError(f"{len(rows)} crowns written to a store of {n_crowns}")
+    manifest = {"kind": kind, "n_rotations": n_rotations, "step": step, "scaled": scaled}
+    for index, column in enumerate(CROWN_COLUMNS):
+        manifest[column] = [row[index] for row in rows]
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")

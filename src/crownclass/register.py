@@ -4,7 +4,6 @@ maximizes total score."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import SPECIES_CLASSES
 from .ingest import CrownCloud, FieldStem
-from .util import read_csv_rows
+from .util import read_csv_rows, write_csv_rows
 
 REGISTRATION_COLUMNS = ("crown_id", "stem_id", "score", "label", "crown_class")
 
@@ -114,19 +113,20 @@ def register_crowns(
 
 
 def write_registrations(path: "str | Path", labeled: list[LabeledCrown]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REGISTRATION_COLUMNS)
-        for item in labeled:
-            writer.writerow(
-                [
-                    item.crown.crown_id,
-                    item.matched_stem_id,
-                    item.score,
-                    item.label,
-                    item.crown_class,
-                ]
-            )
+    write_csv_rows(
+        path,
+        REGISTRATION_COLUMNS,
+        (
+            [
+                item.crown.crown_id,
+                item.matched_stem_id,
+                item.score,
+                item.label,
+                item.crown_class,
+            ]
+            for item in labeled
+        ),
+    )
 
 
 def _parse_registration_row(fields: list[str]) -> Registration:

@@ -12,9 +12,8 @@ deciduous crowns stay recognizable.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,9 @@ from .ingest import (
     PointCloud,
 )
 from . import CONIFER, DECIDUOUS
-from .util import derive_seed, read_csv_rows
+from .util import derive_seed, read_csv_rows, write_csv_rows
 
-TRUTH_COLUMNS = "crown_id,true_label,recorded_label"
+TRUTH_COLUMNS = ("crown_id", "true_label", "recorded_label")
 
 # Return-number draw probabilities; leaf-off pulses rarely split more
 # than three ways in spring canopies.
@@ -374,12 +373,8 @@ def generate_dataset(params: SynthParams) -> SynthDataset:
 
 
 def write_truth_file(path: str | Path, truth: list[TruthRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_COLUMNS.split(","))
-        for row in truth:
-            writer.writerow([row.crown_id, row.true_label, row.recorded_label])
+    write_csv_rows(path, TRUTH_COLUMNS, map(astuple, truth))
 
 
 def read_truth_file(path: str | Path) -> list[TruthRow]:
-    return read_csv_rows(path, TRUTH_COLUMNS.split(","), lambda r: TruthRow(*r))
+    return read_csv_rows(path, TRUTH_COLUMNS, lambda r: TruthRow(*r))

@@ -1,5 +1,5 @@
-"""Small shared helpers: seed derivation, bounded parallel mapping, and
-validated CSV input."""
+"""Small shared helpers: seed derivation, bounded parallel mapping, the
+Student t CDF, and the CSV reader and writer every pipeline table uses."""
 
 from __future__ import annotations
 
@@ -8,6 +8,9 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
+from scipy import special
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -40,6 +43,21 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
         return list(pool.map(fn, items))
 
 
+def student_t_cdf(t: "float | np.ndarray", df: float) -> "float | np.ndarray":
+    """Cumulative distribution of Student's t with ``df`` degrees of freedom.
+
+    Evaluated through the regularized incomplete beta function on the lower
+    tail only, so symmetry around zero is exact.
+    """
+    if df <= 0:
+        raise ValueError("df must be positive")
+    t_arr = np.asarray(t, dtype=np.float64)
+    x = df / (df + t_arr**2)
+    lower = 0.5 * special.betainc(df / 2.0, 0.5, x)
+    out = np.where(t_arr <= 0, lower, 1.0 - lower)
+    return float(out) if np.isscalar(t) or out.ndim == 0 else out
+
+
 class InputError(ValueError):
     """A malformed input file; the command line exits 1 on it."""
 
@@ -67,3 +85,13 @@ def read_csv_rows(path, columns: Sequence[str], parse: Callable[[list[str]], R])
             except ValueError as error:
                 raise InputError(f"{path}:{reader.line_num}: {error}") from error
     return records
+
+
+def write_csv_rows(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header of ``columns`` and then ``rows`` as UTF-8 CSV with
+    CRLF line ends; a float field is written with ``str``, which
+    round-trips it exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)

@@ -215,6 +215,27 @@ class TestErrorPaths:
         assert run("synth", path, tmp_path) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epochs", -1),
+            ("n_networks", 0),
+            ("per_class", 2.5),
+            ("n_networks", "ten"),
+            ("lr", "fast"),
+            ("threads", "x"),
+            ("per_class", 0),
+            ("batch_size", 0),
+            ("repeats", True),
+            ("grid_cell", None),
+            ("seed", "7"),
+        ],
+    )
+    def test_bad_config_value_exits_1_naming_key(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path / "config.json", **{key: value})
+        assert run("classify", config, tmp_path) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{not json")
@@ -328,6 +349,11 @@ class TestConfigHelpers:
         assert cli.effective_epochs(dsm) == 15
         explicit = dict(dsm, epochs=2)
         assert cli.effective_epochs(explicit) == 2
+
+    def test_unset_epochs_and_threads_accepted(self, tmp_path):
+        config = write_config(tmp_path / "config.json", epochs=None, threads=None)
+        loaded = cli.load_config(str(config), {})
+        assert (loaded["epochs"], loaded["threads"]) == (None, None)
 
     def test_defaults_match_published_values(self):
         d = cli.CONFIG_DEFAULTS

@@ -343,7 +343,6 @@ class TestTrainEnsemble:
             assert net.params.tag == "views_reduced"
             assert 0.0 <= net.acc_n <= 1.0
             assert len(net.membership) == 4
-        assert run.config["per_class"] == 2
 
     def test_same_seed_bit_identical(self):
         dataset = blob_dataset(4, 4, seed=1)
@@ -464,7 +463,7 @@ class TestCorrectMislabels:
 def identical_network_run(dataset, seed=21):
     params = init_params(dataset.tag, seed=seed)
     networks = [TrainedNetwork(params, 0.9, tuple()) for _ in range(3)]
-    return EnsembleRun(networks, seed, {"tag": dataset.tag})
+    return EnsembleRun(networks)
 
 
 class TestEnsemblePredictions:
@@ -489,7 +488,7 @@ class TestEnsemblePredictions:
             TrainedNetwork(params, 0.9, (0, 2)),
             TrainedNetwork(params, 0.9, (0, 3)),
         ]
-        run = EnsembleRun(networks, 22, {"tag": dataset.tag})
+        run = EnsembleRun(networks)
         predictions = ensemble_predictions(run, dataset)
         assert predictions[0].held_out_by == 0
         assert predictions[0].predicted == ""
@@ -628,6 +627,18 @@ class TestTableFiles:
         path = tmp_path / "history.csv"
         write_history(path, history)
         assert read_history(path) == history.rows
+
+    def test_history_bytes(self, tmp_path):
+        history = CorrectionHistory(
+            [HistoryRow(1, 3, 2, 0.1 + 0.2), HistoryRow(2, 0, 0, 1e-20)], True
+        )
+        path = tmp_path / "history.csv"
+        write_history(path, history)
+        assert path.read_bytes() == (
+            b"iter,flips_conifer,flips_deciduous,mean_acc\r\n"
+            b"1,3,2,0.30000000000000004\r\n"
+            b"2,0,0,1e-20\r\n"
+        )
 
     def test_predictions_round_trip(self, tmp_path):
         predictions = [

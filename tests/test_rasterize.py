@@ -355,10 +355,18 @@ def random_rep(rng, crown_id, label, crown_class, density, n_rotations):
 
 
 def write_store(directory, reps, kind, n_rotations=3):
+    """Write reps given in any order; like the rasterize stage, the caller
+    sorts them by crown_id."""
     tensor = directory / "rasters.bin"
     manifest_path = directory / "rasters.json"
     write_representation_file(
-        tensor, manifest_path, reps, kind, n_rotations=n_rotations, step=2.0
+        tensor,
+        manifest_path,
+        sorted(reps, key=lambda rep: rep.crown_id),
+        kind,
+        n_rotations=n_rotations,
+        step=2.0,
+        n_crowns=len(reps),
     )
     manifest = read_manifest(manifest_path)
     return read_all_representations(tensor, manifest), manifest
@@ -446,6 +454,61 @@ class TestTensorStore:
         path.write_text(json.dumps({"version": 1, "records": {}}))
         with pytest.raises(InputError, match="old.json.*missing kind"):
             read_manifest(path)
+
+    def test_generator_is_consumed_once_in_order(self, tmp_path):
+        reps = self.make_reps(("views4",))
+        images, manifest = write_store(tmp_path, reps, "views4")
+        expected_images, expected_manifest = np.array(images), manifest
+        yielded = []
+
+        def stream():
+            for rep in sorted(reps, key=lambda rep: rep.crown_id):
+                yielded.append(rep.crown_id)
+                yield rep
+
+        streamed = tmp_path / "streamed"
+        streamed.mkdir()
+        write_representation_file(
+            streamed / "rasters.bin",
+            streamed / "rasters.json",
+            stream(),
+            "views4",
+            n_rotations=3,
+            step=2.0,
+            n_crowns=2,
+        )
+        assert yielded == ["a1", "b2"]
+        manifest = read_manifest(streamed / "rasters.json")
+        assert manifest == expected_manifest
+        np.testing.assert_array_equal(
+            bits(np.load(streamed / "rasters.bin")), bits(expected_images)
+        )
+
+    def test_crown_out_of_order_rejected(self, tmp_path):
+        reps = self.make_reps(("views4",), ids=("b2", "a1"))
+        with pytest.raises(ValueError, match="a1 follows b2.*sorted crown_id"):
+            write_representation_file(
+                tmp_path / "rasters.bin",
+                tmp_path / "rasters.json",
+                iter(reps),
+                "views4",
+                n_rotations=3,
+                step=2.0,
+                n_crowns=2,
+            )
+
+    def test_crown_count_mismatch_rejected(self, tmp_path):
+        reps = self.make_reps(("views4",), ids=("a1", "b2"))
+        with pytest.raises(ValueError, match="2 crowns written to a store of 3"):
+            write_representation_file(
+                tmp_path / "rasters.bin",
+                tmp_path / "rasters.json",
+                reps,
+                "views4",
+                n_rotations=3,
+                step=2.0,
+                n_crowns=3,
+            )
 
     def test_truncation_is_a_view_of_the_mapped_store(self, tmp_path):
         images, manifest = write_store(tmp_path, self.make_reps(("views4",)), "views4")
