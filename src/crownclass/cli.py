@@ -34,15 +34,21 @@ from .ingest import (
 )
 from .intensity import apply_residualization, fit_all_models, write_models
 from .rasterize import (
-    augment_rotations,
+    rasterize_crown,
     read_all_representations,
     read_manifest,
-    scale_for_network,
     write_representation_file,
 )
 from .register import read_registrations, register_crowns, write_registrations
 from .synthforest import SynthParams, generate_dataset, write_truth_file
-from .util import InputError, default_threads, derive_seed, read_csv_rows, write_csv_rows
+from .util import (
+    InputError,
+    default_threads,
+    derive_seed,
+    read_csv_rows,
+    write_csv_rows,
+    write_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +132,8 @@ POSITIVE_INTEGER_KEYS = (
     "repeats",
     "threads",
 )
+# Forest sizes: a class may be left out.
+NON_NEGATIVE_INTEGER_KEYS = ("n_conifer", "n_deciduous")
 
 
 class ConfigError(Exception):
@@ -160,12 +168,37 @@ def load_config(path: str, overrides: dict) -> dict:
             unset = value is None and default is None
             if not (unset or type(value) is int and value > 0):
                 raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+        elif key in NON_NEGATIVE_INTEGER_KEYS:
+            if not (type(value) is int and value >= 0):
+                raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
         elif type(default) in (int, float) and type(value) not in (int, float):
             raise ConfigError(f"{key} must be a number, not {value!r}")
     if config["representation"] not in REPRESENTATIONS:
         raise ConfigError(f"representation must be one of {REPRESENTATIONS}")
     if config["ablation"] not in ABLATIONS:
         raise ConfigError(f"ablation must be one of {ABLATIONS}")
+    if config["sweep_variant"] not in ens.SWEEP_VARIANTS:
+        raise ConfigError(f"sweep_variant must be one of {ens.SWEEP_VARIANTS}")
+    fractions = config["fractions"]
+    if not (
+        type(fractions) is list
+        and fractions
+        and all(type(f) in (int, float) and 0 < f <= 1 for f in fractions)
+    ):
+        raise ConfigError(
+            f"fractions must be a non-empty list of numbers in (0, 1], not {fractions!r}"
+        )
+    augmentations = config["augmentations"]
+    if not (
+        type(augmentations) is list
+        and all(type(a) is int and a > 0 for a in augmentations)
+    ):
+        raise ConfigError(
+            f"augmentations must be a list of positive integers, not {augmentations!r}"
+        )
+    ablations = config["ablations"]
+    if not (type(ablations) is list and all(a in ABLATIONS for a in ablations)):
+        raise ConfigError(f"ablations must be a list drawn from {ABLATIONS}")
     return config
 
 
@@ -196,9 +229,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]
         "config": config,
         "outputs": sorted(outputs),
     }
-    path = out_dir / f"manifest_{command}.json"
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    path.write_text(text, encoding="utf-8")
+    write_json(out_dir / f"manifest_{command}.json", manifest)
 
 
 def write_summary(path: Path, result: ens.ClassifyResult) -> None:
@@ -219,14 +250,14 @@ def read_summary(path: Path) -> list[tuple[str, float, float, int]]:
 def cmd_synth(config: dict, out_dir: Path) -> list[str]:
     params = SynthParams(
         seed=config["seed"],
-        n_conifer=int(config["n_conifer"]),
-        n_deciduous=int(config["n_deciduous"]),
-        label_noise=float(config["label_noise"]),
-        dome_fraction=float(config["dome_fraction"]),
-        jitter_sigma=float(config["jitter_sigma"]),
-        leaf_on_density=float(config["leaf_on_density"]),
-        conifer_retention=float(config["conifer_retention"]),
-        deciduous_retention=float(config["deciduous_retention"]),
+        n_conifer=config["n_conifer"],
+        n_deciduous=config["n_deciduous"],
+        label_noise=config["label_noise"],
+        dome_fraction=config["dome_fraction"],
+        jitter_sigma=config["jitter_sigma"],
+        leaf_on_density=config["leaf_on_density"],
+        conifer_retention=config["conifer_retention"],
+        deciduous_retention=config["deciduous_retention"],
     )
     dataset = generate_dataset(params)
     write_point_file(out_dir / "points.csv", dataset.points)
@@ -285,27 +316,23 @@ def cmd_rasterize(config: dict, out_dir: Path) -> list[str]:
                 f"registration names crown {row.crown_id} absent from the points file"
             )
     rows.sort(key=lambda row: row.crown_id)
-    kind = config["representation"]
-    reps = (
-        scale_for_network(
-            augment_rotations(
-                crowns[row.crown_id],
-                n=config["n_rotations"],
-                step=float(config["rotation_step"]),
-                label=row.label,
-                crown_class=row.crown_class,
-                kinds=(kind,),
-            )
-        )
-        for row in rows
-    )
+    kind, n = config["representation"], config["n_rotations"]
+    step = float(config["rotation_step"])
+
+    def rasterized():
+        for row in rows:
+            crown = crowns[row.crown_id]
+            density = len(crown.points) / crown.area  # points per m2, both seasons
+            images, scalars = rasterize_crown(crown, kind, n, step)
+            yield row.crown_id, row.label, row.crown_class, density, images, scalars
+
     write_representation_file(
         out_dir / "rasters.bin",
         out_dir / "rasters.json",
-        reps,
+        rasterized(),
         kind,
-        n_rotations=config["n_rotations"],
-        step=float(config["rotation_step"]),
+        n_rotations=n,
+        step=step,
         n_crowns=len(rows),
     )
     return ["rasters.bin", "rasters.json"]
@@ -337,16 +364,22 @@ def _label_override(fields: list[str]) -> tuple[str, str]:
     return crown_id, label
 
 
+def load_raw_dataset(config: dict):
+    """The store rasterized from points without intensity normalization,
+    which the raw-intensity ablation trains on."""
+    if not config.get("raw_tensor_file"):
+        raise ConfigError(
+            "the raw-intensity ablation needs raw_tensor_file and "
+            "raw_manifest_file rasterized from unnormalized points"
+        )
+    return load_dataset(config, "raw_tensor_file", "raw_manifest_file")
+
+
 def load_ablated_dataset(config: dict):
-    """The dataset classify trains on under the configured ablation; the
-    raw-intensity variant is the store rasterized from raw points."""
+    """The dataset classify trains on under the configured ablation."""
     dataset = load_dataset(config)
-    alternates = None
-    if config["ablation"] == "raw-intensity":
-        alternates = {
-            "raw-intensity": load_dataset(config, "raw_tensor_file", "raw_manifest_file")
-        }
-    return ens.ablate(dataset, config["ablation"], alternates)
+    raw = load_raw_dataset(config) if config["ablation"] == "raw-intensity" else None
+    return ens.ablate(dataset, config["ablation"], raw)
 
 
 def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
@@ -394,22 +427,20 @@ def cmd_classify(config: dict, out_dir: Path) -> list[str]:
 def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
     dataset = load_dataset(config)
     spec = ens.SweepSpec(
-        variant=str(config["sweep_variant"]),
-        fractions=tuple(float(f) for f in config["fractions"]),
+        variant=config["sweep_variant"],
+        fractions=tuple(config["fractions"]),
         repeats=config["repeats"],
-        augmentations=tuple(int(a) for a in config["augmentations"]),
+        augmentations=tuple(config["augmentations"]),
         ablations=tuple(config["ablations"]),
     )
-    alternates = None
+    if any(count > dataset.augmentations for count in spec.augmentations):
+        raise ConfigError(
+            f"augmentations must be at most the store's {dataset.augmentations} "
+            f"rotations, not {list(spec.augmentations)}"
+        )
+    raw = None
     if spec.variant == "ablation" and "raw-intensity" in spec.ablations:
-        if not config.get("raw_tensor_file"):
-            raise ConfigError(
-                "the raw-intensity ablation needs raw_tensor_file and "
-                "raw_manifest_file rasterized from unnormalized points"
-            )
-        alternates = {
-            "raw-intensity": load_dataset(config, "raw_tensor_file", "raw_manifest_file")
-        }
+        raw = load_raw_dataset(config)
     rows = ens.run_sweep(
         dataset,
         spec,
@@ -420,7 +451,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
         lr=float(config["lr"]),
         batch_size=config["batch_size"],
         threads=effective_threads(config),
-        alternates=alternates,
+        raw=raw,
     )
     ens.write_sweep_table(out_dir / "sweep.csv", rows)
     return ["sweep.csv"]

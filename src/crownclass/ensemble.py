@@ -14,7 +14,6 @@ import numpy as np
 
 from . import CLASS_INDEX, CONIFER, DECIDUOUS, INDEX_CLASS
 from .ingest import OVERSTORY_CLASSES
-from .rasterize import stack_representation
 from .tinynet import (
     ADAM_LR,
     ARCHITECTURES,
@@ -53,6 +52,7 @@ ABLATION_NAMES = (
     "raw-intensity",
     "binary-intensity",
 )
+SWEEP_VARIANTS = ("size", "augmentation", "ablation", "crown_class", "density")
 
 # Images are stored [aerial on, aerial off, profile on, profile off] and
 # DSM channels [on height, on intensity, off height, off intensity], so
@@ -133,26 +133,6 @@ def from_store(images: np.ndarray, manifest: dict) -> LabeledDataset:
     return LabeledDataset(tag, instances, images, scalars)
 
 
-def from_representations(reps: list, kind: str = "views4") -> LabeledDataset:
-    """In-memory dataset from scaled representation sets, in the given
-    order.
-
-    views4 feeds the four-branch architecture with (width, height)
-    scalars; dsm4 feeds the early-fusion architecture with (area,).
-    """
-    stacked = [stack_representation(rep, kind) for rep in reps]
-    columns = {
-        "kind": kind,
-        "scaled": all(rep.scaled for rep in reps),
-        "crown_id": [rep.crown_id for rep in reps],
-        "label": [rep.label for rep in reps],
-        "crown_class": [rep.crown_class for rep in reps],
-        "density": [rep.density for rep in reps],
-        "scalars": [scalars for _, scalars in stacked],
-    }
-    return from_store(np.stack([images for images, _ in stacked]), columns)
-
-
 def select_channels(dataset: LabeledDataset, channels: tuple[int, ...]) -> LabeledDataset:
     """Single-season variant of a views dataset (2 of 4 image channels)."""
     if dataset.tag != "views" or len(channels) != 2:
@@ -184,13 +164,10 @@ def truncate_augmentations(dataset: LabeledDataset, count: int) -> LabeledDatase
 
 
 def ablate(
-    dataset: LabeledDataset,
-    name: str,
-    alternates: "dict[str, LabeledDataset] | None" = None,
+    dataset: LabeledDataset, name: str, raw: "LabeledDataset | None" = None
 ) -> LabeledDataset:
-    """The dataset variant one ablation trains on. raw-intensity takes a
-    dataset built without intensity normalization from
-    alternates={"raw-intensity": dataset}."""
+    """The dataset variant one ablation trains on. raw-intensity trains on
+    ``raw``, the same crowns rasterized without intensity normalization."""
     if name == "none":
         return dataset
     if name == "no-leaf-off":
@@ -201,12 +178,12 @@ def ablate(
         return binarize_intensity(dataset)
     if name != "raw-intensity":
         raise ValueError(f"unknown ablation {name!r}")
-    if not alternates or name not in alternates:
+    if raw is None:
         raise ValueError(
             "raw-intensity ablation needs a dataset built without "
             "intensity normalization"
         )
-    return alternates[name]
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +602,7 @@ def ensemble_classify(
 
 @dataclass
 class SweepSpec:
-    variant: str  # size | augmentation | ablation | crown_class | density
+    variant: str  # one of SWEEP_VARIANTS
     fractions: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
     repeats: int = 3
     augmentations: tuple[int, ...] = ()
@@ -681,12 +658,12 @@ def run_sweep(
     lr: float = ADAM_LR,
     batch_size: int = BATCH_SIZE,
     threads: int | None = None,
-    alternates: "dict[str, LabeledDataset] | None" = None,
+    raw: "LabeledDataset | None" = None,
 ) -> list[SweepRow]:
     """Run one evaluation sweep and return its result table.
 
-    The raw-intensity ablation needs a dataset rebuilt without intensity
-    normalization, passed via alternates={"raw-intensity": dataset}.
+    The raw-intensity ablation trains on ``raw``, a dataset rebuilt
+    without intensity normalization.
     """
     rows: list[SweepRow] = []
 
@@ -747,7 +724,7 @@ def run_sweep(
 
     elif spec.variant == "ablation":
         for name in spec.ablations:
-            result = classify(ablate(dataset, name, alternates), "ablation", name)
+            result = classify(ablate(dataset, name, raw), "ablation", name)
             rows.append(_row("ablation", name, result.accuracies))
 
     elif spec.variant == "crown_class":

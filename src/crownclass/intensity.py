@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import LEAF_OFF, LEAF_ON, SEASON_NAMES, VEGETATION, PointCloud
-from .util import derive_seed, student_t_cdf
+from .util import derive_seed, student_t_cdf, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -203,10 +203,7 @@ def apply_residualization(
 
 
 def write_models(path: "str | Path", models: dict[str, IntensityModel]) -> None:
-    doc = {key: asdict(model) for key, model in sorted(models.items())}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, {key: asdict(model) for key, model in models.items()})
 
 
 def read_models(path: "str | Path") -> dict[str, IntensityModel]:

@@ -1,6 +1,7 @@
 """Crown discretization: a four-channel 128x128 surface-model raster and
-a four-image 64x64 view stack, plus rotational augmentation and the
-memory-mapped raster store that feeds network training.
+a four-image 64x64 view stack, rasterized at every rotation of a crown
+and scaled for the networks, and the memory-mapped raster store that
+feeds network training.
 
 Both representations cover 16x16 m centered on the crown apex. Grid
 origins are chosen so the apex falls at the exact center of its pixel;
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.format import open_memmap, write_array_header_1_0
 
 from .ingest import LEAF_OFF, LEAF_ON, CrownCloud
-from .util import InputError
+from .util import InputError, write_json
 
 DSM_SIZE = 128
 DSM_CELL = 0.125
@@ -42,44 +42,6 @@ KIND_SHAPES = {"views4": (4, VIEW_SIZE, VIEW_SIZE), "dsm4": (4, DSM_SIZE, DSM_SI
 # Store manifest: these facts plus one list per crown column, row order.
 STORE_KEYS = ("kind", "n_rotations", "step", "scaled")
 CROWN_COLUMNS = ("crown_id", "label", "crown_class", "density", "scalars")
-
-
-@dataclass
-class Dsm4:
-    """Channels: [leaf-on height, leaf-on intensity, leaf-off height,
-    leaf-off intensity] of the highest point per 12.5-cm pixel."""
-
-    channels: np.ndarray  # (4, 128, 128) float32
-    crown_area: float
-
-
-@dataclass
-class Views4:
-    """Images: [aerial leaf-on, aerial leaf-off, profile leaf-on,
-    profile leaf-off]; aerial pixels carry the intensity of the highest
-    point, profile pixels the mean intensity of a 75-cm slab through the
-    apex."""
-
-    images: np.ndarray  # (4, 64, 64) float32
-    tree_height: float
-    crown_width: float
-
-
-@dataclass
-class RotatedRep:
-    rotation: float
-    dsm4: "Dsm4 | None"
-    views4: "Views4 | None"
-
-
-@dataclass
-class RepresentationSet:
-    crown_id: str
-    label: str
-    crown_class: str
-    density: float  # points per m2 of crown area, both seasons
-    entries: list[RotatedRep]
-    scaled: bool = False
 
 
 def rotate_about_apex(crown: CrownCloud, degrees: float) -> CrownCloud:
@@ -125,7 +87,10 @@ def _top_per_pixel(
     return order[first]
 
 
-def make_dsm4(crown: CrownCloud) -> Dsm4:
+def make_dsm4(crown: CrownCloud) -> np.ndarray:
+    """(4, 128, 128) float32 channels: [leaf-on height, leaf-on
+    intensity, leaf-off height, leaf-off intensity] of the highest point
+    per 12.5-cm pixel."""
     channels = np.zeros((4, DSM_SIZE, DSM_SIZE), dtype=np.float32)
     for season, base in ((LEAF_ON, 0), (LEAF_OFF, 2)):
         part = crown.points.select(crown.points.season == season)
@@ -140,10 +105,14 @@ def make_dsm4(crown: CrownCloud) -> Dsm4:
         top = _top_per_pixel(row * DSM_SIZE + col, part.z, part.intensity)
         channels[base, row[top], col[top]] = part.z[top]
         channels[base + 1, row[top], col[top]] = part.intensity[top]
-    return Dsm4(channels=channels, crown_area=crown.area)
+    return channels
 
 
-def make_views4(crown: CrownCloud) -> Views4:
+def make_views4(crown: CrownCloud) -> np.ndarray:
+    """(4, 64, 64) float32 images: [aerial leaf-on, aerial leaf-off,
+    profile leaf-on, profile leaf-off]; aerial pixels carry the intensity
+    of the highest point, profile pixels the mean intensity of a 75-cm
+    slab through the apex."""
     images = np.zeros((4, VIEW_SIZE, VIEW_SIZE), dtype=np.float32)
     dx = crown.points.x - crown.apex.x
     dy = crown.points.y - crown.apex.y
@@ -183,133 +152,80 @@ def make_views4(crown: CrownCloud) -> Views4:
         filled = counts > 0
         images[profile_ch][filled] = sums[filled] / counts[filled]
 
-    return Views4(
-        images=images, tree_height=crown.tree_height, crown_width=crown.width
-    )
+    return images
 
 
-def augment_rotations(
-    crown: CrownCloud,
-    n: int = 180,
-    step: float = 2.0,
-    label: str = "",
-    crown_class: str = "",
-    kinds: tuple[str, ...] = ("dsm4", "views4"),
-) -> RepresentationSet:
-    """Build representations at rotations 0, step, ..., (n-1)*step.
-
-    Scalar features are copied from the crown, so they are exactly equal
-    across entries.
-    """
-    entries = []
-    for k in range(n):
-        rotated = rotate_about_apex(crown, k * step) if k else crown
-        entries.append(
-            RotatedRep(
-                rotation=k * step,
-                dsm4=make_dsm4(rotated) if "dsm4" in kinds else None,
-                views4=make_views4(rotated) if "views4" in kinds else None,
-            )
-        )
-    return RepresentationSet(
-        crown_id=crown.crown_id,
-        label=label,
-        crown_class=crown_class,
-        density=len(crown.points) / crown.area,
-        entries=entries,
-    )
-
-
-def scale_for_network(rep: RepresentationSet) -> RepresentationSet:
-    """Scale all inputs near [0, 1]: heights / 50, intensities / 255,
-    crown area / 300, crown width / 20."""
-    if rep.scaled:
-        raise ValueError(f"representation set {rep.crown_id} already scaled")
-    entries = []
-    for entry in rep.entries:
-        dsm4 = views4 = None
-        if entry.dsm4 is not None:
-            dsm4 = Dsm4(
-                channels=entry.dsm4.channels / DSM_CHANNEL_SCALES,
-                crown_area=entry.dsm4.crown_area / AREA_SCALE,
-            )
-        if entry.views4 is not None:
-            views4 = Views4(
-                images=entry.views4.images / INTENSITY_SCALE,
-                tree_height=entry.views4.tree_height / HEIGHT_SCALE,
-                crown_width=entry.views4.crown_width / WIDTH_SCALE,
-            )
-        entries.append(RotatedRep(entry.rotation, dsm4, views4))
-    return replace(rep, entries=entries, scaled=True)
-
-
-def stack_representation(
-    rep: RepresentationSet, kind: str
+def rasterize_crown(
+    crown: CrownCloud, kind: str, n: int, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One crown's (rotations, C, H, W) float32 images of one kind and
-    its float32 scalar features: (width, height) for views4, (area,) for
-    dsm4. Scalars are equal across rotations, so the first entry's serve."""
-    if kind not in KIND_SHAPES:
-        raise ValueError(f"unknown representation kind {kind!r}")
-    if not rep.entries or getattr(rep.entries[0], kind) is None:
-        raise ValueError(f"{rep.crown_id}: no {kind} tensors present")
+    """One crown's network inputs at rotations 0, step, ..., (n-1)*step.
+
+    Returns the (n, 4, H, W) float32 images of ``kind``, scaled near
+    [0, 1] (heights / 50, intensities / 255), and the float32 scalar
+    features, taken from the crown itself and so equal for every
+    rotation: (width / 20, tree height / 50) for views4, (area / 300,)
+    for dsm4.
+    """
     if kind == "views4":
-        images = np.stack([e.views4.images for e in rep.entries])
-        first = rep.entries[0].views4
-        scalars = [first.crown_width, first.tree_height]
+        make, scales = make_views4, INTENSITY_SCALE
+        scalars = (crown.width / WIDTH_SCALE, crown.tree_height / HEIGHT_SCALE)
+    elif kind == "dsm4":
+        make, scales = make_dsm4, DSM_CHANNEL_SCALES
+        scalars = (crown.area / AREA_SCALE,)
     else:
-        images = np.stack([e.dsm4.channels for e in rep.entries])
-        scalars = [rep.entries[0].dsm4.crown_area]
-    return images.astype(np.float32, copy=False), np.array(scalars, dtype=np.float32)
+        raise ValueError(f"unknown representation kind {kind!r}")
+    # Rotation 0 is the crown itself, free of the rotation's rounding.
+    images = np.stack(
+        [make(rotate_about_apex(crown, k * step) if k else crown) for k in range(n)]
+    )
+    images /= scales
+    return images, np.array(scalars, dtype=np.float32)
 
 
 def write_representation_file(
     tensor_path: "str | Path",
     manifest_path: "str | Path",
-    reps: Iterable[RepresentationSet],
+    crowns: Iterable[tuple],
     kind: str,
     n_rotations: int,
     step: float,
     n_crowns: int,
 ) -> None:
-    """Write one kind of ``n_crowns`` representation sets as a raster store.
+    """Write ``n_crowns`` crowns of one kind as a raster store.
 
-    The tensor file is one .npy float32 array of shape (crowns,
-    rotations, C, H, W). ``reps`` must come in sorted crown_id order;
-    each set is written as it arrives, so a generator keeps one crown in
-    memory. The JSON manifest holds the per-crown columns in that order.
+    ``crowns`` yields ``(crown_id, label, crown_class, density, images,
+    scalars)`` with the images and scalars of ``rasterize_crown``, in
+    sorted crown_id order; each crown is written as it arrives, so a
+    generator keeps one crown in memory. The tensor file is one .npy
+    float32 array of shape (crowns, rotations, C, H, W); the JSON
+    manifest holds the per-crown columns in the same order.
     """
     shape = (n_crowns, n_rotations) + KIND_SHAPES[kind]
     rows = []  # per crown, its values of CROWN_COLUMNS in that order
-    scaled = True
     with open(tensor_path, "wb") as handle:
         write_array_header_1_0(
             handle, {"descr": "<f4", "fortran_order": False, "shape": shape}
         )
-        for rep in reps:
-            if rows and rep.crown_id < rows[-1][0]:
+        for crown_id, label, crown_class, density, images, scalars in crowns:
+            if rows and crown_id < rows[-1][0]:
                 raise ValueError(
-                    f"crown {rep.crown_id} follows {rows[-1][0]}; the store "
+                    f"crown {crown_id} follows {rows[-1][0]}; the store "
                     f"needs crowns in sorted crown_id order"
                 )
-            images, crown_scalars = stack_representation(rep, kind)
             if images.shape != shape[1:]:
                 raise ValueError(
-                    f"{rep.crown_id}: {kind} tensors {images.shape} do not fit "
+                    f"{crown_id}: {kind} tensors {images.shape} do not fit "
                     f"the store's {shape[1:]}"
                 )
             handle.write(images.astype("<f4", copy=False).tobytes())
-            scalars = [float(value) for value in crown_scalars]
-            rows.append((rep.crown_id, rep.label, rep.crown_class, rep.density, scalars))
-            scaled = scaled and rep.scaled
+            scalars = [float(value) for value in scalars]
+            rows.append((crown_id, label, crown_class, density, scalars))
     if len(rows) != n_crowns:
         raise ValueError(f"{len(rows)} crowns written to a store of {n_crowns}")
-    manifest = {"kind": kind, "n_rotations": n_rotations, "step": step, "scaled": scaled}
+    manifest = {"kind": kind, "n_rotations": n_rotations, "step": step, "scaled": True}
     for index, column in enumerate(CROWN_COLUMNS):
         manifest[column] = [row[index] for row in rows]
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(manifest_path, manifest)
 
 
 def read_manifest(manifest_path: "str | Path") -> dict:

@@ -13,7 +13,7 @@ deciduous crowns stay recognizable.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -240,21 +240,11 @@ def concat_clouds(clouds: list[PointCloud]) -> PointCloud:
     """Stack point containers; crown_id is kept when every part has it."""
     if not clouds:
         return PointCloud.empty()
-    keep_ids = all(c.crown_id is not None for c in clouds)
-    return PointCloud(
-        x=np.concatenate([c.x for c in clouds]),
-        y=np.concatenate([c.y for c in clouds]),
-        z=np.concatenate([c.z for c in clouds]),
-        intensity=np.concatenate([c.intensity for c in clouds]),
-        return_number=np.concatenate([c.return_number for c in clouds]),
-        scan_angle=np.concatenate([c.scan_angle for c in clouds]),
-        range_m=np.concatenate([c.range_m for c in clouds]),
-        season=np.concatenate([c.season for c in clouds]),
-        pclass=np.concatenate([c.pclass for c in clouds]),
-        crown_id=(
-            np.concatenate([c.crown_id for c in clouds]) if keep_ids else None
-        ),
-    )
+    columns = {}
+    for f in fields(PointCloud):
+        parts = [getattr(c, f.name) for c in clouds]
+        columns[f.name] = None if any(p is None for p in parts) else np.concatenate(parts)
+    return PointCloud(**columns)
 
 
 def _ground_points(params: SynthParams, extent: float) -> PointCloud:

@@ -1,10 +1,12 @@
 """Small shared helpers: seed derivation, bounded parallel mapping, the
-Student t CDF, and the CSV reader and writer every pipeline table uses."""
+Student t CDF, the CSV reader and writer every pipeline table uses, and
+the JSON writer every manifest uses."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -95,3 +97,11 @@ def write_csv_rows(path, columns: Sequence[str], rows: Iterable[Sequence]) -> No
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON with sorted keys, two-space indents and
+    a trailing newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")

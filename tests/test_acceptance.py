@@ -16,7 +16,7 @@ import pytest
 
 from gradtools import gradient_errors, max_gradient_error, random_inputs, randomize_biases
 from test_intensity import synthetic_fit_cloud
-from test_rasterize import random_crown, rotated_image_90
+from test_rasterize import crown_dataset, random_crown, rotated_image_90
 from test_register import brute_force_total
 
 from crownclass import cli
@@ -30,13 +30,7 @@ from crownclass.ingest import (
     height_normalize,
 )
 from crownclass.intensity import apply_residualization, fit_intensity_model
-from crownclass.rasterize import (
-    augment_rotations,
-    make_dsm4,
-    make_views4,
-    rotate_about_apex,
-    scale_for_network,
-)
+from crownclass.rasterize import make_dsm4, make_views4, rotate_about_apex
 from crownclass.register import max_score_assignment, register_crowns
 from crownclass.synthforest import SynthParams, generate_dataset
 from crownclass.tinynet import ARCHITECTURES, init_params, network_forward
@@ -56,20 +50,8 @@ def crowns_from_dataset(dataset):
 
 
 def views4_dataset(labeled, n_rotations, step):
-    reps = [
-        scale_for_network(
-            augment_rotations(
-                lc.crown,
-                n=n_rotations,
-                step=step,
-                label=lc.label,
-                crown_class=lc.crown_class,
-                kinds=("views4",),
-            )
-        )
-        for lc in labeled
-    ]
-    return ens.from_representations(reps, kind="views4")
+    rows = [(lc.crown, lc.label, lc.crown_class) for lc in labeled]
+    return crown_dataset(rows, "views4", n_rotations, step)
 
 
 def test_01_analytic_gradients_match_finite_differences():
@@ -335,11 +317,8 @@ def test_08_rotation_scalars_fixed_and_90_degree_commutation():
     scalar_sets = 0
     for _ in range(5):
         crown = random_crown(rng, n=100)
-        rep = augment_rotations(crown, n=8, step=45.0)
-        areas = {e.dsm4.crown_area for e in rep.entries}
-        heights = {e.views4.tree_height for e in rep.entries}
-        widths = {e.views4.crown_width for e in rep.entries}
-        scalar_sets += max(len(areas), len(heights), len(widths))
+        rotated = [rotate_about_apex(crown, 45.0 * k) for k in range(8)]
+        scalar_sets += len({(r.tree_height, r.width, r.area) for r in rotated})
     scalars_ok = scalar_sets == 5
 
     worst = 1.0
@@ -349,11 +328,11 @@ def test_08_rotation_scalars_fixed_and_90_degree_commutation():
         dsm, dsm_rot = make_dsm4(crown), make_dsm4(rotated)
         views, views_rot = make_views4(crown), make_views4(rotated)
         for ch in range(4):
-            expected = rotated_image_90(dsm.channels[ch])
-            worst = min(worst, float(np.mean(dsm_rot.channels[ch] == expected)))
+            expected = rotated_image_90(dsm[ch])
+            worst = min(worst, float(np.mean(dsm_rot[ch] == expected)))
         for ch in range(2):  # aerial images; profiles track the slab instead
-            expected = rotated_image_90(views.images[ch])
-            worst = min(worst, float(np.mean(views_rot.images[ch] == expected)))
+            expected = rotated_image_90(views[ch])
+            worst = min(worst, float(np.mean(views_rot[ch] == expected)))
     commute_ok = worst >= 0.99
 
     ok = scalars_ok and commute_ok

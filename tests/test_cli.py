@@ -229,6 +229,18 @@ class TestErrorPaths:
             ("repeats", True),
             ("grid_cell", None),
             ("seed", "7"),
+            ("n_conifer", -1),
+            ("n_conifer", 2.5),
+            ("n_deciduous", -3),
+            ("fractions", [0]),
+            ("fractions", [1.5]),
+            ("fractions", ["x"]),
+            ("fractions", 0.5),
+            ("fractions", []),
+            ("augmentations", [1.5]),
+            ("augmentations", [0]),
+            ("ablations", ["nope"]),
+            ("sweep_variant", "bogus"),
         ],
     )
     def test_bad_config_value_exits_1_naming_key(self, tmp_path, capsys, key, value):
@@ -274,6 +286,23 @@ class TestErrorPaths:
         )
         assert run("sweep", config, tmp_path) == 1
         assert "raw_tensor_file" in capsys.readouterr().err
+
+    def test_augmentations_beyond_store_rotations_exit_1(
+        self, tmp_path, pipeline, capsys
+    ):
+        out = pipeline["out"]
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+            sweep_variant="augmentation",
+            augmentations=[1, 5],
+        )
+        assert run("sweep", config, tmp_path) == 1
+        assert "augmentations must be at most the store's 4 rotations" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["correct-labels", "classify", "sweep"])
     def test_store_of_other_representation_exits_1(

@@ -21,7 +21,7 @@ from crownclass.ensemble import (
     ensemble_classify,
     ensemble_predictions,
     flip_decision,
-    from_representations,
+    from_store,
     mislabel_iteration,
     read_history,
     read_predictions,
@@ -42,8 +42,9 @@ from crownclass.ensemble import (
     _training_tensors,
 )
 from crownclass.ingest import CrownCloud, PointCloud, LEAF_ON, LEAF_OFF
-from crownclass.rasterize import augment_rotations, scale_for_network
 from crownclass.tinynet import init_params, predict_probs
+
+from test_rasterize import crown_dataset
 
 
 # Reference values from numerically integrating the t density
@@ -183,21 +184,12 @@ def square_crown(crown_id="t0001"):
 
 
 class TestFromRepresentations:
-    def build(self, kinds, kind, scaled=True):
-        rep = augment_rotations(
-            square_crown(),
-            n=3,
-            step=120.0,
-            label="conifer",
-            crown_class="codominant",
-            kinds=kinds,
-        )
-        if scaled:
-            rep = scale_for_network(rep)
-        return from_representations([rep], kind=kind)
+    def build(self, kind):
+        labeled = [(square_crown(), "conifer", "codominant")]
+        return crown_dataset(labeled, kind, n=3, step=120.0)
 
     def test_views_tensors_and_scalars(self):
-        dataset = self.build(("views4",), "views4")
+        dataset = self.build("views4")
         assert dataset.tag == "views"
         inst = dataset.instances[0]
         assert dataset.images.shape == (1, 3, 4, 64, 64)
@@ -208,20 +200,28 @@ class TestFromRepresentations:
         assert inst.crown_class == "codominant"
 
     def test_dsm_tensors_and_scalars(self):
-        dataset = self.build(("dsm4",), "dsm4")
+        dataset = self.build("dsm4")
         assert dataset.tag == "dsm"
         assert dataset.images.shape == (1, 3, 4, 128, 128)
         np.testing.assert_allclose(dataset.scalars, np.full((1, 1), 4.0 / 300.0))
 
     def test_unscaled_rejected(self):
+        dataset = self.build("views4")
+        manifest = {
+            "kind": "views4",
+            "scaled": False,
+            "crown_id": ["c1"],
+            "label": ["conifer"],
+            "crown_class": ["codominant"],
+            "density": [1.0],
+            "scalars": dataset.scalars.tolist(),
+        }
         with pytest.raises(ValueError, match="scaled"):
-            self.build(("views4",), "views4", scaled=False)
+            from_store(dataset.images, manifest)
 
     def test_missing_kind_rejected(self):
-        with pytest.raises(ValueError, match="dsm4"):
-            self.build(("views4",), "dsm4")
         with pytest.raises(ValueError, match="kind"):
-            self.build(("views4",), "pointcloud")
+            self.build("pointcloud")
 
 
 class TestDatasetTransforms:
@@ -589,7 +589,7 @@ class TestRunSweep:
         rows = run_sweep(
             dataset,
             spec,
-            alternates={"raw-intensity": dataset},
+            raw=dataset,
             **tiny_sweep_args(),
         )
         assert rows[0].param == "raw-intensity"

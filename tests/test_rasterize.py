@@ -1,5 +1,6 @@
 """Tests for crown rasterization: rotation, both representations,
-augmentation, input scaling, and the memory-mapped raster store."""
+rasterizing a crown at every rotation with input scaling, and the
+memory-mapped raster store."""
 
 import json
 import tempfile
@@ -13,18 +14,18 @@ from hypothesis import strategies as st
 from crownclass.ensemble import from_store, truncate_augmentations
 from crownclass.ingest import CrownCloud, LidarPoint, PointCloud
 from crownclass.rasterize import (
-    Dsm4,
-    RepresentationSet,
-    RotatedRep,
-    Views4,
-    augment_rotations,
+    AREA_SCALE,
+    DSM_CHANNEL_SCALES,
+    HEIGHT_SCALE,
+    INTENSITY_SCALE,
+    KIND_SHAPES,
+    WIDTH_SCALE,
     make_dsm4,
     make_views4,
+    rasterize_crown,
     read_all_representations,
     read_manifest,
     rotate_about_apex,
-    scale_for_network,
-    stack_representation,
     write_representation_file,
 )
 from crownclass.util import InputError
@@ -86,6 +87,22 @@ def random_crown(rng, n=80, safe_lattice=False):
     return build_crown(pts)
 
 
+def crown_dataset(labeled, kind="views4", n=1, step=2.0):
+    """In-memory dataset over (crown, label, crown_class) triples, rows in
+    the given order, with the columns the rasterize stage stores."""
+    rasterized = [rasterize_crown(crown, kind, n, step) for crown, _, _ in labeled]
+    manifest = {
+        "kind": kind,
+        "scaled": True,
+        "crown_id": [crown.crown_id for crown, _, _ in labeled],
+        "label": [label for _, label, _ in labeled],
+        "crown_class": [crown_class for _, _, crown_class in labeled],
+        "density": [len(crown.points) / crown.area for crown, _, _ in labeled],
+        "scalars": [scalars for _, scalars in rasterized],
+    }
+    return from_store(np.stack([images for images, _ in rasterized]), manifest)
+
+
 class TestRotate:
     def test_zero_degrees_identity(self):
         crown = random_crown(np.random.default_rng(1))
@@ -123,18 +140,18 @@ class TestDsm4:
     def test_single_apex_point(self):
         crown = build_crown([(10.0, 10.0, 20.0, 100, "on")])
         dsm = make_dsm4(crown)
-        assert dsm.channels[0, 64, 64] == 20.0
-        assert dsm.channels[1, 64, 64] == 100.0
-        assert np.count_nonzero(dsm.channels) == 2
-        assert dsm.crown_area == 7.0
+        assert (dsm.shape, dsm.dtype) == ((4, 128, 128), np.float32)
+        assert dsm[0, 64, 64] == 20.0
+        assert dsm[1, 64, 64] == 100.0
+        assert np.count_nonzero(dsm) == 2
 
     def test_highest_point_wins_pixel(self):
         crown = build_crown(
             [(10.0, 10.0, 12.0, 80, "on"), (10.01, 10.01, 10.0, 200, "on")]
         )
         dsm = make_dsm4(crown)
-        assert dsm.channels[0, 64, 64] == 12.0
-        assert dsm.channels[1, 64, 64] == 80.0
+        assert dsm[0, 64, 64] == 12.0
+        assert dsm[1, 64, 64] == 80.0
 
     def test_height_tie_prefers_larger_intensity(self):
         crown = build_crown(
@@ -146,42 +163,42 @@ class TestDsm4:
         )
         dsm = make_dsm4(crown)
         # Tied points sit 3 m west and south of the apex: pixel (88, 40).
-        assert dsm.channels[0, 88, 40] == 10.0
-        assert dsm.channels[1, 88, 40] == 200.0
+        assert dsm[0, 88, 40] == 10.0
+        assert dsm[1, 88, 40] == 200.0
 
     def test_point_beyond_half_extent_excluded(self):
         crown = build_crown(
             [(10.0, 10.0, 20.0, 100, "on"), (18.1, 10.0, 5.0, 50, "on")]
         )
         dsm = make_dsm4(crown)
-        assert np.count_nonzero(dsm.channels) == 2  # apex only
+        assert np.count_nonzero(dsm) == 2  # apex only
 
     def test_point_just_inside_included(self):
         crown = build_crown(
             [(10.0, 10.0, 20.0, 100, "on"), (17.9, 10.0, 5.0, 50, "on")]
         )
         dsm = make_dsm4(crown)
-        assert np.count_nonzero(dsm.channels) == 4
+        assert np.count_nonzero(dsm) == 4
 
     def test_seasons_fill_their_channels(self):
         crown = build_crown(
             [(10.0, 10.0, 20.0, 100, "on"), (11.0, 10.0, 8.0, 60, "off")]
         )
         dsm = make_dsm4(crown)
-        assert dsm.channels[0, 64, 64] == 20.0
-        assert np.count_nonzero(dsm.channels[2]) == 1
-        assert np.count_nonzero(dsm.channels[0]) == 1
+        assert dsm[0, 64, 64] == 20.0
+        assert np.count_nonzero(dsm[2]) == 1
+        assert np.count_nonzero(dsm[0]) == 1
 
     def test_height_channels_nonnegative_and_max_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             crown = random_crown(rng)
             dsm = make_dsm4(crown)
-            assert dsm.channels[0].min() >= 0
-            assert dsm.channels[2].min() >= 0
+            assert dsm[0].min() >= 0
+            assert dsm[2].min() >= 0
             on = crown.points.select(crown.points.season == 0)
             np.testing.assert_allclose(
-                dsm.channels[0].max(), np.float32(on.z.max())
+                dsm[0].max(), np.float32(on.z.max())
             )
 
 
@@ -189,26 +206,25 @@ class TestViews4:
     def test_single_apex_point(self):
         crown = build_crown([(10.0, 10.0, 20.0, 100, "on")], width=2.0)
         views = make_views4(crown)
-        assert views.images[0, 32, 32] == 100.0
-        assert views.images[2, 0, 32] == 100.0
-        assert np.count_nonzero(views.images) == 2
-        assert views.tree_height == 20.0
-        assert views.crown_width == 2.0
+        assert (views.shape, views.dtype) == ((4, 64, 64), np.float32)
+        assert views[0, 32, 32] == 100.0
+        assert views[2, 0, 32] == 100.0
+        assert np.count_nonzero(views) == 2
 
     def test_off_plane_point_excluded_from_profile(self):
         crown = build_crown(
             [(10.0, 10.0, 20.0, 100, "on"), (11.0, 10.4, 18.0, 50, "on")]
         )
         views = make_views4(crown)
-        assert np.count_nonzero(views.images[0]) == 2  # both in aerial
-        assert np.count_nonzero(views.images[2]) == 1  # apex only
+        assert np.count_nonzero(views[0]) == 2  # both in aerial
+        assert np.count_nonzero(views[2]) == 1  # apex only
 
     def test_slab_edge_point_included(self):
         crown = build_crown(
             [(10.0, 10.0, 20.0, 100, "on"), (11.0, 10.375, 18.0, 50, "on")]
         )
         views = make_views4(crown)
-        assert np.count_nonzero(views.images[2]) == 2
+        assert np.count_nonzero(views[2]) == 2
 
     def test_profile_pixel_is_mean_intensity(self):
         crown = build_crown(
@@ -219,7 +235,7 @@ class TestViews4:
             ]
         )
         views = make_views4(crown)
-        assert views.images[2, 20, 36] == 150.0
+        assert views[2, 20, 36] == 150.0
 
     def test_nonzero_aerial_pixels_bounded_by_point_count(self):
         rng = np.random.default_rng(6)
@@ -228,42 +244,72 @@ class TestViews4:
             views = make_views4(crown)
             n_on = int((crown.points.season == 0).sum())
             n_off = int((crown.points.season == 1).sum())
-            assert np.count_nonzero(views.images[0]) <= n_on
-            assert np.count_nonzero(views.images[1]) <= n_off
+            assert np.count_nonzero(views[0]) <= n_on
+            assert np.count_nonzero(views[1]) <= n_off
+
+
+def reference_rasterize(crown, kind, n, step):
+    """rasterize_crown one rotation at a time: each raster of the rotated
+    crown (rotation 0 is the crown itself) divided by its scales."""
+    if kind == "views4":
+        make, scales = make_views4, INTENSITY_SCALE
+        scalars = [crown.width / WIDTH_SCALE, crown.tree_height / HEIGHT_SCALE]
+    else:
+        make, scales = make_dsm4, DSM_CHANNEL_SCALES
+        scalars = [crown.area / AREA_SCALE]
+    images = []
+    for k in range(n):
+        rotated = rotate_about_apex(crown, k * step) if k else crown
+        images.append(make(rotated) / scales)
+    return np.array(images), np.array(scalars, dtype=np.float32)
 
 
 class TestAugment:
     def test_rotation_schedule(self):
         crown = random_crown(np.random.default_rng(7), n=10)
-        rep = augment_rotations(crown, n=180, step=2.0, kinds=("views4",))
-        rotations = [entry.rotation for entry in rep.entries]
-        assert len(rotations) == 180
-        assert rotations[0] == 0.0
-        assert rotations[1] == 2.0
-        assert rotations[-1] == 358.0
+        images, _ = rasterize_crown(crown, "views4", n=180, step=2.0)
+        assert (images.shape, images.dtype) == ((180, 4, 64, 64), np.float32)
+        for k, degrees in ((0, 0.0), (1, 2.0), (179, 358.0)):
+            rotated = rotate_about_apex(crown, degrees) if degrees else crown
+            expected = make_views4(rotated) / INTENSITY_SCALE
+            np.testing.assert_array_equal(images[k], expected)
 
     def test_single_rotation(self):
         crown = random_crown(np.random.default_rng(8), n=10)
-        rep = augment_rotations(crown, n=1, label="conifer", crown_class="dominant")
-        assert len(rep.entries) == 1
-        assert rep.entries[0].dsm4 is not None
-        assert rep.entries[0].views4 is not None
-        assert rep.label == "conifer"
-        assert rep.density == len(crown.points) / crown.area
+        dsm, dsm_scalars = rasterize_crown(crown, "dsm4", n=1, step=2.0)
+        views, views_scalars = rasterize_crown(crown, "views4", n=1, step=2.0)
+        assert dsm.shape == (1, 4, 128, 128)
+        assert views.shape == (1, 4, 64, 64)
+        assert (dsm_scalars.shape, views_scalars.shape) == ((1,), (2,))
+        with pytest.raises(ValueError, match="unknown representation kind"):
+            rasterize_crown(crown, "pointcloud", n=1, step=2.0)
 
     def test_scalar_features_exactly_equal_across_rotations(self):
         crown = random_crown(np.random.default_rng(9), n=30)
-        rep = augment_rotations(crown, n=12, step=30.0)
-        areas = {entry.dsm4.crown_area for entry in rep.entries}
-        heights = {entry.views4.tree_height for entry in rep.entries}
-        widths = {entry.views4.crown_width for entry in rep.entries}
-        assert len(areas) == len(heights) == len(widths) == 1
+        for kind in ("dsm4", "views4"):
+            _, scalars = rasterize_crown(crown, kind, n=12, step=30.0)
+            for k in range(12):
+                rotated = rotate_about_apex(crown, 30.0 * k)
+                _, rotated_scalars = rasterize_crown(rotated, kind, n=1, step=0.0)
+                np.testing.assert_array_equal(bits(rotated_scalars), bits(scalars))
 
-    def test_kind_selection(self):
-        crown = random_crown(np.random.default_rng(10), n=10)
-        rep = augment_rotations(crown, n=2, step=180.0, kinds=("dsm4",))
-        assert rep.entries[0].dsm4 is not None
-        assert rep.entries[0].views4 is None
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["views4", "dsm4"]),
+        n=st.integers(1, 4),
+        step=st.floats(-1e4, 1e4, allow_nan=False),
+        width=st.floats(0.1, 20.0),
+        area=st.floats(0.1, 300.0),
+    )
+    def test_matches_one_rotation_at_a_time(self, seed, kind, n, step, width, area):
+        crown = random_crown(np.random.default_rng(seed), n=60)
+        crown.width, crown.area = width, area
+        images, scalars = rasterize_crown(crown, kind, n, step)
+        expected_images, expected_scalars = reference_rasterize(crown, kind, n, step)
+        assert images.dtype == expected_images.dtype == np.float32
+        np.testing.assert_array_equal(bits(images), bits(expected_images))
+        np.testing.assert_array_equal(bits(scalars), bits(expected_scalars))
 
 
 class TestScale:
@@ -271,27 +317,18 @@ class TestScale:
         crown = build_crown(
             [(10.0, 10.0, 25.0, 255, "on")], width=10.0, area=150.0
         )
-        rep = scale_for_network(augment_rotations(crown, n=1))
-        dsm = rep.entries[0].dsm4
-        views = rep.entries[0].views4
-        np.testing.assert_allclose(dsm.channels[0, 64, 64], 0.5)
-        np.testing.assert_allclose(dsm.channels[1, 64, 64], 1.0)
-        np.testing.assert_allclose(dsm.crown_area, 0.5)
-        np.testing.assert_allclose(views.images[0, 32, 32], 1.0)
-        np.testing.assert_allclose(views.tree_height, 0.5)
-        np.testing.assert_allclose(views.crown_width, 0.5)
-        assert rep.scaled
+        dsm, dsm_scalars = rasterize_crown(crown, "dsm4", n=1, step=2.0)
+        views, views_scalars = rasterize_crown(crown, "views4", n=1, step=2.0)
+        np.testing.assert_allclose(dsm[0, 0, 64, 64], 0.5)
+        np.testing.assert_allclose(dsm[0, 1, 64, 64], 1.0)
+        np.testing.assert_allclose(dsm_scalars, [0.5])
+        np.testing.assert_allclose(views[0, 0, 32, 32], 1.0)
+        np.testing.assert_allclose(views_scalars, [0.5, 0.5])  # width, height
 
     def test_zero_stays_zero(self):
         crown = build_crown([(10.0, 10.0, 25.0, 255, "on")])
-        rep = scale_for_network(augment_rotations(crown, n=1))
-        assert rep.entries[0].dsm4.channels[0, 0, 0] == 0.0
-
-    def test_double_scaling_rejected(self):
-        crown = build_crown([(10.0, 10.0, 25.0, 255, "on")])
-        rep = scale_for_network(augment_rotations(crown, n=1))
-        with pytest.raises(ValueError, match="already scaled"):
-            scale_for_network(rep)
+        dsm, _ = rasterize_crown(crown, "dsm4", n=1, step=2.0)
+        assert dsm[0, 0, 0, 0] == 0.0
 
 
 def rotated_image_90(image):
@@ -316,57 +353,38 @@ class TestRotationCommutation:
             dsm, dsm_rot = make_dsm4(crown), make_dsm4(rotated)
             views, views_rot = make_views4(crown), make_views4(rotated)
             for ch in range(4):
-                expected = rotated_image_90(dsm.channels[ch])
-                agreement = np.mean(dsm_rot.channels[ch] == expected)
+                expected = rotated_image_90(dsm[ch])
+                agreement = np.mean(dsm_rot[ch] == expected)
                 assert agreement >= 0.99
             for ch in range(2):  # aerial images only; profiles track the slab
-                expected = rotated_image_90(views.images[ch])
-                agreement = np.mean(views_rot.images[ch] == expected)
+                expected = rotated_image_90(views[ch])
+                agreement = np.mean(views_rot[ch] == expected)
                 assert agreement >= 0.99
-            assert np.count_nonzero(dsm_rot.channels[0]) > 30
+            assert np.count_nonzero(dsm_rot[0]) > 30
 
 
-def random_rep(rng, crown_id, label, crown_class, density, n_rotations):
-    """Scaled representation set of both kinds with random float32 pixels,
-    signed zeros included."""
-    entries = []
-    for k in range(n_rotations):
-        dsm = rng.standard_normal((4, 128, 128)).astype(np.float32)
-        views = rng.standard_normal((4, 64, 64)).astype(np.float32)
-        dsm[0, :2] = -0.0
-        views[1, :2] = -0.0
-        entries.append(
-            RotatedRep(
-                rotation=2.0 * k,
-                dsm4=Dsm4(dsm, crown_area=float(rng.uniform(0.01, 2.0))),
-                views4=Views4(
-                    views,
-                    tree_height=float(rng.uniform(0.1, 1.0)),
-                    crown_width=float(rng.uniform(0.1, 1.0)),
-                ),
-            )
-        )
-    # Scalar features are equal across rotations.
-    for entry in entries[1:]:
-        entry.dsm4.crown_area = entries[0].dsm4.crown_area
-        entry.views4.tree_height = entries[0].views4.tree_height
-        entry.views4.crown_width = entries[0].views4.crown_width
-    return RepresentationSet(crown_id, label, crown_class, density, entries, scaled=True)
+def random_row(rng, crown_id, label, crown_class, density, kind, n_rotations):
+    """A store row of one kind with random float32 pixels, signed zeros
+    included, and random float32 scalar features."""
+    images = rng.standard_normal((n_rotations,) + KIND_SHAPES[kind]).astype(np.float32)
+    images[:, 0, :2] = -0.0
+    scalars = rng.uniform(0.01, 2.0, 2 if kind == "views4" else 1).astype(np.float32)
+    return crown_id, label, crown_class, density, images, scalars
 
 
-def write_store(directory, reps, kind, n_rotations=3):
-    """Write reps given in any order; like the rasterize stage, the caller
-    sorts them by crown_id."""
+def write_store(directory, rows, kind, n_rotations=3):
+    """Write store rows given in any order; like the rasterize stage, the
+    caller sorts them by crown_id."""
     tensor = directory / "rasters.bin"
     manifest_path = directory / "rasters.json"
     write_representation_file(
         tensor,
         manifest_path,
-        sorted(reps, key=lambda rep: rep.crown_id),
+        sorted(rows, key=lambda row: row[0]),
         kind,
         n_rotations=n_rotations,
         step=2.0,
-        n_crowns=len(reps),
+        n_crowns=len(rows),
     )
     manifest = read_manifest(manifest_path)
     return read_all_representations(tensor, manifest), manifest
@@ -390,22 +408,19 @@ crown_rows = st.lists(
 
 
 class TestTensorStore:
-    def make_reps(self, kinds, ids=("b2", "a1")):
+    def make_rows(self, kind, ids=("b2", "a1")):
         rng = np.random.default_rng(12)
-        reps = []
+        rows = []
         for crown_id, label in zip(ids, ("deciduous", "conifer")):
             crown = random_crown(rng, n=40)
-            crown.crown_id = crown_id
-            rep = augment_rotations(
-                crown, n=3, step=120.0, label=label, crown_class="dominant",
-                kinds=kinds,
-            )
-            reps.append(scale_for_network(rep))
-        return reps
+            density = len(crown.points) / crown.area
+            images, scalars = rasterize_crown(crown, kind, n=3, step=120.0)
+            rows.append((crown_id, label, "dominant", density, images, scalars))
+        return rows
 
     def test_round_trip(self, tmp_path):
-        reps = self.make_reps(("dsm4",))
-        images, manifest = write_store(tmp_path, reps, "dsm4")
+        rows = self.make_rows("dsm4")
+        images, manifest = write_store(tmp_path, rows, "dsm4")
         assert isinstance(images, np.memmap) and not images.flags.writeable
         assert images.shape == (2, 3, 4, 128, 128)
         assert manifest["kind"] == "dsm4"
@@ -414,33 +429,30 @@ class TestTensorStore:
         assert manifest["crown_id"] == ["a1", "b2"]
         assert manifest["label"] == ["conifer", "deciduous"]
         assert manifest["crown_class"] == ["dominant", "dominant"]
-        for row, rep in enumerate(reversed(reps)):
-            for rotation, entry in enumerate(rep.entries):
-                np.testing.assert_array_equal(images[row, rotation], entry.dsm4.channels)
-            area = rep.entries[0].dsm4.crown_area
-            assert manifest["scalars"][row] == [float(np.float32(area))]
-            assert manifest["density"][row] == rep.density
+        for row, (_, _, _, density, crown_images, scalars) in enumerate(reversed(rows)):
+            np.testing.assert_array_equal(images[row], crown_images)
+            assert manifest["scalars"][row] == [float(scalars[0])]
+            assert manifest["density"][row] == density
 
     def test_views_only_file(self, tmp_path):
-        reps = self.make_reps(("views4",))
-        images, manifest = write_store(tmp_path, reps, "views4")
+        rows = self.make_rows("views4")
+        images, manifest = write_store(tmp_path, rows, "views4")
         assert images.shape == (2, 3, 4, 64, 64)
         np.testing.assert_array_equal(
             np.load(tmp_path / "rasters.bin"), np.asarray(images)
         )
-        views = reps[1].entries[0].views4
+        # random_crown: width 3 m, tree height 26 m.
         assert manifest["scalars"][0] == [
-            float(np.float32(views.crown_width)),
-            float(np.float32(views.tree_height)),
+            float(np.float32(3.0 / WIDTH_SCALE)),
+            float(np.float32(26.0 / HEIGHT_SCALE)),
         ]
 
     def test_missing_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no dsm4 tensors"):
-            write_store(tmp_path, self.make_reps(("views4",)), "dsm4")
+        with pytest.raises(ValueError, match="dsm4 tensors .* do not fit"):
+            write_store(tmp_path, self.make_rows("views4"), "dsm4")
 
     def test_shape_disagreeing_with_manifest_names_file(self, tmp_path):
-        reps = self.make_reps(("views4",))
-        _, manifest = write_store(tmp_path, reps, "views4")
+        _, manifest = write_store(tmp_path, self.make_rows("views4"), "views4")
         manifest["n_rotations"] = 4
         with pytest.raises(InputError, match="rasters.bin.*disagrees"):
             read_all_representations(tmp_path / "rasters.bin", manifest)
@@ -456,15 +468,15 @@ class TestTensorStore:
             read_manifest(path)
 
     def test_generator_is_consumed_once_in_order(self, tmp_path):
-        reps = self.make_reps(("views4",))
-        images, manifest = write_store(tmp_path, reps, "views4")
+        rows = self.make_rows("views4")
+        images, manifest = write_store(tmp_path, rows, "views4")
         expected_images, expected_manifest = np.array(images), manifest
         yielded = []
 
         def stream():
-            for rep in sorted(reps, key=lambda rep: rep.crown_id):
-                yielded.append(rep.crown_id)
-                yield rep
+            for row in sorted(rows, key=lambda row: row[0]):
+                yielded.append(row[0])
+                yield row
 
         streamed = tmp_path / "streamed"
         streamed.mkdir()
@@ -485,12 +497,12 @@ class TestTensorStore:
         )
 
     def test_crown_out_of_order_rejected(self, tmp_path):
-        reps = self.make_reps(("views4",), ids=("b2", "a1"))
+        rows = self.make_rows("views4", ids=("b2", "a1"))
         with pytest.raises(ValueError, match="a1 follows b2.*sorted crown_id"):
             write_representation_file(
                 tmp_path / "rasters.bin",
                 tmp_path / "rasters.json",
-                iter(reps),
+                iter(rows),
                 "views4",
                 n_rotations=3,
                 step=2.0,
@@ -498,12 +510,12 @@ class TestTensorStore:
             )
 
     def test_crown_count_mismatch_rejected(self, tmp_path):
-        reps = self.make_reps(("views4",), ids=("a1", "b2"))
+        rows = self.make_rows("views4", ids=("a1", "b2"))
         with pytest.raises(ValueError, match="2 crowns written to a store of 3"):
             write_representation_file(
                 tmp_path / "rasters.bin",
                 tmp_path / "rasters.json",
-                reps,
+                rows,
                 "views4",
                 n_rotations=3,
                 step=2.0,
@@ -511,7 +523,7 @@ class TestTensorStore:
             )
 
     def test_truncation_is_a_view_of_the_mapped_store(self, tmp_path):
-        images, manifest = write_store(tmp_path, self.make_reps(("views4",)), "views4")
+        images, manifest = write_store(tmp_path, self.make_rows("views4"), "views4")
         dataset = from_store(images, manifest)
         cut = truncate_augmentations(dataset, 2)
         assert np.shares_memory(cut.images, images)
@@ -519,29 +531,27 @@ class TestTensorStore:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        rows=crown_rows,
+        crowns=crown_rows,
         n_rotations=st.integers(1, 4),
         kind=st.sampled_from(["views4", "dsm4"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_round_trip_property(self, rows, n_rotations, kind, seed):
+    def test_round_trip_property(self, crowns, n_rotations, kind, seed):
         rng = np.random.default_rng(seed)
-        reps = [random_rep(rng, *row, n_rotations) for row in rows]
+        rows = [random_row(rng, *crown, kind, n_rotations) for crown in crowns]
         with tempfile.TemporaryDirectory() as directory:
-            images, manifest = write_store(Path(directory), reps, kind, n_rotations)
+            images, manifest = write_store(Path(directory), rows, kind, n_rotations)
             dataset = from_store(images, manifest)
-            expected = sorted(reps, key=lambda rep: rep.crown_id)
-            assert [inst.crown_id for inst in dataset.instances] == sorted(
-                row[0] for row in rows
-            )
-            for row, rep in enumerate(expected):
-                rep_images, rep_scalars = stack_representation(rep, kind)
-                np.testing.assert_array_equal(bits(images[row]), bits(rep_images))
-                np.testing.assert_array_equal(
-                    bits(dataset.scalars[row]), bits(rep_scalars)
-                )
-                inst = dataset.instances[row]
-                assert (inst.label, inst.original_label) == (rep.label, rep.label)
-                assert inst.crown_class == rep.crown_class
-                assert inst.density == rep.density
+            expected = sorted(rows, key=lambda row: row[0])
+            assert [inst.crown_id for inst in dataset.instances] == [
+                row[0] for row in expected
+            ]
+            for index, row in enumerate(expected):
+                _, label, crown_class, density, crown_images, scalars = row
+                np.testing.assert_array_equal(bits(images[index]), bits(crown_images))
+                np.testing.assert_array_equal(bits(dataset.scalars[index]), bits(scalars))
+                inst = dataset.instances[index]
+                assert (inst.label, inst.original_label) == (label, label)
+                assert inst.crown_class == crown_class
+                assert inst.density == density
             del dataset, images
