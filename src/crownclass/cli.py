@@ -134,6 +134,13 @@ POSITIVE_INTEGER_KEYS = (
 )
 # Forest sizes: a class may be left out.
 NON_NEGATIVE_INTEGER_KEYS = ("n_conifer", "n_deciduous")
+# The ranges SynthParams enforces, as (key, test, allowed range).
+SYNTH_RANGES = (
+    ("label_noise", lambda v: 0 <= v < 1, "within [0, 1)"),
+    ("conifer_retention", lambda v: 0 <= v <= 1, "within [0, 1]"),
+    ("deciduous_retention", lambda v: 0 <= v <= 1, "within [0, 1]"),
+    ("leaf_on_density", lambda v: v > 0, "positive"),
+)
 
 
 class ConfigError(Exception):
@@ -173,6 +180,9 @@ def load_config(path: str, overrides: dict) -> dict:
                 raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
         elif type(default) in (int, float) and type(value) not in (int, float):
             raise ConfigError(f"{key} must be a number, not {value!r}")
+    for key, within, allowed in SYNTH_RANGES:
+        if not within(config[key]):
+            raise ConfigError(f"{key} must be {allowed}, not {config[key]!r}")
     if config["representation"] not in REPRESENTATIONS:
         raise ConfigError(f"representation must be one of {REPRESENTATIONS}")
     if config["ablation"] not in ABLATIONS:
@@ -349,11 +359,18 @@ def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_
         )
     images = read_all_representations(tensor_path, manifest)
     dataset = ens.from_store(images, manifest)
+    labels_key, labels_path = manifest_key, manifest_path
     if config.get("labels_file"):
-        path = require_input(config, "labels_file")
-        overrides = dict(read_csv_rows(path, LABEL_COLUMNS, _label_override))
+        labels_key, labels_path = "labels_file", require_input(config, "labels_file")
+        overrides = dict(read_csv_rows(labels_path, LABEL_COLUMNS, _label_override))
         for instance in dataset.instances:
             instance.label = overrides.get(instance.crown_id, instance.label)
+    for label in (CONIFER, DECIDUOUS):
+        if not dataset.pool(label):
+            raise ConfigError(
+                f"{labels_key} {labels_path} labels no crown {label}; "
+                "ensembles train on both classes"
+            )
     return dataset
 
 

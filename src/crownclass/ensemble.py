@@ -329,17 +329,51 @@ def train_ensemble(
 # Holdout evaluation
 
 
-def _instance_probs(run: EnsembleRun, dataset: LabeledDataset, threads=None):
-    """Per network, softmax probabilities for every instance augmentation,
-    shaped (instances, augmentations, 2)."""
+# Held-out samples are gathered from the store in blocks of this many,
+# so a prediction thread never holds more gathered rows than one block.
+GATHER_BLOCK = 256
+
+
+def trained_on(run: EnsembleRun, n_crowns: int) -> np.ndarray:
+    """Boolean (networks, crowns) matrix, True where the network trained
+    on the crown."""
+    matrix = np.zeros((len(run.networks), n_crowns), dtype=bool)
+    for row, net in zip(matrix, run.networks):
+        row[list(net.membership)] = True
+    return matrix
+
+
+def _instance_probs(
+    run: EnsembleRun, dataset: LabeledDataset, trained: np.ndarray, threads=None
+):
+    """Per network, softmax probabilities shaped (instances, augmentations,
+    2) for the crowns it never trained on; rows of its training crowns are
+    never computed and stay nan.
+
+    Each network gathers its held-out samples crown-major and
+    rotation-minor, GATHER_BLOCK at a time, from the (mapped) store.
+    """
     n, aug = dataset.images.shape[:2]
-    images = dataset.images.reshape(n * aug, *dataset.images.shape[2:])
-    scalars = np.repeat(dataset.scalars, aug, axis=0)
 
-    def predict(net: TrainedNetwork):
-        return predict_probs(net.params, images, scalars).reshape(n, aug, 2)
+    def predict(job: tuple[TrainedNetwork, np.ndarray]):
+        net, trained_row = job
+        held = np.flatnonzero(~trained_row)
+        crowns = np.repeat(held, aug)
+        rotations = np.tile(np.arange(aug), len(held))
+        flat = np.empty((len(crowns), 2), dtype=net.params.dtype)
+        for start in range(0, len(crowns), GATHER_BLOCK):
+            block = slice(start, start + GATHER_BLOCK)
+            flat[block] = predict_probs(
+                net.params,
+                dataset.images[crowns[block], rotations[block]],
+                dataset.scalars[crowns[block]],
+            )
+        probs = np.full((n, aug, 2), np.nan, dtype=flat.dtype)
+        probs[held] = flat.reshape(len(held), aug, 2)
+        return probs
 
-    return parallel_map(predict, run.networks, threads or default_threads())
+    jobs = list(zip(run.networks, trained))
+    return parallel_map(predict, jobs, threads or default_threads())
 
 
 @dataclass
@@ -384,16 +418,15 @@ def mislabel_iteration(
     Instances held out by fewer than two networks are skipped (reported
     unflipped with nan statistics) and logged.
     """
-    probs = _instance_probs(run, dataset, threads)
+    trained = trained_on(run, len(dataset))
+    probs = _instance_probs(run, dataset, trained, threads)
     decisions = []
     for i, inst in enumerate(dataset.instances):
         label_index = CLASS_INDEX[inst.label]
         d_values = []
-        for net, net_probs in zip(run.networks, probs):
-            if i in net.held:
-                continue
-            acc_ni = float(np.mean(np.argmax(net_probs[i], axis=1) == label_index))
-            d_values.append(acc_ni - (1.0 - net.acc_n))
+        for j in np.flatnonzero(~trained[:, i]):
+            acc_ni = float(np.mean(np.argmax(probs[j][i], axis=1) == label_index))
+            d_values.append(acc_ni - (1.0 - run.networks[j].acc_n))
         if len(d_values) < 2:
             logger.warning(
                 "%s held out by %d networks; skipping its test",
@@ -525,14 +558,11 @@ def ensemble_predictions(
     run: EnsembleRun, dataset: LabeledDataset, threads: int | None = None
 ) -> list[InstancePrediction]:
     """Average holdout softmax over networks and augmentations per crown."""
-    probs = _instance_probs(run, dataset, threads)
+    trained = trained_on(run, len(dataset))
+    probs = _instance_probs(run, dataset, trained, threads)
     predictions = []
     for i, inst in enumerate(dataset.instances):
-        holdout = [
-            net_probs[i]
-            for net, net_probs in zip(run.networks, probs)
-            if i not in net.held
-        ]
+        holdout = [probs[j][i] for j in np.flatnonzero(~trained[:, i])]
         if not holdout:
             predictions.append(
                 InstancePrediction(inst.crown_id, inst.label, "", float("nan"), 0)

@@ -30,6 +30,13 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BATCH_SIZE = 32
+# Samples per forward pass in predict_probs. On one thread of a 2-CPU
+# Intel Xeon the forward pass took, per sample at chunks of 8 / 32 / 256,
+# dsm 1.8 / 1.6 / 3.0 ms and views 0.42 / 0.28 / 0.30 ms: past 32 the
+# activations spill out of cache. dsm stays at 8, whose activations are
+# a quarter of 32's: at 32 a dsm classify run peaked 26 MB higher with
+# no throughput change the benchmark could resolve.
+PREDICT_CHUNK = {"dsm": 8, "views": 32, "views_reduced": 32}
 
 
 @dataclass(frozen=True)
@@ -494,11 +501,25 @@ def predict_probs(
     params: NetworkParams,
     images: np.ndarray,
     scalars: np.ndarray,
-    chunk: int = 256,
 ) -> np.ndarray:
+    """Class probabilities, forwarded in PREDICT_CHUNK-sized chunks.
+
+    No chunk has one row: a one-row batch takes BLAS's matrix-vector path
+    in the dense layers, whose bits differ from the same sample in any
+    larger batch. A one-row tail joins the previous chunk, and a lone
+    sample is forwarded twice and its first row kept.
+    """
+    if len(images) == 1:
+        return network_forward(
+            params, np.concatenate([images] * 2), np.concatenate([scalars] * 2)
+        )[:1]
+    chunk = PREDICT_CHUNK[params.tag]
+    starts = list(range(0, len(images), chunk))
+    if len(images) - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [len(images)]
     parts = [
-        network_forward(params, images[i : i + chunk], scalars[i : i + chunk])
-        for i in range(0, len(images), chunk)
+        network_forward(params, images[a:b], scalars[a:b]) for a, b in zip(starts, ends)
     ]
     return np.concatenate(parts, axis=0)
 

@@ -76,6 +76,24 @@ def pipeline(tmp_path_factory):
     return {"root": root, "out": out, "config": config}
 
 
+@pytest.fixture(scope="module")
+def one_class_store(tmp_path_factory):
+    """A forest without conifers, through synth, register and rasterize."""
+    out = tmp_path_factory.mktemp("one-class")
+    config = write_config(
+        out / "config.json",
+        n_conifer=0,
+        n_deciduous=6,
+        n_rotations=2,
+        points_file=str(out / "points.csv"),
+        stems_file=str(out / "stems.csv"),
+        registrations_file=str(out / "registrations.csv"),
+    )
+    for command in ("synth", "register", "rasterize"):
+        assert run(command, config, out) == 0, command
+    return out
+
+
 class TestPipelineOutputs:
     def test_all_files_exist(self, pipeline):
         out = pipeline["out"]
@@ -241,6 +259,13 @@ class TestErrorPaths:
             ("augmentations", [0]),
             ("ablations", ["nope"]),
             ("sweep_variant", "bogus"),
+            ("label_noise", 1.5),
+            ("label_noise", 1.0),
+            ("label_noise", -0.1),
+            ("conifer_retention", 1.2),
+            ("deciduous_retention", -0.5),
+            ("leaf_on_density", 0),
+            ("leaf_on_density", -2.0),
         ],
     )
     def test_bad_config_value_exits_1_naming_key(self, tmp_path, capsys, key, value):
@@ -316,6 +341,41 @@ class TestErrorPaths:
         )
         assert run(command, config, tmp_path, "--representation", "dsm4") == 1
         assert "representation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["correct-labels", "classify", "sweep"])
+    def test_one_class_store_exits_1_naming_manifest(
+        self, tmp_path, one_class_store, capsys, command
+    ):
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(one_class_store / "rasters.bin"),
+            manifest_file=str(one_class_store / "rasters.json"),
+        )
+        assert run(command, config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"manifest_file {one_class_store / 'rasters.json'}" in err
+        assert "labels no crown conifer" in err
+
+    @pytest.mark.parametrize("command", ["correct-labels", "classify", "sweep"])
+    def test_one_class_labels_file_exits_1_naming_it(
+        self, tmp_path, pipeline, capsys, command
+    ):
+        out = pipeline["out"]
+        crown_ids = read_manifest(out / "rasters.json")["crown_id"]
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "crown_id,label,original_label\n"
+            + "".join(f"{cid},deciduous,conifer\n" for cid in crown_ids)
+        )
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+            labels_file=str(labels),
+        )
+        assert run(command, config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"labels_file {labels} labels no crown conifer" in err
 
     def test_store_shape_disagreeing_with_manifest_exits_1(
         self, tmp_path, pipeline, capsys

@@ -6,7 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crownclass import ensemble
 from crownclass.ensemble import (
     CorrectionConfig,
     EnsembleRun,
@@ -38,8 +41,10 @@ from crownclass.ensemble import (
     HistoryRow,
     InstancePrediction,
     SweepRow,
+    _instance_probs,
     _pearson,
     _training_tensors,
+    trained_on,
 )
 from crownclass.ingest import CrownCloud, PointCloud, LEAF_ON, LEAF_OFF
 from crownclass.tinynet import init_params, predict_probs
@@ -464,6 +469,97 @@ def identical_network_run(dataset, seed=21):
     params = init_params(dataset.tag, seed=seed)
     networks = [TrainedNetwork(params, 0.9, tuple()) for _ in range(3)]
     return EnsembleRun(networks)
+
+
+def reference_instance_probs(run, dataset):
+    """Every network forwards every crown, training crowns included."""
+    n, aug = dataset.images.shape[:2]
+    images = dataset.images.reshape(n * aug, *dataset.images.shape[2:])
+    scalars = np.repeat(dataset.scalars, aug, axis=0)
+    return [
+        predict_probs(net.params, images, scalars).reshape(n, aug, 2)
+        for net in run.networks
+    ]
+
+
+@st.composite
+def membership_runs(draw):
+    """A small dsm or views dataset whose scalars carry the crown index,
+    and a run of random memberships over it."""
+    tag = draw(st.sampled_from(["views_reduced", "dsm"]))
+    n = draw(st.integers(1, 6))
+    aug = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    memberships = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rng = np.random.default_rng(seed)
+    channels, hw = (2, 64) if tag == "views_reduced" else (4, 128)
+    images = rng.uniform(0.0, 1.0, size=(n, aug, channels, hw, hw)).astype(np.float32)
+    images[images < 0.6] = 0.0
+    scalar_dim = 2 if tag == "views_reduced" else 1
+    scalars = np.repeat(np.arange(n, dtype=np.float32)[:, None], scalar_dim, axis=1)
+    instances = [light_instance(f"t{i}", "conifer") for i in range(n)]
+    dataset = LabeledDataset(tag, instances, images, scalars)
+    networks = [
+        TrainedNetwork(init_params(tag, seed=seed % 1000 + k), 0.9, tuple(m))
+        for k, m in enumerate(memberships)
+    ]
+    return EnsembleRun(networks), dataset
+
+
+class TestHeldOutPrediction:
+    @settings(max_examples=25, deadline=None)
+    @given(case=membership_runs(), block=st.sampled_from([1, 2, 3, 256]))
+    def test_matches_full_forward_on_held_out_pairs_only(self, case, block):
+        run, dataset = case
+        n, aug = dataset.images.shape[:2]
+        trained = trained_on(run, n)
+        forwarded = {id(net.params): [] for net in run.networks}
+
+        def recording_predict(params, images, scalars):
+            assert 1 <= len(images) <= block
+            forwarded[id(params)].extend(int(s) for s in scalars[:, 0])
+            return predict_probs(params, images, scalars)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ensemble, "GATHER_BLOCK", block)
+            patch.setattr(ensemble, "predict_probs", recording_predict)
+            probs = _instance_probs(run, dataset, trained, threads=2)
+        reference = reference_instance_probs(run, dataset)
+        for j, net in enumerate(run.networks):
+            held = np.flatnonzero(~trained[j])
+            # crown-major, rotation-minor, and never a training crown
+            assert forwarded[id(net.params)] == list(np.repeat(held, aug))
+            np.testing.assert_array_equal(probs[j][held], reference[j][held])
+            assert np.isnan(probs[j][trained[j]]).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=membership_runs())
+    def test_membership_matrix_agrees_with_held(self, case):
+        run, dataset = case
+        trained = trained_on(run, len(dataset))
+        assert trained.shape == (len(run.networks), len(dataset))
+        for j, net in enumerate(run.networks):
+            for i in range(len(dataset)):
+                assert trained[j, i] == (i in net.held)
+
+    def test_one_crown_one_rotation_held_out(self):
+        dataset = blob_dataset(2, 1, seed=13, aug=1)
+        params = init_params(dataset.tag, seed=25)
+        run = EnsembleRun(
+            [TrainedNetwork(params, 0.9, (0, 2)), TrainedNetwork(params, 0.9, (1, 2))]
+        )
+        trained = trained_on(run, len(dataset))
+        probs = _instance_probs(run, dataset, trained)
+        reference = reference_instance_probs(run, dataset)
+        np.testing.assert_array_equal(probs[0][1], reference[0][1])
+        np.testing.assert_array_equal(probs[1][0], reference[1][0])
+        assert np.isnan(probs[0][[0, 2]]).all() and np.isnan(probs[1][[1, 2]]).all()
 
 
 class TestEnsemblePredictions:

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradtools import max_gradient_error, random_inputs, randomize_biases
+from crownclass import tinynet
 from crownclass.tinynet import (
     ARCHITECTURES,
+    PREDICT_CHUNK,
     adam_step,
     conv3x3_depthwise,
     conv3x3_depthwise_backward,
@@ -23,6 +25,7 @@ from crownclass.tinynet import (
     maxpool2x2_backward,
     network_forward,
     network_gradients,
+    predict_probs,
     softmax_xent,
     train_network,
 )
@@ -363,6 +366,68 @@ class TestForwardShapes:
         params = init_params("dsm", seed=9)
         with pytest.raises(AssertionError, match="images"):
             network_forward(params, np.zeros((1, 4, 64, 64)), np.zeros((1, 1)))
+
+
+def reference_predict_probs(params, images, scalars):
+    """Each row forwarded inside a batch of two, beside the next row (or
+    itself when it is the only one)."""
+    rows = []
+    for i in range(len(images)):
+        pair = [i, (i + 1) % len(images)]
+        rows.append(network_forward(params, images[pair], scalars[pair])[0])
+    return np.stack(rows)
+
+
+def crown_like_inputs(tag, rng, rows):
+    """float32 rasters with a zero background and a bright random blob."""
+    spec = ARCHITECTURES[tag]
+    hw = spec.image_hw
+    images = np.zeros((rows, spec.input_channels, hw, hw), dtype=np.float32)
+    for image in images:
+        r, c = rng.integers(0, hw // 2, size=2)
+        image[:, r : r + hw // 2, c : c + hw // 2] = rng.uniform(
+            0.0, 1.0, size=(spec.input_channels, hw // 2, hw // 2)
+        )
+    scalars = rng.uniform(0.1, 1.0, size=(rows, spec.scalar_dim)).astype(np.float32)
+    return images, scalars
+
+
+class TestPredictProbs:
+    # Totals of 1 mod 8 and 1 mod 32 leave a one-row tail; 1 is a lone row.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tag=st.sampled_from(["dsm", "views", "views_reduced"]),
+        rows=st.one_of(st.sampled_from([1, 9, 17, 25, 33]), st.integers(1, 40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_rows_forwarded_in_pairs(self, tag, rows, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(tag, seed=seed % 1000)
+        randomize_biases(params, rng)
+        images, scalars = crown_like_inputs(tag, rng, rows)
+        probs = predict_probs(params, images, scalars)
+        reference = reference_predict_probs(params, images, scalars)
+        assert probs.dtype == reference.dtype
+        np.testing.assert_array_equal(probs, reference)
+
+    @pytest.mark.parametrize(
+        "tag, rows",
+        [("dsm", 1), ("dsm", 15), ("dsm", 17), ("views", 1), ("views", 33), ("views", 63)],
+    )
+    def test_no_forward_pass_holds_one_row(self, tag, rows, monkeypatch):
+        batches = []
+
+        def recording_forward(params, images, scalars):
+            batches.append(len(images))
+            return network_forward(params, images, scalars)
+
+        monkeypatch.setattr(tinynet, "network_forward", recording_forward)
+        params = init_params(tag, seed=3)
+        images, scalars = crown_like_inputs(tag, np.random.default_rng(4), rows)
+        assert predict_probs(params, images, scalars).shape == (rows, 2)
+        # A lone row is forwarded as a pair.
+        assert sum(batches) == max(rows, 2)
+        assert min(batches) >= 2 and max(batches) <= PREDICT_CHUNK[tag] + 1
 
 
 class TestGradients:
