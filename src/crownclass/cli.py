@@ -297,13 +297,16 @@ def cmd_normalize_intensity(config: dict, out_dir: Path) -> list[str]:
 
 
 def crowns_from_points_file(config: dict) -> list:
-    points = read_point_file(require_input(config, "points_file"))
+    path = require_input(config, "points_file")
+    points = read_point_file(path)
     ground = points.select(points.pclass == GROUND)
-    vegetation = points.select(points.pclass == VEGETATION)
     if len(ground) == 0:
-        raise ValueError("points file holds no ground returns; cannot build a DEM")
-    dem = build_dem(ground)
-    normalized = height_normalize(vegetation, dem)
+        raise InputError(f"points_file {path} holds no ground returns; no DEM to build")
+    vegetation = points.select(points.pclass == VEGETATION)
+    try:
+        normalized = height_normalize(vegetation, build_dem(ground))
+    except ValueError as error:  # a vegetation point outside the ground's extent
+        raise InputError(f"points_file {path}: {error}") from error
     return assemble_crowns(filter_canopy(normalized))
 
 
@@ -319,11 +322,13 @@ def cmd_register(config: dict, out_dir: Path) -> list[str]:
 def cmd_rasterize(config: dict, out_dir: Path) -> list[str]:
     """Rasterize registered crowns one at a time, in sorted order, into the store."""
     crowns = {c.crown_id: c for c in crowns_from_points_file(config)}
-    rows = read_registrations(require_input(config, "registrations_file"))
+    registrations = require_input(config, "registrations_file")
+    rows = read_registrations(registrations)
     for row in rows:
         if row.crown_id not in crowns:
-            raise ValueError(
-                f"registration names crown {row.crown_id} absent from the points file"
+            raise InputError(
+                f"registrations_file {registrations} names crown {row.crown_id}, "
+                f"absent from points_file {config['points_file']}"
             )
     rows.sort(key=lambda row: row.crown_id)
     kind, n = config["representation"], config["n_rotations"]

@@ -3,15 +3,20 @@ normalization, canopy filtering, and per-crown scalar features."""
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field, fields
+import warnings
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .util import read_csv_rows, write_csv_rows
+from .util import InputError, read_csv_rows, write_csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -29,35 +34,23 @@ PCLASS_NAMES = {GROUND: "ground", VEGETATION: "vegetation"}
 CROWN_CLASSES = ("dominant", "codominant", "intermediate", "overtopped")
 OVERSTORY_CLASSES = ("dominant", "codominant")
 
-POINT_COLUMNS = (
-    "crown_id",
-    "x",
-    "y",
-    "z",
-    "intensity",
-    "return_number",
-    "scan_angle",
-    "range",
-    "season",
-    "pclass",
+# The point file's columns and how each is parsed; text columns become
+# Python strings, so no value is cut to a fixed width.
+POINT_FILE_DTYPE = np.dtype(
+    [("crown_id", object), ("x", "f8"), ("y", "f8"), ("z", "f8"), ("intensity", "i8")]
+    + [("return_number", "i8"), ("scan_angle", "f8"), ("range", "f8")]
+    + [("season", object), ("pclass", object)]
 )
+POINT_COLUMNS = POINT_FILE_DTYPE.names
+# Python's rule for each column, which a file NumPy's parser refuses is held to.
+PYTHON_CONVERTERS = (str, float, float, float, int, int, float, float, str, str)
 STEM_COLUMNS = ("stem_id", "x", "y", "height", "species", "crown_class", "status")
-
-
-@dataclass
-class LidarPoint:
-    """One LiDAR return; mirrors a row of the point file."""
-
-    x: float
-    y: float
-    z: float  # elevation, or height above ground after normalization
-    intensity: int
-    return_number: int
-    scan_angle: float  # degrees from nadir
-    range_m: float
-    season: str  # "on" | "off"
-    pclass: str  # "ground" | "vegetation"
-    crown_id: str = ""
+# The dtype of each PointCloud field, in field order.
+CLOUD_DTYPES = {
+    "x": "f8", "y": "f8", "z": "f8", "intensity": "i8", "return_number": "u1",
+    "scan_angle": "f8", "range_m": "f8", "season": "u1", "pclass": "u1", "crown_id": object,
+}
+UNKNOWN_TOKEN = 255
 
 
 @dataclass
@@ -90,49 +83,29 @@ class PointCloud:
         return len(self.x)
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        kwargs = {}
-        for f in fields(self):
-            arr = getattr(self, f.name)
-            kwargs[f.name] = None if arr is None else arr[mask]
-        return PointCloud(**kwargs)
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return PointCloud(**{k: None if v is None else v[mask] for k, v in columns.items()})
 
     def replace(self, **overrides: np.ndarray) -> "PointCloud":
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs.update(overrides)
-        return PointCloud(**kwargs)
-
-    def point(self, i: int) -> LidarPoint:
-        return LidarPoint(
-            x=float(self.x[i]),
-            y=float(self.y[i]),
-            z=float(self.z[i]),
-            intensity=int(self.intensity[i]),
-            return_number=int(self.return_number[i]),
-            scan_angle=float(self.scan_angle[i]),
-            range_m=float(self.range_m[i]),
-            season=SEASON_NAMES[int(self.season[i])],
-            pclass=PCLASS_NAMES[int(self.pclass[i])],
-            crown_id="" if self.crown_id is None else str(self.crown_id[i]),
-        )
+        return dataclasses.replace(self, **overrides)
 
     @classmethod
-    def from_points(cls, points: list[LidarPoint]) -> "PointCloud":
+    def from_columns(cls, **columns) -> "PointCloud":
+        """Build a cloud column by column, each column copied to its
+        field's dtype; a scalar is repeated to the length of ``x``."""
+        n = len(columns["x"])
         return cls(
-            x=np.array([p.x for p in points], dtype=np.float64),
-            y=np.array([p.y for p in points], dtype=np.float64),
-            z=np.array([p.z for p in points], dtype=np.float64),
-            intensity=np.array([p.intensity for p in points], dtype=np.int64),
-            return_number=np.array([p.return_number for p in points], dtype=np.uint8),
-            scan_angle=np.array([p.scan_angle for p in points], dtype=np.float64),
-            range_m=np.array([p.range_m for p in points], dtype=np.float64),
-            season=np.array([SEASON_TOKENS[p.season] for p in points], dtype=np.uint8),
-            pclass=np.array([PCLASS_TOKENS[p.pclass] for p in points], dtype=np.uint8),
-            crown_id=np.array([p.crown_id for p in points], dtype=object),
+            **{
+                name: np.array(value, CLOUD_DTYPES[name])
+                if np.ndim(value)
+                else np.full(n, value, CLOUD_DTYPES[name])
+                for name, value in columns.items()
+            }
         )
 
     @classmethod
     def empty(cls) -> "PointCloud":
-        return cls.from_points([])
+        return cls(**{name: np.empty(0, dtype) for name, dtype in CLOUD_DTYPES.items()})
 
 
 @dataclass
@@ -159,13 +132,21 @@ class Dem:
         return row, col
 
 
+class Apex(NamedTuple):
+    """Where a crown's highest point is; ``z`` is its height."""
+
+    x: float
+    y: float
+    z: float
+
+
 @dataclass
 class CrownCloud:
     """A segmented crown with height-normalized points and scalar features."""
 
     crown_id: str
     points: PointCloud
-    apex: LidarPoint
+    apex: Apex
     tree_height: float
     width: float
     area: float
@@ -249,13 +230,12 @@ def _hull_area(x: np.ndarray, y: np.ndarray) -> float:
     return float(hull.volume)  # 2-D hull: volume is the polygon area
 
 
-def crown_features(crown: "CrownCloud | PointCloud") -> tuple[float, float, float]:
-    """Return (tree_height, width, area) of a crown.
+def crown_features(points: PointCloud) -> tuple[float, float, float]:
+    """Return (tree_height, width, area) of a crown's points.
 
     Area is the horizontal convex-hull area; width the equivalent-circle
     diameter of that area; tree height the apex height.
     """
-    points = crown.points if isinstance(crown, CrownCloud) else crown
     area = _hull_area(points.x, points.y)
     width = math.sqrt(4.0 * area / math.pi)
     tree_height = float(points.z.max())
@@ -268,18 +248,10 @@ def make_crown_cloud(crown_id: str, points: PointCloud) -> CrownCloud:
     Raises ValueError("degenerate crown") when the horizontal projection
     has fewer than three distinct non-collinear points.
     """
-    if len(points) == 0:
-        raise ValueError("degenerate crown")
     tree_height, width, area = crown_features(points)
-    apex = points.point(int(np.argmax(points.z)))
-    return CrownCloud(
-        crown_id=crown_id,
-        points=points,
-        apex=apex,
-        tree_height=tree_height,
-        width=width,
-        area=area,
-    )
+    top = int(np.argmax(points.z))
+    apex = Apex(float(points.x[top]), float(points.y[top]), float(points.z[top]))
+    return CrownCloud(crown_id, points, apex, tree_height, width, area)
 
 
 def assemble_crowns(
@@ -296,9 +268,18 @@ def assemble_crowns(
     crowns: list[CrownCloud] = []
     dropped_degenerate = 0
     dropped_narrow = 0
-    ids = np.asarray(points.crown_id, dtype=object)
-    for crown_id in sorted({str(i) for i in ids if str(i)}):
-        group = points.select(ids == crown_id)
+    # One stable sort groups the points by crown and keeps each crown's
+    # points in input order; each group is one slice of it.
+    order = np.argsort(points.crown_id, kind="stable")
+    ids = points.crown_id[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(first)
+    for start, stop in zip(starts, np.append(starts[1:], len(ids))):
+        crown_id = str(ids[start])
+        if not crown_id:
+            continue
+        group = points.select(order[start:stop])
         try:
             crown = make_crown_cloud(crown_id, group)
         except ValueError:
@@ -318,63 +299,96 @@ def assemble_crowns(
     return crowns
 
 
-def _parse_point_row(fields: list[str]) -> LidarPoint:
-    crown_id, x, y, z, intensity, returns, angle, range_m, season, pclass = fields
-    point = LidarPoint(
-        x=float(x),
-        y=float(y),
-        z=float(z),
-        intensity=int(intensity),
-        return_number=int(returns),
-        scan_angle=float(angle),
-        range_m=float(range_m),
-        season=season,
-        pclass=pclass,
-        crown_id=crown_id,
-    )
-    if point.season not in SEASON_TOKENS:
-        raise ValueError(f"unknown season {point.season!r}")
-    if point.pclass not in PCLASS_TOKENS:
-        raise ValueError(f"unknown pclass {point.pclass!r}")
-    if not 0 <= point.intensity <= 255:
-        raise ValueError(f"intensity {point.intensity} outside [0,255]")
-    if not 1 <= point.return_number <= 4:
-        raise ValueError(f"return_number {point.return_number} outside 1..4")
-    if point.season == "off" and point.return_number > 3:
-        raise ValueError("leaf-off return_number > 3")
-    if point.range_m <= 0:
-        raise ValueError("range must be > 0")
-    return point
+def _point_columns(path: str | Path) -> tuple[dict[str, np.ndarray], InputError | None]:
+    """The point file's columns from one C-level pass, and None. Where
+    NumPy's parser refuses a row, Python's csv and number rules parse the
+    file instead, up to the first header, field-count or number error,
+    which is returned with the columns of the rows above it."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        if next(csv.reader(handle), None) == list(POINT_COLUMNS):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows
+                    table = np.loadtxt(
+                        handle,
+                        POINT_FILE_DTYPE,
+                        delimiter=",",
+                        quotechar='"',
+                        comments=None,
+                        ndmin=1,
+                    )
+                return {name: table[name] for name in POINT_COLUMNS}, None
+            except ValueError:
+                pass
+    rows: list[list] = []
+    failure = None
+    try:
+        read_csv_rows(
+            path,
+            POINT_COLUMNS,
+            lambda fields: rows.append([f(value) for f, value in zip(PYTHON_CONVERTERS, fields)]),
+        )
+    except InputError as error:
+        failure = error
+    table = np.array(rows, dtype=object).reshape(-1, len(POINT_COLUMNS))
+    return dict(zip(POINT_COLUMNS, table.T)), failure
+
+
+def _token_codes(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
+    out = np.full(len(tokens), UNKNOWN_TOKEN, dtype=np.uint8)
+    for token, code in codes.items():
+        out[tokens == token] = code
+    return out
 
 
 def read_point_file(path: str | Path) -> PointCloud:
     """Read the comma-separated point file; ground rows have an empty
-    crown_id. A malformed row raises InputError naming path:line."""
-    points = read_csv_rows(path, POINT_COLUMNS, _parse_point_row)
-    return PointCloud.from_points(points)
+    crown_id. Rows are parsed in one C-level pass and checked column by
+    column; the first malformed row raises InputError naming path:line."""
+    columns, failure = _point_columns(path)
+    season = _token_codes(columns["season"], SEASON_TOKENS)
+    pclass = _token_codes(columns["pclass"], PCLASS_TOKENS)
+    intensity, returns = columns["intensity"], columns["return_number"]
+    # Each rule and its problem, in the order a row is checked.
+    rules = (
+        (season == UNKNOWN_TOKEN, lambda i: f"unknown season {columns['season'][i]!r}"),
+        (pclass == UNKNOWN_TOKEN, lambda i: f"unknown pclass {columns['pclass'][i]!r}"),
+        (
+            (intensity < 0) | (intensity > 255),
+            lambda i: f"intensity {intensity[i]} outside [0,255]",
+        ),
+        ((returns < 1) | (returns > 4), lambda i: f"return_number {returns[i]} outside 1..4"),
+        ((season == LEAF_OFF) & (returns > 3), lambda i: "leaf-off return_number > 3"),
+        (np.asarray(columns["range"], np.float64) <= 0, lambda i: "range must be > 0"),
+    )
+    broken = np.logical_or.reduce([mask for mask, _ in rules])
+    if broken.any():
+        first = int(np.argmax(broken))
+        problem = next(message(first) for mask, message in rules if mask[first])
+        rows = itertools.count()
+
+        def check(fields: list[str]) -> None:  # the rows again, for the line
+            if next(rows) == first:
+                raise ValueError(problem)
+
+        read_csv_rows(path, POINT_COLUMNS, check)
+    if failure is not None:
+        raise failure
+    columns.update(range_m=columns.pop("range"), season=season, pclass=pclass)
+    return PointCloud.from_columns(**columns)
 
 
 def write_point_file(path: str | Path, points: PointCloud) -> None:
-    ids = points.crown_id if points.crown_id is not None else [""] * len(points)
-    write_csv_rows(
-        path,
-        POINT_COLUMNS,
-        (
-            [
-                ids[i],
-                f"{points.x[i]:.3f}",
-                f"{points.y[i]:.3f}",
-                f"{points.z[i]:.3f}",
-                int(points.intensity[i]),
-                int(points.return_number[i]),
-                f"{points.scan_angle[i]:.2f}",
-                f"{points.range_m[i]:.2f}",
-                SEASON_NAMES[int(points.season[i])],
-                PCLASS_NAMES[int(points.pclass[i])],
-            ]
-            for i in range(len(points))
-        ),
+    """Write the point file, formatting each column in one pass."""
+    ids = [""] * len(points) if points.crown_id is None else points.crown_id.tolist()
+    formats = (
+        ("{:.3f}".format, points.x), ("{:.3f}".format, points.y), ("{:.3f}".format, points.z),
+        (int, points.intensity), (int, points.return_number),
+        ("{:.2f}".format, points.scan_angle), ("{:.2f}".format, points.range_m),
+        (SEASON_NAMES.__getitem__, points.season), (PCLASS_NAMES.__getitem__, points.pclass),
     )
+    columns = [map(format_value, values.tolist()) for format_value, values in formats]
+    write_csv_rows(path, POINT_COLUMNS, zip(ids, *columns))
 
 
 def _parse_stem_row(fields: list[str]) -> FieldStem:

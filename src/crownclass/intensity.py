@@ -59,29 +59,23 @@ def sample_normalization_grid(
     ``cell``-meter grid cell, uniformly at random.
 
     Deterministic for a fixed seed: cells are visited in sorted order and
-    one draw is made per non-empty (cell, season) slot.
+    one draw is made per non-empty (cell, season) slot, leaf-on first.
     """
     veg = points.select(points.pclass == VEGETATION)
-    if len(veg) == 0:
-        return veg
     col = np.floor(veg.x / cell).astype(np.int64)
     row = np.floor(veg.y / cell).astype(np.int64)
-
-    cells: dict[tuple[int, int], dict[int, list[int]]] = {}
-    for i in range(len(veg)):
-        slot = cells.setdefault(
-            (int(row[i]), int(col[i])), {LEAF_ON: [], LEAF_OFF: []}
-        )
-        slot[int(veg.season[i])].append(i)
-
+    # Slots in sorted (row, col) order, leaf-on (code 0) before leaf-off;
+    # the stable sort keeps each slot's points in input order.
+    order = np.lexsort((veg.season, col, row))
+    slot = np.column_stack([row, col, veg.season])[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(slot[1:] != slot[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(order)))
+    # One draw per slot, in slot order: the same draws as one
+    # rng.integers(count) call per slot.
     rng = np.random.default_rng(derive_seed(seed, "normalization-grid"))
-    picked: list[int] = []
-    for key in sorted(cells):
-        for season in (LEAF_ON, LEAF_OFF):
-            candidates = cells[key][season]
-            if candidates:
-                picked.append(candidates[int(rng.integers(len(candidates)))])
-    return veg.select(np.array(picked, dtype=np.int64))
+    return veg.select(order[starts + rng.integers(counts)])
 
 
 def _design_matrix(points: PointCloud) -> np.ndarray:

@@ -10,6 +10,7 @@ the half-pixel asymmetry this leaves at the extent edges is accepted.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -55,14 +56,7 @@ def rotate_about_apex(crown: CrownCloud, degrees: float) -> CrownCloud:
         x=crown.apex.x + cos_t * dx - sin_t * dy,
         y=crown.apex.y + sin_t * dx + cos_t * dy,
     )
-    return CrownCloud(
-        crown_id=crown.crown_id,
-        points=rotated,
-        apex=crown.apex,
-        tree_height=crown.tree_height,
-        width=crown.width,
-        area=crown.area,
-    )
+    return dataclasses.replace(crown, points=rotated)
 
 
 def _pixel_coords(
@@ -195,10 +189,10 @@ def write_representation_file(
 
     ``crowns`` yields ``(crown_id, label, crown_class, density, images,
     scalars)`` with the images and scalars of ``rasterize_crown``, in
-    sorted crown_id order; each crown is written as it arrives, so a
-    generator keeps one crown in memory. The tensor file is one .npy
-    float32 array of shape (crowns, rotations, C, H, W); the JSON
-    manifest holds the per-crown columns in the same order.
+    strictly increasing crown_id order; each crown is written as it
+    arrives, so a generator keeps one crown in memory. The tensor file
+    is one .npy float32 array of shape (crowns, rotations, C, H, W); the
+    JSON manifest holds the per-crown columns in the same order.
     """
     shape = (n_crowns, n_rotations) + KIND_SHAPES[kind]
     rows = []  # per crown, its values of CROWN_COLUMNS in that order
@@ -207,10 +201,10 @@ def write_representation_file(
             handle, {"descr": "<f4", "fortran_order": False, "shape": shape}
         )
         for crown_id, label, crown_class, density, images, scalars in crowns:
-            if rows and crown_id < rows[-1][0]:
+            if rows and crown_id <= rows[-1][0]:
                 raise ValueError(
                     f"crown {crown_id} follows {rows[-1][0]}; the store "
-                    f"needs crowns in sorted crown_id order"
+                    f"needs crowns in sorted crown_id order, each once"
                 )
             if images.shape != shape[1:]:
                 raise ValueError(

@@ -129,14 +129,20 @@ def write_registrations(path: "str | Path", labeled: list[LabeledCrown]) -> None
     )
 
 
-def _parse_registration_row(fields: list[str]) -> Registration:
+def _parse_registration_row(fields: list[str], seen: set[str]) -> Registration:
     crown_id, stem_id, score, label, crown_class = fields
     if label not in SPECIES_CLASSES:
         raise ValueError(f"unknown label {label!r}")
+    if crown_id in seen:
+        raise ValueError(f"crown {crown_id} is registered twice")
+    seen.add(crown_id)
     return Registration(crown_id, stem_id, int(score), label, crown_class)
 
 
 def read_registrations(path: "str | Path") -> list[Registration]:
-    """Read a registrations table; a malformed row raises InputError
-    naming path:line."""
-    return read_csv_rows(path, REGISTRATION_COLUMNS, _parse_registration_row)
+    """Read a registrations table; a malformed row, or a crown registered
+    twice, raises InputError naming path:line."""
+    seen: set[str] = set()
+    return read_csv_rows(
+        path, REGISTRATION_COLUMNS, lambda fields: _parse_registration_row(fields, seen)
+    )

@@ -123,17 +123,9 @@ def _finish_points(
     intensity = np.clip(np.rint(intensity), 1, 255).astype(np.int64)
     probs = RETURN_PROBS_ON if season == LEAF_ON else RETURN_PROBS_OFF
     returns = rng.choice(np.arange(1, len(probs) + 1), size=n, p=probs)
-    return PointCloud(
-        x=np.asarray(x, dtype=np.float64),
-        y=np.asarray(y, dtype=np.float64),
-        z=np.asarray(z, dtype=np.float64),
-        intensity=intensity,
-        return_number=returns.astype(np.uint8),
-        scan_angle=angle,
-        range_m=range_m,
-        season=np.full(n, season, dtype=np.uint8),
-        pclass=np.full(n, VEGETATION, dtype=np.uint8),
-        crown_id=np.full(n, crown_id, dtype=object),
+    return PointCloud.from_columns(
+        x=x, y=y, z=z, intensity=intensity, return_number=returns, scan_angle=angle,
+        range_m=range_m, season=season, pclass=VEGETATION, crown_id=crown_id,
     )
 
 
@@ -259,18 +251,9 @@ def _ground_points(params: SynthParams, extent: float) -> PointCloud:
     intensity = np.clip(
         np.rint(rng.normal(90.0, 10.0, gx.size) + offset), 1, 255
     ).astype(np.int64)
-    n = gx.size
-    return PointCloud(
-        x=gx,
-        y=gy,
-        z=gz,
-        intensity=intensity,
-        return_number=np.ones(n, dtype=np.uint8),
-        scan_angle=angle,
-        range_m=range_m,
-        season=np.full(n, LEAF_OFF, dtype=np.uint8),
-        pclass=np.full(n, GROUND, dtype=np.uint8),
-        crown_id=np.full(n, "", dtype=object),
+    return PointCloud.from_columns(
+        x=gx, y=gy, z=gz, intensity=intensity, return_number=1, scan_angle=angle,
+        range_m=range_m, season=LEAF_OFF, pclass=GROUND, crown_id="",
     )
 
 

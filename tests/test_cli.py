@@ -9,7 +9,7 @@ import pytest
 
 from crownclass import cli
 from crownclass.ensemble import SweepRow, read_predictions
-from crownclass.ingest import VEGETATION, PointCloud, write_point_file
+from crownclass.ingest import LEAF_ON, VEGETATION, PointCloud, write_point_file
 from crownclass.rasterize import read_all_representations, read_manifest
 
 
@@ -279,26 +279,80 @@ class TestErrorPaths:
         assert run("synth", path, tmp_path) == 1
 
     def test_runtime_error_exits_2(self, tmp_path):
+        """Ten points fill one grid cell, too few samples to fit an
+        intensity model: a runtime failure, not a malformed file."""
         n = 10
-        cloud = PointCloud(
+        cloud = PointCloud.from_columns(
             x=np.linspace(0, 5, n),
-            y=np.zeros(n),
+            y=0.0,
             z=np.linspace(10.0, 15.0, n),
-            intensity=np.full(n, 100),
-            return_number=np.ones(n, dtype=np.uint8),
-            scan_angle=np.zeros(n),
-            range_m=np.full(n, 800.0),
-            season=np.zeros(n, dtype=np.uint8),
-            pclass=np.full(n, VEGETATION, dtype=np.uint8),
-            crown_id=np.array(["t1"] * n, dtype=object),
+            intensity=100,
+            return_number=1,
+            scan_angle=0.0,
+            range_m=800.0,
+            season=LEAF_ON,
+            pclass=VEGETATION,
+            crown_id="t1",
         )
         write_point_file(tmp_path / "veg.csv", cloud)
+        config = write_config(tmp_path / "config.json", points_file=str(tmp_path / "veg.csv"))
+        assert run("normalize-intensity", config, tmp_path) == 2
+
+    def test_points_without_ground_exit_1_naming_file(self, tmp_path, pipeline, capsys):
+        lines = (pipeline["out"] / "points.csv").read_text().splitlines()
+        points = tmp_path / "points.csv"
+        points.write_text("\n".join(line for line in lines if not line.endswith(",ground")))
         config = write_config(
             tmp_path / "config.json",
-            points_file=str(tmp_path / "veg.csv"),
-            stems_file=str(tmp_path / "veg.csv"),
+            points_file=str(points),
+            stems_file=str(pipeline["out"] / "stems.csv"),
         )
-        assert run("register", config, tmp_path) == 2
+        assert run("register", config, tmp_path) == 1
+        assert f"points_file {points} holds no ground returns" in capsys.readouterr().err
+
+    def test_vegetation_outside_dem_exits_1_naming_file(self, tmp_path, pipeline, capsys):
+        points = tmp_path / "points.csv"
+        text = (pipeline["out"] / "points.csv").read_text()
+        points.write_text(text + "t9999,5000.000,5000.000,30.000,90,1,0.00,800.00,on,vegetation\n")
+        config = write_config(
+            tmp_path / "config.json",
+            points_file=str(points),
+            stems_file=str(pipeline["out"] / "stems.csv"),
+        )
+        assert run("register", config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"points_file {points}: 1 point(s) outside DEM extent" in err
+
+    def test_registration_of_absent_crown_exits_1_naming_files(
+        self, tmp_path, pipeline, capsys
+    ):
+        registrations = tmp_path / "registrations.csv"
+        text = (pipeline["out"] / "registrations.csv").read_text()
+        registrations.write_text(text + "zz_absent,s0001,100,conifer,dominant\n")
+        config = write_config(
+            tmp_path / "config.json",
+            points_file=str(pipeline["out"] / "points.csv"),
+            registrations_file=str(registrations),
+        )
+        assert run("rasterize", config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"registrations_file {registrations} names crown zz_absent" in err
+        assert f"points_file {pipeline['out'] / 'points.csv'}" in err
+
+    def test_crown_registered_twice_exits_1_naming_line(self, tmp_path, pipeline, capsys):
+        registrations = tmp_path / "registrations.csv"
+        lines = (pipeline["out"] / "registrations.csv").read_text().splitlines()
+        registrations.write_text("\n".join(lines + [lines[1]]) + "\n")
+        config = write_config(
+            tmp_path / "config.json",
+            points_file=str(pipeline["out"] / "points.csv"),
+            registrations_file=str(registrations),
+        )
+        assert run("rasterize", config, tmp_path) == 1
+        crown_id = lines[1].split(",")[0]
+        expected = f"registrations.csv:{len(lines) + 1}: crown {crown_id} is registered twice"
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "rasters.bin").exists()
 
     def test_raw_sweep_needs_raw_files(self, tmp_path, pipeline, capsys):
         out = pipeline["out"]

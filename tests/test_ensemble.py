@@ -46,7 +46,7 @@ from crownclass.ensemble import (
     _training_tensors,
     trained_on,
 )
-from crownclass.ingest import CrownCloud, PointCloud, LEAF_ON, LEAF_OFF
+from crownclass.ingest import LEAF_OFF, LEAF_ON, VEGETATION, Apex, CrownCloud, PointCloud
 from crownclass.tinynet import init_params, predict_probs
 
 from test_rasterize import crown_dataset
@@ -165,23 +165,23 @@ def square_crown(crown_id="t0001"):
         for i, (dx, dy) in enumerate(offsets):
             z = 18.0 if (dx, dy) == (0.0, 0.0) else 14.0 + i
             rows.append((10.0 + dx, 10.0 + dy, z, 100 + 10 * i, season))
-    points = PointCloud(
-        x=np.array([r[0] for r in rows]),
-        y=np.array([r[1] for r in rows]),
-        z=np.array([r[2] for r in rows]),
-        intensity=np.array([r[3] for r in rows], dtype=np.int64),
-        return_number=np.ones(len(rows), dtype=np.uint8),
-        scan_angle=np.zeros(len(rows)),
-        range_m=np.full(len(rows), 800.0),
-        season=np.array([r[4] for r in rows], dtype=np.uint8),
-        pclass=np.ones(len(rows), dtype=np.uint8),
-        crown_id=np.full(len(rows), crown_id, dtype=object),
+    x, y, z, intensity, season = zip(*rows)
+    points = PointCloud.from_columns(
+        x=x,
+        y=y,
+        z=z,
+        intensity=intensity,
+        return_number=1,
+        scan_angle=0.0,
+        range_m=800.0,
+        season=season,
+        pclass=VEGETATION,
+        crown_id=crown_id,
     )
-    apex = points.point(int(np.argmax(points.z)))
     return CrownCloud(
         crown_id=crown_id,
         points=points,
-        apex=apex,
+        apex=Apex(10.0, 10.0, 18.0),
         tree_height=18.0,
         width=2.5,
         area=4.0,

@@ -1,15 +1,26 @@
 """Tests for ingestion: DEM build/fill, height normalization, canopy
 filtering, crown features, and the text file formats."""
 
+import logging
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crownclass.ingest import (
-    CrownCloud,
+    CLOUD_DTYPES,
+    GROUND,
+    LEAF_OFF,
+    LEAF_ON,
+    PCLASS_TOKENS,
+    POINT_COLUMNS,
+    SEASON_TOKENS,
+    VEGETATION,
     FieldStem,
-    LidarPoint,
     PointCloud,
     assemble_crowns,
     build_dem,
@@ -22,44 +33,40 @@ from crownclass.ingest import (
     write_point_file,
     write_stem_file,
 )
-from crownclass.util import InputError
+from crownclass.synthforest import concat_clouds
+from crownclass.util import InputError, read_csv_rows
 
 
 def ground_cloud(coords):
-    points = [
-        LidarPoint(
-            x=x,
-            y=y,
-            z=z,
-            intensity=50,
-            return_number=1,
-            scan_angle=0.0,
-            range_m=1000.0,
-            season="on",
-            pclass="ground",
-        )
-        for x, y, z in coords
-    ]
-    return PointCloud.from_points(points)
+    x, y, z = np.array(coords, dtype=np.float64).reshape(-1, 3).T
+    return PointCloud.from_columns(
+        x=x,
+        y=y,
+        z=z,
+        intensity=50,
+        return_number=1,
+        scan_angle=0.0,
+        range_m=1000.0,
+        season=LEAF_ON,
+        pclass=GROUND,
+        crown_id="",
+    )
 
 
 def veg_cloud(coords, crown_id=""):
-    points = [
-        LidarPoint(
-            x=x,
-            y=y,
-            z=z,
-            intensity=100,
-            return_number=1,
-            scan_angle=5.0,
-            range_m=1000.0,
-            season="on",
-            pclass="vegetation",
-            crown_id=crown_id,
-        )
-        for x, y, z in coords
-    ]
-    return PointCloud.from_points(points)
+    x, y, z = np.array(coords, dtype=np.float64).reshape(-1, 3).T
+    return PointCloud.from_columns(
+        x=x,
+        y=y,
+        z=z,
+        intensity=100,
+        return_number=1,
+        scan_angle=5.0,
+        range_m=1000.0,
+        season=LEAF_ON,
+        pclass=VEGETATION,
+        crown_id=crown_id,
+    )
 
 
 class TestBuildDem:
@@ -259,9 +266,7 @@ class TestMakeCrownCloud:
             crown_id="narrow",
         )
         line = veg_cloud([(20, 0, 5.0), (21, 0, 5.0), (22, 0, 9.0)], crown_id="line")
-        merged = PointCloud.from_points(
-            [c.point(i) for c in (wide, narrow, line) for i in range(len(c))]
-        )
+        merged = concat_clouds([wide, narrow, line])
         crowns = assemble_crowns(merged)
         assert [c.crown_id for c in crowns] == ["wide"]
 
@@ -269,9 +274,7 @@ class TestMakeCrownCloud:
         square = [(0, 0, 5.0), (3, 0, 5.0), (3, 3, 12.0), (0, 3, 5.0)]
         b = veg_cloud(square, crown_id="b")
         a = veg_cloud([(x + 10, y, z) for x, y, z in square], crown_id="a")
-        merged = PointCloud.from_points(
-            [c.point(i) for c in (b, a) for i in range(len(c))]
-        )
+        merged = concat_clouds([b, a])
         crowns = assemble_crowns(merged)
         assert [c.crown_id for c in crowns] == ["a", "b"]
 
@@ -286,6 +289,46 @@ class TestPointFile:
         np.testing.assert_allclose(back.z, cloud.z)
         np.testing.assert_array_equal(back.intensity, cloud.intensity)
         assert list(back.crown_id) == ["c7", "c7"]
+
+    def test_golden_bytes(self, tmp_path):
+        """Rounding, negative zero, quoting of ids with commas and quotes,
+        non-ASCII ids, CRLF row ends."""
+        cloud = PointCloud.from_columns(
+            x=[0.0005, -0.0004, 1234.5675, 2.5, -1e-9],
+            y=[1.0, 2.0, 3.0, 4.0, 5.0],
+            z=[0.12345, 10.0, -3.9996, 7.0, 100.0],
+            intensity=[0, 255, 17, 100, 1],
+            return_number=[1, 2, 3, 4, 1],
+            scan_angle=[-2.245, 0.0, 14.999, -0.001, 30.0],
+            range_m=[801.815, 800.0, 1000.005, 799.994, 1200.0],
+            season=[LEAF_OFF, LEAF_ON, LEAF_OFF, LEAF_ON, LEAF_ON],
+            pclass=[GROUND, VEGETATION, VEGETATION, VEGETATION, VEGETATION],
+            crown_id=["", "t1", "a,b", 'q"uote', "\u00e9"],
+        )
+        path = tmp_path / "points.csv"
+        write_point_file(path, cloud)
+        assert path.read_bytes() == (
+            b"crown_id,x,y,z,intensity,return_number,scan_angle,range,season,pclass\r\n"
+            b",0.001,1.000,0.123,0,1,-2.25,801.82,off,ground\r\n"
+            b"t1,-0.000,2.000,10.000,255,2,0.00,800.00,on,vegetation\r\n"
+            b'"a,b",1234.568,3.000,-4.000,17,3,15.00,1000.00,off,vegetation\r\n'
+            b'"q""uote",2.500,4.000,7.000,100,4,-0.00,799.99,on,vegetation\r\n'
+            b"\xc3\xa9,-0.000,5.000,100.000,1,1,30.00,1200.00,on,vegetation\r\n"
+        )
+
+    def test_cloud_without_crown_ids_writes_empty_ids(self, tmp_path):
+        cloud = ground_cloud([(1.0, 2.0, 3.0)]).replace(crown_id=None)
+        path = tmp_path / "points.csv"
+        write_point_file(path, cloud)
+        assert path.read_bytes().splitlines()[1] == b",1.000,2.000,3.000,50,1,0.00,1000.00,on,ground"
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "points.csv"
+        write_point_file(path, PointCloud.empty())
+        back = read_point_file(path)
+        assert len(back) == 0
+        for name, dtype in CLOUD_DTYPES.items():
+            assert getattr(back, name).dtype == np.dtype(dtype)
 
     def _write_rows(self, path, rows):
         header = "crown_id,x,y,z,intensity,return_number,scan_angle,range,season,pclass"
@@ -349,3 +392,308 @@ class TestStemFile:
         )
         with pytest.raises(InputError, match=r"stems\.csv:2: unknown species"):
             read_stem_file(path)
+
+
+def reference_parse_point_row(fields):
+    """One row, as the row-at-a-time reader parsed and checked it."""
+    crown_id, x, y, z, intensity, returns, angle, range_m, season, pclass = fields
+    row = (crown_id, float(x), float(y), float(z), int(intensity), int(returns))
+    row += (float(angle), float(range_m), season, pclass)
+    if season not in SEASON_TOKENS:
+        raise ValueError(f"unknown season {season!r}")
+    if pclass not in PCLASS_TOKENS:
+        raise ValueError(f"unknown pclass {pclass!r}")
+    if not 0 <= row[4] <= 255:
+        raise ValueError(f"intensity {row[4]} outside [0,255]")
+    if not 1 <= row[5] <= 4:
+        raise ValueError(f"return_number {row[5]} outside 1..4")
+    if season == "off" and row[5] > 3:
+        raise ValueError("leaf-off return_number > 3")
+    if row[7] <= 0:
+        raise ValueError("range must be > 0")
+    return row
+
+
+def reference_read_point_file(path):
+    """The row-at-a-time reader that ``read_point_file`` replaced: csv
+    rows parsed by Python's float and int, then stacked into columns."""
+    rows = read_csv_rows(path, POINT_COLUMNS, reference_parse_point_row)
+
+    def column(k, dtype):
+        return np.array([row[k] for row in rows], dtype=dtype)
+
+    return PointCloud(
+        x=column(1, np.float64),
+        y=column(2, np.float64),
+        z=column(3, np.float64),
+        intensity=column(4, np.int64),
+        return_number=column(5, np.uint8),
+        scan_angle=column(6, np.float64),
+        range_m=column(7, np.float64),
+        season=np.array([SEASON_TOKENS[row[8]] for row in rows], dtype=np.uint8),
+        pclass=np.array([PCLASS_TOKENS[row[9]] for row in rows], dtype=np.uint8),
+        crown_id=column(0, object),
+    )
+
+
+def reference_assemble_crowns(points, min_width=1.5):
+    """The mask-per-crown grouping that ``assemble_crowns`` replaced;
+    returns the crowns and the (degenerate, narrow) drop counts."""
+    ids = np.asarray(points.crown_id, dtype=object)
+    crowns, degenerate, narrow = [], 0, 0
+    for crown_id in sorted({str(i) for i in ids if str(i)}):
+        try:
+            crown = make_crown_cloud(crown_id, points.select(ids == crown_id))
+        except ValueError:
+            degenerate += 1
+            continue
+        if crown.width < min_width:
+            narrow += 1
+            continue
+        crowns.append(crown)
+    return crowns, (degenerate, narrow)
+
+
+def assert_clouds_bit_equal(got, want):
+    for name in CLOUD_DTYPES:
+        got_column, want_column = getattr(got, name), getattr(want, name)
+        assert got_column.dtype == want_column.dtype, name
+        if want_column.dtype == object:
+            assert got_column.tolist() == want_column.tolist(), name
+        else:
+            assert got_column.tobytes() == want_column.tobytes(), name
+
+
+def read_outcome(reader, text, newline):
+    """What ``reader`` makes of a points file holding ``text``: its
+    cloud, or its error's type and message with the path left out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.csv"
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+        try:
+            return reader(path)
+        except Exception as error:  # any error: both readers must raise the same
+            return type(error), str(error).replace(str(path), "<path>")
+
+
+def quoted(field, force=False):
+    if force or any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+# Crown ids with commas, quotes, line breaks, '#' and non-ASCII, and
+# ids longer than any fixed string width.
+crown_ids = st.one_of(
+    st.text(alphabet='ab7 ,"#\u00e9\t\r\n', max_size=6),
+    st.text(alphabet="xyz", min_size=40, max_size=300),
+)
+float_texts = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(-1e4, 1e4).map("{:.3f}".format),
+    st.floats(-1e6, 1e6).map("{:.6e}".format),
+    st.sampled_from(["-nan", "+inf", "-Infinity", "+1.5", " 2.25 ", ".5", "5.", "-0"]),
+)
+range_texts = st.one_of(
+    st.floats(min_value=1e-300, allow_nan=False).map(repr),
+    st.floats(0.01, 2000.0).map("{:.2f}".format),
+    st.sampled_from(["nan", "inf", " 800 "]),
+)
+# Valid (column, value) pairs that Python's float and int read and
+# NumPy's parser does not: digit-group underscores, non-ASCII digits and
+# spaces.
+PYTHON_ONLY = st.one_of(
+    st.tuples(st.sampled_from([1, 2, 3, 6, 7]), st.sampled_from(["1_000.5", "\u0663.5", "\u00a02.5"])),
+    st.tuples(st.just(4), st.sampled_from(["2_5", "\u0661\u0662", "\u00a07"])),
+)
+
+
+def int_texts(low, high):
+    return st.one_of(
+        st.integers(low, high).map(str),
+        st.integers(low, high).map(lambda v: f"+{v}"),
+        st.integers(low, high).map(lambda v: f" 0{v} "),
+    )
+
+
+@st.composite
+def point_rows(draw):
+    season = draw(st.sampled_from(["on", "off"]))
+    return [
+        draw(crown_ids),
+        draw(float_texts),
+        draw(float_texts),
+        draw(float_texts),
+        draw(int_texts(0, 255)),
+        draw(int_texts(1, 3 if season == "off" else 4)),
+        draw(float_texts),
+        draw(range_texts),
+        season,
+        draw(st.sampled_from(["ground", "vegetation"])),
+    ]
+
+
+# (column, replacement) faults; some replacements leave the row valid.
+FAULTS = st.one_of(
+    st.tuples(st.sampled_from([1, 2, 3, 6, 7]), st.sampled_from(["", "abc", "1.5.2", "0x10", "--1"])),
+    st.tuples(st.sampled_from([4, 5]), st.sampled_from(["", "1.5", "3e2", "nan", "1 2", "x"])),
+    st.tuples(st.just(4), st.sampled_from(["-1", "256", "99999999999999999999", "-9" * 25])),
+    st.tuples(st.just(5), st.sampled_from(["0", "4", "5", "-2"])),
+    st.tuples(st.just(7), st.sampled_from(["0", "-0.0", "-5", "-inf"])),
+    st.tuples(st.just(8), st.sampled_from(["summer", "ON", " on", "offf", "o" * 60, ""])),
+    st.tuples(st.just(9), st.sampled_from(["Ground", "veg", "vegetation ", "v" * 60, ""])),
+    st.tuples(st.just("short"), st.integers(0, 9)),
+    st.tuples(st.just("long"), st.just("x")),
+    st.tuples(st.just("blank"), st.sampled_from([" ", "\t", ",,,"])),
+)
+
+
+@st.composite
+def point_files(draw, max_faults=0):
+    """(file text, newline) of a points file: LF or CRLF rows, blank
+    lines, quoting, and up to ``max_faults`` faults."""
+    rows = draw(st.lists(point_rows(), max_size=12))
+    if rows and draw(st.integers(0, 3)) == 0:
+        where, value = draw(PYTHON_ONLY)
+        rows[draw(st.integers(0, len(rows) - 1))][where] = value
+    for _ in range(draw(st.integers(0, max_faults))):
+        if not rows:
+            break
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        where, value = draw(FAULTS)
+        if where == "short":
+            del fields[value:]
+        elif where == "long":
+            fields.append(value)
+        elif where == "blank":
+            fields[:] = [value]
+        elif where < len(fields):
+            fields[where] = value
+    # Quote fields only where needed, every text field, every field, or at random.
+    quoting = draw(st.sampled_from(["minimal", "text", "all", "random"]))
+    lines = [",".join(POINT_COLUMNS)]
+    for fields in rows:
+        lines.extend([""] * draw(st.integers(0, 2)))
+        force = {
+            "minimal": lambda k: False,
+            "text": lambda k: k in (0, 8, 9),
+            "all": lambda k: True,
+            "random": lambda k: draw(st.booleans()),
+        }[quoting]
+        lines.append(",".join(quoted(field, force(k)) for k, field in enumerate(fields)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), newline
+
+
+class TestPointReaderMatchesRowReader:
+    @settings(max_examples=300, deadline=None)
+    @given(point_files())
+    def test_valid_files_give_bit_equal_columns(self, case):
+        got = read_outcome(read_point_file, *case)
+        want = read_outcome(reference_read_point_file, *case)
+        assert isinstance(want, PointCloud), want
+        assert isinstance(got, PointCloud), got
+        assert_clouds_bit_equal(got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(point_files(max_faults=3))
+    def test_malformed_files_give_the_same_error(self, case):
+        got = read_outcome(read_point_file, *case)
+        want = read_outcome(reference_read_point_file, *case)
+        if isinstance(want, PointCloud):
+            assert_clouds_bit_equal(got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("c1,0,0,5,100,1,0,1000,summer,vegetation", "unknown season 'summer'"),
+            ("c1,0,0,5,300,1,0,1000,summer,vegetation", "unknown season 'summer'"),
+            ("c1,0,0,5,300,5,0,-1,on,shrub", "unknown pclass 'shrub'"),
+            ("c1,0,0,5,300,5,0,-1,on,ground", "intensity 300 outside [0,255]"),
+            ("c1,0,0,5,-1,5,0,-1,on,ground", "intensity -1 outside [0,255]"),
+            ("c1,0,0,5,3,5,0,-1,off,ground", "return_number 5 outside 1..4"),
+            ("c1,0,0,5,3,4,0,-1,off,ground", "leaf-off return_number > 3"),
+            ("c1,0,0,5,3,4,0,-1,on,ground", "range must be > 0"),
+            ("c1,0,0,5,3.0,4,0,-1,on,ground", "invalid literal for int() with base 10: '3.0'"),
+            ("c1,0,zero,5,3,4,0,1,on,ground", "could not convert string to float: 'zero'"),
+        ],
+    )
+    def test_first_rule_broken_is_named(self, tmp_path, row, problem):
+        """A row breaking several rules names the first, as the row
+        reader did; the first bad row wins over later ones."""
+        path = tmp_path / "bad.csv"
+        good = "c0,0,0,5,100,1,0,1000,on,vegetation"
+        path.write_text("\r\n".join([",".join(POINT_COLUMNS), good, "", row, row[::-1]]))
+        with pytest.raises(InputError) as raised:
+            read_point_file(path)
+        assert str(raised.value) == f"{path}:4: {problem}"
+
+
+class WarningLines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+@st.composite
+def crown_point_sets(draw):
+    """Points of a few crowns, interleaved in random order: wide, narrow,
+    collinear, repeated and single-point crowns, and unlabelled points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ids = draw(st.lists(st.text(alphabet="ab\u00e9 ", max_size=3), max_size=6, unique=True))
+    x, y, z, labels = [], [], [], []
+    for crown_id in ids:
+        n = draw(st.integers(1, 12))
+        size = draw(st.sampled_from([0.3, 1.0, 4.0]))
+        shape = draw(st.sampled_from(["spread", "line", "repeat"]))
+        xs = rng.uniform(0, size, n)
+        ys = xs.copy() if shape == "line" else rng.uniform(0, size, n)
+        if shape == "repeat":
+            xs, ys = np.full(n, xs[0]), np.full(n, ys[0])
+        x += list(xs)
+        y += list(ys)
+        z += list(rng.uniform(3.0, 30.0, n).round(draw(st.sampled_from([0, 3]))))
+        labels += [crown_id] * n
+    order = rng.permutation(len(x))
+    return PointCloud.from_columns(
+        x=np.array(x)[order],
+        y=np.array(y)[order],
+        z=np.array(z)[order],
+        intensity=rng.integers(0, 256, len(x)),
+        return_number=1,
+        scan_angle=0.0,
+        range_m=1000.0,
+        season=rng.integers(0, 2, len(x)),
+        pclass=VEGETATION,
+        crown_id=np.array(labels, dtype=object)[order],
+    )
+
+
+class TestAssembleMatchesMaskGrouping:
+    @settings(max_examples=200, deadline=None)
+    @given(crown_point_sets(), st.sampled_from([0.5, 1.5]))
+    def test_same_crowns_points_order_and_warning(self, points, min_width):
+        logger = logging.getLogger("crownclass.ingest")
+        warnings = WarningLines()
+        logger.addHandler(warnings)
+        try:
+            crowns = assemble_crowns(points, min_width=min_width)
+        finally:
+            logger.removeHandler(warnings)
+        want, (degenerate, narrow) = reference_assemble_crowns(points, min_width)
+        assert [c.crown_id for c in crowns] == [c.crown_id for c in want]
+        for got_crown, want_crown in zip(crowns, want):
+            assert_clouds_bit_equal(got_crown.points, want_crown.points)
+            assert got_crown.apex == want_crown.apex
+            features = (got_crown.tree_height, got_crown.width, got_crown.area)
+            assert features == (want_crown.tree_height, want_crown.width, want_crown.area)
+        expected = [
+            f"dropped {degenerate} degenerate and {narrow} narrow (<{min_width:.1f} m) crowns"
+        ]
+        assert warnings.lines == (expected if degenerate or narrow else [])

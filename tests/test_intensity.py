@@ -4,7 +4,10 @@ and residual renormalization."""
 import numpy as np
 import pytest
 
-from crownclass.ingest import GROUND, LEAF_OFF, LEAF_ON, VEGETATION, PointCloud
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crownclass.ingest import CLOUD_DTYPES, GROUND, LEAF_OFF, LEAF_ON, VEGETATION, PointCloud
 from crownclass.intensity import (
     IntensityModel,
     apply_residualization,
@@ -14,6 +17,7 @@ from crownclass.intensity import (
     sample_normalization_grid,
     write_models,
 )
+from crownclass.util import derive_seed
 
 
 def make_cloud(
@@ -26,25 +30,40 @@ def make_cloud(
     return_number=1,
     pclass=VEGETATION,
 ):
-    n = len(x)
-
-    def full(value, dtype):
-        arr = np.asarray(value)
-        if arr.ndim == 0:
-            arr = np.full(n, value)
-        return arr.astype(dtype)
-
-    return PointCloud(
-        x=np.asarray(x, dtype=np.float64),
-        y=np.asarray(y, dtype=np.float64),
-        z=np.full(n, 10.0),
-        intensity=full(intensity, np.int64),
-        range_m=full(range_m, np.float64),
-        scan_angle=full(scan_angle, np.float64),
-        season=full(season, np.uint8),
-        return_number=full(return_number, np.uint8),
-        pclass=full(pclass, np.uint8),
+    return PointCloud.from_columns(
+        x=x,
+        y=y,
+        z=10.0,
+        intensity=intensity,
+        range_m=range_m,
+        scan_angle=scan_angle,
+        season=season,
+        return_number=return_number,
+        pclass=pclass,
     )
+
+
+def reference_sample_normalization_grid(points, cell=10.0, seed=0):
+    """The per-point loop that ``sample_normalization_grid`` replaced:
+    cells in sorted (row, col) order, one ``rng.integers`` call per
+    non-empty (cell, season) slot, leaf-on first."""
+    veg = points.select(points.pclass == VEGETATION)
+    if len(veg) == 0:
+        return veg
+    col = np.floor(veg.x / cell).astype(np.int64)
+    row = np.floor(veg.y / cell).astype(np.int64)
+    cells = {}
+    for i in range(len(veg)):
+        slot = cells.setdefault((int(row[i]), int(col[i])), {LEAF_ON: [], LEAF_OFF: []})
+        slot[int(veg.season[i])].append(i)
+    rng = np.random.default_rng(derive_seed(seed, "normalization-grid"))
+    picked = []
+    for key in sorted(cells):
+        for season in (LEAF_ON, LEAF_OFF):
+            candidates = cells[key][season]
+            if candidates:
+                picked.append(candidates[int(rng.integers(len(candidates)))])
+    return veg.select(np.array(picked, dtype=np.int64))
 
 
 def synthetic_fit_cloud(n=10000, seed=3, noise=1.0):
@@ -81,6 +100,38 @@ class TestSampleGrid:
 
     def test_empty_input(self):
         assert len(sample_normalization_grid(PointCloud.empty(), seed=1)) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        extent=st.sampled_from([0.5, 8.0, 40.0, 300.0]),
+        cell=st.sampled_from([1.0, 2.5, 10.0]),
+        seed=st.integers(0, 2**32),
+        data_seed=st.integers(0, 2**32),
+    )
+    def test_draws_match_per_point_reference(self, n, extent, cell, seed, data_seed):
+        """Bit-equal to the per-point loop: same points, same order, for
+        slots of one to hundreds of candidates, ground mixed in."""
+        rng = np.random.default_rng(data_seed)
+        cloud = make_cloud(
+            x=rng.uniform(-extent, extent, n),
+            y=rng.uniform(-extent, extent, n),
+            intensity=rng.integers(0, 256, n),
+            range_m=rng.uniform(800.0, 1200.0, n),
+            scan_angle=rng.uniform(-30.0, 30.0, n),
+            season=rng.integers(0, 2, n),
+            return_number=rng.integers(1, 4, n),
+            pclass=rng.choice([GROUND, VEGETATION], n, p=[0.2, 0.8]),
+        )
+        got = sample_normalization_grid(cloud, cell=cell, seed=seed)
+        want = reference_sample_normalization_grid(cloud, cell=cell, seed=seed)
+        for name in CLOUD_DTYPES:
+            got_column, want_column = getattr(got, name), getattr(want, name)
+            if want_column is None:
+                assert got_column is None
+            else:
+                assert got_column.dtype == want_column.dtype
+                assert got_column.tobytes() == want_column.tobytes(), name
 
     def test_fixed_seed_is_deterministic(self):
         rng = np.random.default_rng(5)

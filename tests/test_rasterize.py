@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crownclass.ensemble import from_store, truncate_augmentations
-from crownclass.ingest import CrownCloud, LidarPoint, PointCloud
+from crownclass.ingest import SEASON_TOKENS, VEGETATION, Apex, CrownCloud, PointCloud
 from crownclass.rasterize import (
     AREA_SCALE,
     DSM_CHANNEL_SCALES,
@@ -33,27 +33,24 @@ from crownclass.util import InputError
 
 def build_crown(pts, crown_id="t", width=3.0, area=7.0):
     """Crown from (x, y, z, intensity, season) tuples; apex = highest."""
-    records = [
-        LidarPoint(
-            x=float(x),
-            y=float(y),
-            z=float(z),
-            intensity=int(i),
-            return_number=1,
-            scan_angle=0.0,
-            range_m=1000.0,
-            season=season,
-            pclass="vegetation",
-            crown_id=crown_id,
-        )
-        for x, y, z, i, season in pts
-    ]
-    cloud = PointCloud.from_points(records)
-    apex = records[int(np.argmax(cloud.z))]
+    x, y, z, intensity, season = zip(*pts)
+    cloud = PointCloud.from_columns(
+        x=x,
+        y=y,
+        z=z,
+        intensity=intensity,
+        return_number=1,
+        scan_angle=0.0,
+        range_m=1000.0,
+        season=[SEASON_TOKENS[token] for token in season],
+        pclass=VEGETATION,
+        crown_id=crown_id,
+    )
+    top = int(np.argmax(cloud.z))
     return CrownCloud(
         crown_id=crown_id,
         points=cloud,
-        apex=apex,
+        apex=Apex(float(cloud.x[top]), float(cloud.y[top]), float(cloud.z[top])),
         tree_height=float(cloud.z.max()),
         width=width,
         area=area,
@@ -499,6 +496,21 @@ class TestTensorStore:
     def test_crown_out_of_order_rejected(self, tmp_path):
         rows = self.make_rows("views4", ids=("b2", "a1"))
         with pytest.raises(ValueError, match="a1 follows b2.*sorted crown_id"):
+            write_representation_file(
+                tmp_path / "rasters.bin",
+                tmp_path / "rasters.json",
+                iter(rows),
+                "views4",
+                n_rotations=3,
+                step=2.0,
+                n_crowns=2,
+            )
+
+    def test_repeated_crown_rejected(self, tmp_path):
+        """A crown stored twice could sit in a network's training set and
+        its held-out set at once; ids must strictly increase."""
+        rows = self.make_rows("views4", ids=("a1", "a1"))
+        with pytest.raises(ValueError, match="a1 follows a1.*each once"):
             write_representation_file(
                 tmp_path / "rasters.bin",
                 tmp_path / "rasters.json",

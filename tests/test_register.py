@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from crownclass.ingest import CrownCloud, FieldStem, LidarPoint, PointCloud
+from crownclass.ingest import LEAF_ON, VEGETATION, Apex, CrownCloud, FieldStem, PointCloud
 from crownclass.register import (
     max_score_assignment,
     pair_score,
@@ -19,23 +19,22 @@ from crownclass.util import InputError
 
 
 def make_crown(crown_id, apex_x, apex_y, tree_height):
-    apex = LidarPoint(
-        x=apex_x,
-        y=apex_y,
-        z=tree_height,
+    points = PointCloud.from_columns(
+        x=[apex_x],
+        y=[apex_y],
+        z=[tree_height],
         intensity=100,
         return_number=1,
         scan_angle=0.0,
         range_m=1000.0,
-        season="on",
-        pclass="vegetation",
+        season=LEAF_ON,
+        pclass=VEGETATION,
         crown_id=crown_id,
     )
-    points = PointCloud.from_points([apex])
     return CrownCloud(
         crown_id=crown_id,
         points=points,
-        apex=apex,
+        apex=Apex(apex_x, apex_y, tree_height),
         tree_height=tree_height,
         width=3.0,
         area=7.0,
@@ -227,4 +226,16 @@ class TestRegisterCrowns:
             "d,t,70,shrub,dominant\n"
         )
         with pytest.raises(InputError, match=r"registrations\.csv:3: unknown label"):
+            read_registrations(path)
+
+    def test_crown_registered_twice_names_its_line(self, tmp_path):
+        path = tmp_path / "registrations.csv"
+        path.write_text(
+            "crown_id,stem_id,score,label,crown_class\n"
+            "c,s,100,conifer,dominant\n"
+            "\n"
+            "d,t,70,deciduous,dominant\n"
+            "c,u,40,deciduous,overtopped\n"
+        )
+        with pytest.raises(InputError, match=r"registrations\.csv:5: crown c is registered twice"):
             read_registrations(path)
