@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -134,12 +135,19 @@ POSITIVE_INTEGER_KEYS = (
 )
 # Forest sizes: a class may be left out.
 NON_NEGATIVE_INTEGER_KEYS = ("n_conifer", "n_deciduous")
-# The ranges SynthParams enforces, as (key, test, allowed range).
-SYNTH_RANGES = (
+# Ranges of the numeric keys, as (key, test, allowed range); the
+# synthetic-forest ones are those SynthParams enforces.
+NUMBER_RANGES = (
     ("label_noise", lambda v: 0 <= v < 1, "within [0, 1)"),
+    ("dome_fraction", lambda v: 0 <= v <= 1, "within [0, 1]"),
+    ("jitter_sigma", lambda v: v >= 0, "non-negative"),
     ("conifer_retention", lambda v: 0 <= v <= 1, "within [0, 1]"),
     ("deciduous_retention", lambda v: 0 <= v <= 1, "within [0, 1]"),
     ("leaf_on_density", lambda v: v > 0, "positive"),
+    ("grid_cell", lambda v: v > 0, "positive"),
+    ("significance_alpha", lambda v: 0 < v < 1, "within (0, 1)"),
+    ("alpha", lambda v: 0 < v < 1, "within (0, 1)"),
+    ("lr", lambda v: v > 0, "positive"),
 )
 
 
@@ -178,9 +186,11 @@ def load_config(path: str, overrides: dict) -> dict:
         elif key in NON_NEGATIVE_INTEGER_KEYS:
             if not (type(value) is int and value >= 0):
                 raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
-        elif type(default) in (int, float) and type(value) not in (int, float):
-            raise ConfigError(f"{key} must be a number, not {value!r}")
-    for key, within, allowed in SYNTH_RANGES:
+        elif type(default) in (int, float):
+            # JSON NaN and Infinity load as floats.
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, not {value!r}")
+    for key, within, allowed in NUMBER_RANGES:
         if not within(config[key]):
             raise ConfigError(f"{key} must be {allowed}, not {config[key]!r}")
     if config["representation"] not in REPRESENTATIONS:

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .util import InputError, read_csv_rows, write_csv_rows
 
@@ -187,6 +186,9 @@ def build_dem(ground_points: PointCloud, cell: float = 1.0) -> Dem:
 
     void_rows, void_cols = np.nonzero(~populated)
     if void_rows.size:
+        # Imported here so a DEM without voids does not load scipy.spatial.
+        from scipy.spatial import cKDTree
+
         pop_rc = np.argwhere(populated)
         tree = cKDTree(pop_rc)
         void_rc = np.column_stack([void_rows, void_cols])
@@ -220,6 +222,10 @@ def filter_canopy(points: PointCloud, threshold: float = 3.0) -> PointCloud:
 
 
 def _hull_area(x: np.ndarray, y: np.ndarray) -> float:
+    # Imported here so stages that compute no crown features skip loading
+    # scipy.spatial.
+    from scipy.spatial import ConvexHull, QhullError
+
     coords = np.unique(np.column_stack([x, y]), axis=0)
     if coords.shape[0] < 3:
         raise ValueError("degenerate crown")

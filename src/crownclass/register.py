@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import SPECIES_CLASSES
 from .ingest import CrownCloud, FieldStem
@@ -71,6 +70,9 @@ def max_score_assignment(scores: np.ndarray) -> list[tuple[int, int]]:
     assignments a secondary objective prefers pairs early in row-major
     order, keeping the output deterministic.
     """
+    # Imported here so only the register stage loads scipy.optimize.
+    from scipy.optimize import linear_sum_assignment
+
     scores = np.asarray(scores, dtype=np.int64)
     if scores.size == 0 or scores.max() == 0:
         return []

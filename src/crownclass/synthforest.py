@@ -86,6 +86,10 @@ class SynthParams:
                 raise ValueError("retention must be within [0, 1]")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValueError("label_noise must be within [0, 1)")
+        if not 0.0 <= self.dome_fraction <= 1.0:
+            raise ValueError("dome_fraction must be within [0, 1]")
+        if not self.jitter_sigma >= 0.0:
+            raise ValueError("jitter_sigma must be non-negative")
 
 
 def _ground_elevation(x, y, params: SynthParams):

@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-from scipy import special
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -53,6 +52,9 @@ def student_t_cdf(t: "float | np.ndarray", df: float) -> "float | np.ndarray":
     """
     if df <= 0:
         raise ValueError("df must be positive")
+    # Imported here so stages that never test significance skip loading scipy.
+    from scipy import special
+
     t_arr = np.asarray(t, dtype=np.float64)
     x = df / (df + t_arr**2)
     lower = 0.5 * special.betainc(df / 2.0, 0.5, x)

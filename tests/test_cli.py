@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +204,54 @@ class TestPipelineOutputs:
         assert json.loads((target / "intensity_models.json").read_text()) == {}
 
 
+# Imports every crownclass module, optionally runs one stage, then prints
+# the scipy modules the interpreter has loaded.
+STARTUP_SCRIPT = """
+import importlib, json, pkgutil, sys
+import crownclass
+for info in pkgutil.iter_modules(crownclass.__path__):
+    importlib.import_module("crownclass." + info.name)
+if sys.argv[1:]:
+    from crownclass import cli
+    assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_loaded(*argv: str) -> list[str]:
+    """The scipy modules a fresh interpreter loads to import crownclass and
+    run ``argv`` through the command line; the test process itself has
+    already imported scipy."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    def test_importing_every_module_loads_no_scipy(self):
+        assert scipy_modules_loaded() == []
+
+    @pytest.mark.parametrize("command", ["synth", "classify"])
+    def test_stage_loads_no_scipy(self, pipeline, tmp_path, command):
+        loaded = scipy_modules_loaded(
+            command, "--config", str(pipeline["config"]), "--out", str(tmp_path)
+        )
+        assert loaded == []
+
+    @pytest.mark.parametrize("command", ["normalize-intensity", "correct-labels"])
+    def test_stage_loads_no_spatial_or_optimize(self, pipeline, tmp_path, command):
+        loaded = scipy_modules_loaded(
+            command, "--config", str(pipeline["config"]), "--out", str(tmp_path)
+        )
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.optimize"))]
+
+
 class TestErrorPaths:
     def test_unknown_subcommand_exits_1(self, tmp_path, capsys):
         assert cli.main(["frobnicate", "--config", "x.json"]) == 1
@@ -266,6 +317,19 @@ class TestErrorPaths:
             ("deciduous_retention", -0.5),
             ("leaf_on_density", 0),
             ("leaf_on_density", -2.0),
+            ("grid_cell", -5),
+            ("grid_cell", 0),
+            ("rotation_step", float("nan")),
+            ("leaf_on_density", float("inf")),
+            ("significance_alpha", -1),
+            ("significance_alpha", 1),
+            ("alpha", 2),
+            ("alpha", 0),
+            ("lr", -1),
+            ("lr", float("nan")),
+            ("dome_fraction", 2),
+            ("dome_fraction", -1),
+            ("jitter_sigma", -1),
         ],
     )
     def test_bad_config_value_exits_1_naming_key(self, tmp_path, capsys, key, value):

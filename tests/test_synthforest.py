@@ -109,6 +109,10 @@ class TestGenerateDataset:
             SynthParams(seed=1, conifer_retention=1.5)
         with pytest.raises(ValueError, match="label_noise"):
             SynthParams(seed=1, label_noise=1.0)
+        with pytest.raises(ValueError, match="dome_fraction"):
+            SynthParams(seed=1, dome_fraction=2.0)
+        with pytest.raises(ValueError, match="jitter_sigma"):
+            SynthParams(seed=1, jitter_sigma=-1.0)
 
 
 class TestPipelineInterop:
