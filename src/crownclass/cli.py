@@ -186,10 +186,16 @@ def load_config(path: str, overrides: dict) -> dict:
         elif key in NON_NEGATIVE_INTEGER_KEYS:
             if not (type(value) is int and value >= 0):
                 raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
+        elif type(default) is bool:
+            if type(value) is not bool:
+                raise ConfigError(f"{key} must be true or false, not {value!r}")
         elif type(default) in (int, float):
             # JSON NaN and Infinity load as floats.
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ConfigError(f"{key} must be a finite number, not {value!r}")
+        elif key.endswith("_file"):
+            if not (value is None or type(value) is str):
+                raise ConfigError(f"{key} must be null or a string, not {value!r}")
     for key, within, allowed in NUMBER_RANGES:
         if not within(config[key]):
             raise ConfigError(f"{key} must be {allowed}, not {config[key]!r}")

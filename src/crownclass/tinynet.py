@@ -31,12 +31,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BATCH_SIZE = 32
 # Samples per forward pass in predict_probs. On one thread of a 2-CPU
-# Intel Xeon the forward pass took, per sample at chunks of 8 / 32 / 256,
-# dsm 1.8 / 1.6 / 3.0 ms and views 0.42 / 0.28 / 0.30 ms: past 32 the
-# activations spill out of cache. dsm stays at 8, whose activations are
-# a quarter of 32's: at 32 a dsm classify run peaked 26 MB higher with
-# no throughput change the benchmark could resolve.
+# Intel Xeon the forward pass takes, per sample at chunks of 8 / 32 / 256,
+# dsm 1.0 / 0.70 / 1.0 ms and views 0.32 / 0.20 / 0.15 ms. dsm stays at 8,
+# whose activations are a quarter of 32's: at 32 a dsm classify run
+# peaked 26 MB higher, with no throughput change the benchmark could
+# resolve when the conv still streamed the whole batch per tap.
 PREDICT_CHUNK = {"dsm": 8, "views": 32, "views_reduced": 32}
+# Input bytes per batch block of the depthwise conv (_correlate3x3). On
+# one thread of the same Xeon (2 MB L2 per core), a batch-32 float32
+# train step took, at 64 KB / 128 KB / 256 KB / 512 KB / 1 MB, dsm
+# 73.0 / 71.5 / 69.7 / 75.0 / 80.2 ms and views 16.9 / 16.5 / 16.2 /
+# 16.0 / 16.2 ms. A dsm input image is 256 KB, so each block of the
+# first dsm layer holds one image.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -161,23 +168,56 @@ def _pad1(x: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _correlate3x3(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, no bias."""
-    *_, h, w = x.shape
-    padded = _pad1(x)
-    out = np.zeros_like(x)
-    for di in range(3):
-        for dj in range(3):
-            out += kernels[:, di, dj][:, None, None] * padded[
-                ..., di : di + h, dj : dj + w
-            ]
+def _correlate3x3(
+    x: np.ndarray, kernels: np.ndarray, bias: "np.ndarray | None" = None
+) -> np.ndarray:
+    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus
+    an optional per-channel bias.
+
+    Each image is padded into a flat run of h + 2 rows of w + 2 values and
+    2 spare zeros, so tap (di, dj) is one contiguous slice at offset
+    di * (w + 2) + dj. Output rows come out w + 2 wide; the copy-out drops
+    their last two, junk, columns. The batch runs in blocks of about
+    BLOCK_BYTES of input, reusing one padded buffer, one accumulator and
+    one tap product, so a block's working set stays in cache. The sums
+    are those of one tap loop over the whole batch, in the same order:
+    taps in row-major order onto a zero accumulator, the bias last.
+    """
+    n, c, h, w = x.shape
+    row = w + 2
+    span = h * row
+    block = max(1, BLOCK_BYTES // (x.itemsize * c * h * w))
+    flat = np.zeros((min(block, n), c, (h + 2) * row + 2), dtype=x.dtype)
+    interior = flat[..., : (h + 2) * row].reshape(len(flat), c, h + 2, row)[
+        ..., 1 : h + 1, 1 : w + 1
+    ]
+    acc = np.empty((len(flat), c, span), dtype=x.dtype)
+    tap = np.empty_like(acc)
+    taps = kernels.reshape(c, 9, 1)
+    offsets = [di * row + dj for di in range(3) for dj in range(3)]
+    out = np.empty((n, c, h, w), dtype=x.dtype)
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        interior[:size] = x[start : start + size]
+        padded, a, t = flat[:size], acc[:size], tap[:size]
+        np.multiply(taps[:, 0], padded[..., :span], out=a)
+        # The zero accumulator plus the first product, as 0 + p turns -0 into +0.
+        a += 0
+        for i in range(1, 9):
+            np.multiply(taps[:, i], padded[..., offsets[i] : offsets[i] + span], out=t)
+            a += t
+        valid = a.reshape(size, c, h, row)[..., :w]
+        if bias is None:
+            out[start : start + size] = valid
+        else:
+            np.add(valid, bias[:, None, None], out=out[start : start + size])
     return out
 
 
 def conv3x3_depthwise(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, zero padding 1, stride 1."""
     _check_shape("conv kernels", kernels, (x.shape[-3], 3, 3))
-    return _correlate3x3(x, kernels) + biases[:, None, None]
+    return _correlate3x3(x, kernels, biases)
 
 
 def _conv3x3_param_grads(

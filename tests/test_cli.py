@@ -330,6 +330,10 @@ class TestErrorPaths:
             ("dome_fraction", 2),
             ("dome_fraction", -1),
             ("jitter_sigma", -1),
+            ("intensity_norm", "no"),
+            ("intensity_norm", 1),
+            ("points_file", 5),
+            ("labels_file", ["labels.csv"]),
         ],
     )
     def test_bad_config_value_exits_1_naming_key(self, tmp_path, capsys, key, value):

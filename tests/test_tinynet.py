@@ -53,6 +53,19 @@ def reference_maxpool2x2_backward(grad, idx, input_shape):
     return windows.reshape(*lead, c, h, w)
 
 
+def reference_correlate3x3(x, kernels, bias=None):
+    """One multiply-add per tap over the whole padded batch, taps in
+    row-major order onto a zero accumulator, then the bias."""
+    *_, h, w = x.shape
+    padded = np.zeros((*x.shape[:-2], h + 2, w + 2), dtype=x.dtype)
+    padded[..., 1 : h + 1, 1 : w + 1] = x
+    out = np.zeros_like(x)
+    for di in range(3):
+        for dj in range(3):
+            out += kernels[:, di, dj][:, None, None] * padded[..., di : di + h, dj : dj + w]
+    return out if bias is None else out + bias[:, None, None]
+
+
 def reference_conv_backward(x, grad, kernels):
     n, c, h, w = x.shape
     padded = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
@@ -192,6 +205,82 @@ class TestConv:
         kernels[1, 1, 1] = 1.0  # only channel 1 has a live kernel
         out = conv3x3_depthwise(x, kernels, np.zeros(2))
         np.testing.assert_allclose(out, 0.0)
+
+
+def signed_zero_floats(dtype):
+    """Elements of dtype in [-100, 100], +0.0 and -0.0 among them."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-100, 100, width=32)
+    ).map(dtype)
+
+
+def assert_conv_kernels_match_reference(x, kernels, bias):
+    reference = reference_correlate3x3(x, kernels)
+    assert tinynet._correlate3x3(x, kernels).tobytes() == reference.tobytes()
+    reference = reference_correlate3x3(x, kernels, bias)
+    assert conv3x3_depthwise(x, kernels, bias).tobytes() == reference.tobytes()
+    d_input = conv3x3_depthwise_backward(x, x, kernels)[2]
+    assert d_input.tobytes() == reference_correlate3x3(x, kernels[:, ::-1, ::-1]).tobytes()
+
+
+@st.composite
+def conv_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, c = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    elements = signed_zero_floats(dtype)
+    x = draw(hnp.arrays(dtype, (n, c, h, w), elements=elements))
+    kernels = draw(hnp.arrays(dtype, (c, 3, 3), elements=elements))
+    bias = draw(hnp.arrays(dtype, (c,), elements=elements))
+    return x, kernels, bias
+
+
+class TestCorrelateBlocks:
+    """The flat-shift, batch-blocked kernel gives the bits of one tap loop
+    over the whole batch, whatever the block size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=conv_cases(), block_bytes=st.sampled_from([1, 200, 4096, tinynet.BLOCK_BYTES]))
+    def test_bits_match_reference(self, case, block_bytes):
+        saved = tinynet.BLOCK_BYTES
+        tinynet.BLOCK_BYTES = block_bytes
+        try:
+            assert_conv_kernels_match_reference(*case)
+        finally:
+            tinynet.BLOCK_BYTES = saved
+
+    @pytest.mark.parametrize(
+        "n, c, side", [(1, 4, 128), (2, 4, 128), (3, 4, 128), (17, 1, 64), (33, 1, 64)]
+    )
+    def test_layer_sizes_across_blocks(self, n, c, side):
+        rng = np.random.default_rng(n)
+        x = dsm_like(rng, (n, c, side, side), np.float32)
+        x[:, :, ::7] *= -1.0  # -0.0 in the background
+        kernels = rng.normal(size=(c, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=c).astype(np.float32)
+        block = max(1, tinynet.BLOCK_BYTES // x[0].nbytes)
+        assert (n > block) == (n > 1)  # several blocks; at 17 and 33 the last is partial
+        assert_conv_kernels_match_reference(x, kernels, bias)
+
+    @pytest.mark.parametrize("tag", ["dsm", "views", "views_reduced"])
+    def test_network_bits_match_reference_kernel(self, tag, monkeypatch):
+        rng = np.random.default_rng(21)
+        params = randomize_biases(init_params(tag, seed=21), rng)
+
+        def output_bytes():
+            results = []
+            for batch in (1, 2, 7, 33):
+                images, scalars = crown_like_inputs(tag, np.random.default_rng(batch), batch)
+                onehot = np.eye(2, dtype=np.float32)[np.arange(batch) % 2]
+                grads, probs, losses = network_gradients(params, images, scalars, onehot)
+                results += [g.tobytes() for g in grads.values()]
+                results += [probs.tobytes(), losses.tobytes()]
+                results.append(predict_probs(params, images, scalars).tobytes())
+            return results
+
+        blocked = output_bytes()
+        monkeypatch.setattr(tinynet, "_correlate3x3", reference_correlate3x3)
+        assert output_bytes() == blocked
 
 
 class TestMaxPool:
