@@ -33,7 +33,13 @@ from .ingest import (
     write_point_file,
     write_stem_file,
 )
-from .intensity import apply_residualization, fit_all_models, write_models
+from .intensity import (
+    GRID_CELL,
+    SIGNIFICANCE_ALPHA,
+    apply_residualization,
+    fit_all_models,
+    write_models,
+)
 from .rasterize import (
     rasterize_crown,
     read_all_representations,
@@ -42,14 +48,8 @@ from .rasterize import (
 )
 from .register import read_registrations, register_crowns, write_registrations
 from .synthforest import SynthParams, generate_dataset, write_truth_file
-from .util import (
-    InputError,
-    default_threads,
-    derive_seed,
-    read_csv_rows,
-    write_csv_rows,
-    write_json,
-)
+from .tinynet import ADAM_LR, BATCH_SIZE
+from .util import InputError, derive_seed, read_csv_rows, write_csv_rows, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -60,9 +60,10 @@ FIGURE_COLUMNS = ("figure", "series", "x", "y")
 REPRESENTATIONS = ("views4", "dsm4")
 ABLATIONS = ens.ABLATION_NAMES
 
-# Synthetic-forest keys default to the generator's own values so the two
-# never drift apart.
+# Synthetic-forest, intensity, training and sweep keys default to the
+# library's own values so the two never drift apart.
 _SYNTH_DEFAULTS = SynthParams(seed=0)
+_SWEEP_DEFAULTS = ens.SweepSpec("size")
 
 # Flat config schema: every key has a default except the mandatory seed.
 CONFIG_DEFAULTS = {
@@ -89,8 +90,8 @@ CONFIG_DEFAULTS = {
     "deciduous_retention": _SYNTH_DEFAULTS.deciduous_retention,
     # intensity normalization
     "intensity_norm": True,
-    "grid_cell": 10.0,
-    "significance_alpha": 0.05,
+    "grid_cell": GRID_CELL,
+    "significance_alpha": SIGNIFICANCE_ALPHA,
     # crown representations
     "representation": "views4",
     "n_rotations": 180,
@@ -105,15 +106,15 @@ CONFIG_DEFAULTS = {
     "n_networks": 50,
     "per_class": 100,
     "epochs": None,  # unset: 5 for views4, 15 for dsm4
-    "lr": 0.01,
-    "batch_size": 32,
+    "lr": ADAM_LR,
+    "batch_size": BATCH_SIZE,
     "ablation": "none",
     # sweeps
     "sweep_variant": "size",
-    "fractions": [0.2, 0.4, 0.6, 0.8, 1.0],
-    "repeats": 3,
-    "augmentations": [],
-    "ablations": list(ABLATIONS),
+    "fractions": list(_SWEEP_DEFAULTS.fractions),
+    "repeats": _SWEEP_DEFAULTS.repeats,
+    "augmentations": list(_SWEEP_DEFAULTS.augmentations),
+    "ablations": list(_SWEEP_DEFAULTS.ablations),
     # execution
     "threads": None,
 }
@@ -151,67 +152,63 @@ NUMBER_RANGES = (
 )
 
 
-class ConfigError(Exception):
-    """Configuration or input validation problem; maps to exit code 1."""
-
-
 def load_config(path: str, overrides: dict) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path}")
     except json.JSONDecodeError as error:
-        raise ConfigError(f"config file {path} is not valid JSON: {error}")
+        raise InputError(f"config file {path} is not valid JSON: {error}")
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise InputError(f"config file {path} must hold a JSON object")
     unknown = set(raw) - set(CONFIG_DEFAULTS) - {"seed"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "seed" not in raw:
-        raise ConfigError("config must set a seed; runs draw no wall-clock entropy")
+        raise InputError("config must set a seed; runs draw no wall-clock entropy")
     config = dict(CONFIG_DEFAULTS)
     config.update(raw)
     config.update({k: v for k, v in overrides.items() if v is not None})
     # type() rather than isinstance(): JSON true and false load as bools,
     # which are ints.
     if type(config["seed"]) is not int:
-        raise ConfigError(f"seed must be an integer, not {config['seed']!r}")
+        raise InputError(f"seed must be an integer, not {config['seed']!r}")
     for key, default in CONFIG_DEFAULTS.items():
         value = config[key]
         if key in POSITIVE_INTEGER_KEYS:
             unset = value is None and default is None
             if not (unset or type(value) is int and value > 0):
-                raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+                raise InputError(f"{key} must be a positive integer, not {value!r}")
         elif key in NON_NEGATIVE_INTEGER_KEYS:
             if not (type(value) is int and value >= 0):
-                raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
+                raise InputError(f"{key} must be a non-negative integer, not {value!r}")
         elif type(default) is bool:
             if type(value) is not bool:
-                raise ConfigError(f"{key} must be true or false, not {value!r}")
+                raise InputError(f"{key} must be true or false, not {value!r}")
         elif type(default) in (int, float):
             # JSON NaN and Infinity load as floats.
             if type(value) not in (int, float) or not math.isfinite(value):
-                raise ConfigError(f"{key} must be a finite number, not {value!r}")
+                raise InputError(f"{key} must be a finite number, not {value!r}")
         elif key.endswith("_file"):
             if not (value is None or type(value) is str):
-                raise ConfigError(f"{key} must be null or a string, not {value!r}")
+                raise InputError(f"{key} must be null or a string, not {value!r}")
     for key, within, allowed in NUMBER_RANGES:
         if not within(config[key]):
-            raise ConfigError(f"{key} must be {allowed}, not {config[key]!r}")
+            raise InputError(f"{key} must be {allowed}, not {config[key]!r}")
     if config["representation"] not in REPRESENTATIONS:
-        raise ConfigError(f"representation must be one of {REPRESENTATIONS}")
+        raise InputError(f"representation must be one of {REPRESENTATIONS}")
     if config["ablation"] not in ABLATIONS:
-        raise ConfigError(f"ablation must be one of {ABLATIONS}")
+        raise InputError(f"ablation must be one of {ABLATIONS}")
     if config["sweep_variant"] not in ens.SWEEP_VARIANTS:
-        raise ConfigError(f"sweep_variant must be one of {ens.SWEEP_VARIANTS}")
+        raise InputError(f"sweep_variant must be one of {ens.SWEEP_VARIANTS}")
     fractions = config["fractions"]
     if not (
         type(fractions) is list
         and fractions
         and all(type(f) in (int, float) and 0 < f <= 1 for f in fractions)
     ):
-        raise ConfigError(
+        raise InputError(
             f"fractions must be a non-empty list of numbers in (0, 1], not {fractions!r}"
         )
     augmentations = config["augmentations"]
@@ -219,12 +216,12 @@ def load_config(path: str, overrides: dict) -> dict:
         type(augmentations) is list
         and all(type(a) is int and a > 0 for a in augmentations)
     ):
-        raise ConfigError(
+        raise InputError(
             f"augmentations must be a list of positive integers, not {augmentations!r}"
         )
     ablations = config["ablations"]
     if not (type(ablations) is list and all(a in ABLATIONS for a in ablations)):
-        raise ConfigError(f"ablations must be a list drawn from {ABLATIONS}")
+        raise InputError(f"ablations must be a list drawn from {ABLATIONS}")
     return config
 
 
@@ -234,17 +231,35 @@ def effective_epochs(config: dict) -> int:
     return 5 if config["representation"] == "views4" else 15
 
 
-def effective_threads(config: dict) -> int:
-    return config["threads"] or default_threads()
+def training(config: dict, command: str) -> ens.Training:
+    """The ensemble recipe a training command reads from the config:
+    correct-labels the correction_* sizes, classify and sweep the
+    classification ones; the seed derives from the command name."""
+    if command == "correct-labels":
+        n_networks = config["correction_networks"]
+        per_class = config["correction_per_class"]
+        epochs = config["correction_epochs"]
+    else:
+        n_networks, per_class = config["n_networks"], config["per_class"]
+        epochs = effective_epochs(config)
+    return ens.Training(
+        n_networks,
+        per_class,
+        epochs,
+        seed=derive_seed(config["seed"], command),
+        lr=float(config["lr"]),
+        batch_size=config["batch_size"],
+        threads=config["threads"],
+    )
 
 
 def require_input(config: dict, key: str) -> Path:
     value = config.get(key)
     if not value:
-        raise ConfigError(f"config key {key} is required for this command")
+        raise InputError(f"config key {key} is required for this command")
     path = Path(value)
     if not path.exists():
-        raise ConfigError(f"{key} does not exist: {path}")
+        raise InputError(f"{key} does not exist: {path}")
     return path
 
 
@@ -374,7 +389,7 @@ def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_
     manifest_path = require_input(config, manifest_key)
     manifest = read_manifest(manifest_path)
     if manifest["kind"] != config["representation"]:
-        raise ConfigError(
+        raise InputError(
             f"{manifest_path} holds {manifest['kind']} rasters but "
             f"representation is {config['representation']}"
         )
@@ -388,7 +403,7 @@ def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_
             instance.label = overrides.get(instance.crown_id, instance.label)
     for label in (CONIFER, DECIDUOUS):
         if not dataset.pool(label):
-            raise ConfigError(
+            raise InputError(
                 f"{labels_key} {labels_path} labels no crown {label}; "
                 "ensembles train on both classes"
             )
@@ -406,7 +421,7 @@ def load_raw_dataset(config: dict):
     """The store rasterized from points without intensity normalization,
     which the raw-intensity ablation trains on."""
     if not config.get("raw_tensor_file"):
-        raise ConfigError(
+        raise InputError(
             "the raw-intensity ablation needs raw_tensor_file and "
             "raw_manifest_file rasterized from unnormalized points"
         )
@@ -421,19 +436,12 @@ def load_ablated_dataset(config: dict):
 
 
 def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
-    dataset = load_dataset(config, "tensor_file", "manifest_file")
-    correction = ens.CorrectionConfig(
-        seed=derive_seed(config["seed"], "correct-labels"),
-        n_networks=config["correction_networks"],
-        per_class=config["correction_per_class"],
-        epochs=config["correction_epochs"],
+    dataset, history = ens.correct_mislabels(
+        load_dataset(config),
+        training(config, "correct-labels"),
         alpha=float(config["alpha"]),
         max_iterations=config["max_iterations"],
-        lr=float(config["lr"]),
-        batch_size=config["batch_size"],
-        threads=effective_threads(config),
     )
-    dataset, history = ens.correct_mislabels(dataset, correction)
     if not history.converged:
         logger.warning("correction hit max_iterations without converging")
     write_csv_rows(
@@ -447,16 +455,7 @@ def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
 
 def cmd_classify(config: dict, out_dir: Path) -> list[str]:
     dataset = load_ablated_dataset(config)
-    result = ens.ensemble_classify(
-        dataset,
-        n_networks=config["n_networks"],
-        per_class=config["per_class"],
-        epochs=effective_epochs(config),
-        seed=derive_seed(config["seed"], "classify"),
-        lr=float(config["lr"]),
-        batch_size=config["batch_size"],
-        threads=effective_threads(config),
-    )
+    result = ens.ensemble_classify(dataset, training(config, "classify"))
     ens.write_predictions(out_dir / "predictions.csv", result.predictions)
     write_summary(out_dir / "summary.csv", result)
     return ["predictions.csv", "summary.csv"]
@@ -471,26 +470,18 @@ def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
         augmentations=tuple(config["augmentations"]),
         ablations=tuple(config["ablations"]),
     )
+    swept = {"augmentation": "augmentations", "ablation": "ablations"}.get(spec.variant)
+    if swept and not config[swept]:
+        raise InputError(f"{swept} must not be empty for the {spec.variant} sweep")
     if any(count > dataset.augmentations for count in spec.augmentations):
-        raise ConfigError(
+        raise InputError(
             f"augmentations must be at most the store's {dataset.augmentations} "
             f"rotations, not {list(spec.augmentations)}"
         )
     raw = None
     if spec.variant == "ablation" and "raw-intensity" in spec.ablations:
         raw = load_raw_dataset(config)
-    rows = ens.run_sweep(
-        dataset,
-        spec,
-        n_networks=config["n_networks"],
-        per_class=config["per_class"],
-        epochs=effective_epochs(config),
-        seed=derive_seed(config["seed"], "sweep"),
-        lr=float(config["lr"]),
-        batch_size=config["batch_size"],
-        threads=effective_threads(config),
-        raw=raw,
-    )
+    rows = ens.run_sweep(dataset, spec, training(config, "sweep"), raw)
     ens.write_sweep_table(out_dir / "sweep.csv", rows)
     return ["sweep.csv"]
 
@@ -591,7 +582,7 @@ def main(argv: "list[str] | None" = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = COMMANDS[args.command](config, out_dir)
-    except (ConfigError, InputError) as error:
+    except InputError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except Exception as error:  # runtime failure

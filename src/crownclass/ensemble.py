@@ -234,6 +234,21 @@ def balanced_cyclic_sample(
     return memberships
 
 
+@dataclass(frozen=True)
+class Training:
+    """One ensemble recipe: n_networks networks, each trained for epochs
+    on per_class crowns of each class, all drawn from seed. Label
+    correction and classification both train with it."""
+
+    n_networks: int
+    per_class: int
+    epochs: int
+    seed: int
+    lr: float = ADAM_LR
+    batch_size: int = BATCH_SIZE
+    threads: int | None = None  # None: one per CPU
+
+
 @dataclass
 class TrainedNetwork:
     params: NetworkParams
@@ -242,6 +257,9 @@ class TrainedNetwork:
 
     @property
     def held(self) -> frozenset:
+        """The crowns this network trained on, each once (its membership
+        without repeats), not the crowns it holds out. The benchmark
+        harness (perfbench/traced.py) reads it under this name."""
         return frozenset(self.membership)
 
 
@@ -271,24 +289,18 @@ DEGENERATE_ACCURACY = 0.65
 DEGENERATE_RETRIES = 3
 
 
-def train_ensemble(
-    dataset: LabeledDataset,
-    n_networks: int,
-    per_class: int,
-    epochs: int,
-    seed: int,
-    lr: float = ADAM_LR,
-    batch_size: int = BATCH_SIZE,
-    threads: int | None = None,
-) -> EnsembleRun:
-    """Train n_networks on balanced cyclic resamples of the dataset.
+def train_ensemble(dataset: LabeledDataset, training: Training) -> EnsembleRun:
+    """Train the recipe's networks on balanced cyclic resamples of the dataset.
 
     A member that ends degenerate (training accuracy below
     DEGENERATE_ACCURACY) is deterministically retrained from a fresh
     derived seed, up to DEGENERATE_RETRIES times; the last attempt is
     kept either way.
     """
-    memberships = balanced_cyclic_sample(dataset, per_class, n_networks, seed)
+    seed = training.seed
+    memberships = balanced_cyclic_sample(
+        dataset, training.per_class, training.n_networks, seed
+    )
 
     def build(index: int) -> TrainedNetwork:
         membership = memberships[index]
@@ -304,10 +316,10 @@ def train_ensemble(
                 images,
                 scalars,
                 onehots,
-                epochs=epochs,
-                batch_size=batch_size,
+                epochs=training.epochs,
+                batch_size=training.batch_size,
                 seed=net_seed,
-                lr=lr,
+                lr=training.lr,
             )
             if acc_n >= DEGENERATE_ACCURACY:
                 break
@@ -319,10 +331,8 @@ def train_ensemble(
             )
         return TrainedNetwork(params, acc_n, tuple(membership))
 
-    networks = parallel_map(
-        build, list(range(n_networks)), threads or default_threads()
-    )
-    return EnsembleRun(networks)
+    threads = training.threads or default_threads()
+    return EnsembleRun(parallel_map(build, list(range(training.n_networks)), threads))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +418,7 @@ def flip_decision(crown_id: str, d_values: list[float], alpha: float) -> FlipDec
 
 
 def mislabel_iteration(
-    run: EnsembleRun,
-    dataset: LabeledDataset,
-    alpha: float = 1e-8,
-    threads: int | None = None,
+    run: EnsembleRun, dataset: LabeledDataset, alpha: float, threads: int | None = None
 ) -> list[FlipDecision]:
     """Test every instance's holdout record against its current label.
 
@@ -457,21 +464,8 @@ class CorrectionHistory:
     converged: bool
 
 
-@dataclass
-class CorrectionConfig:
-    seed: int
-    n_networks: int = 100
-    per_class: int = 80
-    epochs: int = 3
-    alpha: float = 1e-8
-    max_iterations: int = 20
-    lr: float = ADAM_LR
-    batch_size: int = BATCH_SIZE
-    threads: int | None = None
-
-
 def correct_mislabels(
-    dataset: LabeledDataset, config: CorrectionConfig
+    dataset: LabeledDataset, training: Training, alpha: float, max_iterations: int
 ) -> tuple[LabeledDataset, CorrectionHistory]:
     """Iteratively retrain, test, and flip labels until no flips remain.
 
@@ -482,18 +476,10 @@ def correct_mislabels(
     """
     rows = []
     converged = False
-    for iteration in range(1, config.max_iterations + 1):
-        run = train_ensemble(
-            dataset,
-            config.n_networks,
-            config.per_class,
-            config.epochs,
-            seed=derive_seed(config.seed, "correction", iteration),
-            lr=config.lr,
-            batch_size=config.batch_size,
-            threads=config.threads,
-        )
-        decisions = mislabel_iteration(run, dataset, config.alpha, config.threads)
+    for iteration in range(1, max_iterations + 1):
+        seed = derive_seed(training.seed, "correction", iteration)
+        run = train_ensemble(dataset, replace(training, seed=seed))
+        decisions = mislabel_iteration(run, dataset, alpha, training.threads)
         flips = [d for d in decisions if d.flipped]
         by_id = {inst.crown_id: inst for inst in dataset.instances}
         to_conifer = 0
@@ -606,22 +592,11 @@ def accuracies_from_predictions(
     return accuracies
 
 
-def ensemble_classify(
-    dataset: LabeledDataset,
-    n_networks: int = 50,
-    per_class: int = 100,
-    epochs: int = 5,
-    seed: int = 0,
-    lr: float = ADAM_LR,
-    batch_size: int = BATCH_SIZE,
-    threads: int | None = None,
-) -> ClassifyResult:
+def ensemble_classify(dataset: LabeledDataset, training: Training) -> ClassifyResult:
     """Cross-validated classification: every crown is predicted only by
     the networks that never trained on it."""
-    run = train_ensemble(
-        dataset, n_networks, per_class, epochs, seed, lr, batch_size, threads
-    )
-    predictions = ensemble_predictions(run, dataset, threads)
+    run = train_ensemble(dataset, training)
+    predictions = ensemble_predictions(run, dataset, training.threads)
     accuracies = accuracies_from_predictions(predictions)
     return ClassifyResult(predictions, accuracies)
 
@@ -681,33 +656,22 @@ def _row(variant: str, param: str, accuracies: dict[str, ClassAccuracy]) -> Swee
 def run_sweep(
     dataset: LabeledDataset,
     spec: SweepSpec,
-    n_networks: int = 50,
-    per_class: int = 100,
-    epochs: int = 5,
-    seed: int = 0,
-    lr: float = ADAM_LR,
-    batch_size: int = BATCH_SIZE,
-    threads: int | None = None,
+    training: Training,
     raw: "LabeledDataset | None" = None,
 ) -> list[SweepRow]:
-    """Run one evaluation sweep and return its result table.
+    """Run one evaluation sweep and return its result table. Each variant
+    trains with the recipe under a seed derived from its own path.
 
     The raw-intensity ablation trains on ``raw``, a dataset rebuilt
     without intensity normalization.
     """
     rows: list[SweepRow] = []
+    seed = training.seed
 
-    def classify(variant_dataset, *seed_path, classes=per_class) -> ClassifyResult:
-        return ensemble_classify(
-            variant_dataset,
-            n_networks,
-            classes,
-            epochs,
-            seed=derive_seed(seed, *seed_path),
-            lr=lr,
-            batch_size=batch_size,
-            threads=threads,
-        )
+    def classify(variant_dataset, *seed_path, per_class=training.per_class):
+        variant_seed = derive_seed(seed, *seed_path)
+        variant = replace(training, seed=variant_seed, per_class=per_class)
+        return ensemble_classify(variant_dataset, variant)
 
     if spec.variant == "size":
         for fraction in spec.fractions:
@@ -729,9 +693,8 @@ def run_sweep(
                     dataset.images[rows_kept],
                     dataset.scalars[rows_kept],
                 )
-                result = classify(
-                    subset, *seed_path, classes=max(1, int(round(fraction * per_class)))
-                )
+                per_class = max(1, int(round(fraction * training.per_class)))
+                result = classify(subset, *seed_path, per_class=per_class)
                 for label in (CONIFER, DECIDUOUS):
                     per_label_acc[label].append(result.accuracies[label].accuracy)
             stats = {}  # per label: mean accuracy and its 95% half-width

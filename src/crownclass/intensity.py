@@ -27,6 +27,8 @@ GROUPS = tuple((LEAF_OFF, r) for r in (1, 2, 3)) + tuple(
 )
 
 MIN_GROUP_SAMPLES = 10
+GRID_CELL = 10.0  # m, pitch of the sampling grid the models are fitted on
+SIGNIFICANCE_ALPHA = 0.05  # both p-values must fall below it to normalize
 
 
 @dataclass
@@ -53,7 +55,7 @@ def group_key(season_code: int, return_number: int) -> str:
 
 
 def sample_normalization_grid(
-    points: PointCloud, cell: float = 10.0, seed: int = 0
+    points: PointCloud, cell: float = GRID_CELL, seed: int = 0
 ) -> PointCloud:
     """Pick at most one leaf-on and one leaf-off vegetation point per
     ``cell``-meter grid cell, uniformly at random.
@@ -139,7 +141,7 @@ def fit_intensity_model(
 
 
 def fit_all_models(
-    points: PointCloud, cell: float = 10.0, seed: int = 0
+    points: PointCloud, cell: float = GRID_CELL, seed: int = 0
 ) -> dict[str, IntensityModel]:
     """Grid-sample, then fit one model per (season, return number) group
     that appears in the samples."""
@@ -164,7 +166,9 @@ def fit_all_models(
 
 
 def apply_residualization(
-    points: PointCloud, models: dict[str, IntensityModel], alpha: float = 0.05
+    points: PointCloud,
+    models: dict[str, IntensityModel],
+    alpha: float = SIGNIFICANCE_ALPHA,
 ) -> PointCloud:
     """Replace intensities by residual + group mean, rounded and clamped
     to [0, 255], for groups whose model has both p-values below ``alpha``.

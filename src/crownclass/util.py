@@ -63,7 +63,8 @@ def student_t_cdf(t: "float | np.ndarray", df: float) -> "float | np.ndarray":
 
 
 class InputError(ValueError):
-    """A malformed input file; the command line exits 1 on it."""
+    """A malformed input file or a bad config value; the command line
+    exits 1 on it."""
 
 
 def read_csv_rows(path, columns: Sequence[str], parse: Callable[[list[str]], R]) -> list[R]:

@@ -230,17 +230,17 @@ def test_05_mislabel_correction_recovers_injected_flips():
     ds = views4_dataset(labeled, n_rotations=10, step=36.0)
     corrected, history = ens.correct_mislabels(
         ds,
-        ens.CorrectionConfig(
-            seed=55,
+        ens.Training(
             n_networks=20,
             per_class=20,
             epochs=3,
-            alpha=1e-6,
-            max_iterations=20,
+            seed=55,
             lr=0.005,
             batch_size=32,
             threads=1,
         ),
+        alpha=1e-6,
+        max_iterations=20,
     )
     elapsed = time.time() - t0
 
@@ -276,7 +276,7 @@ def test_06_ensemble_classification_accuracy(clean_forest):
     t0 = time.time()
     ds, _ = clean_forest
     result = ens.ensemble_classify(
-        ds, n_networks=10, per_class=20, epochs=5, seed=5, threads=1
+        ds, ens.Training(n_networks=10, per_class=20, epochs=5, seed=5, threads=1)
     )
     elapsed = time.time() - t0
     acc = {label: a.accuracy for label, a in result.accuracies.items()}
@@ -293,10 +293,11 @@ def test_06_ensemble_classification_accuracy(clean_forest):
 def test_07_dropping_leaf_off_inputs_hits_conifers_only(clean_forest):
     ds, leaf_on_only = clean_forest
     full = ens.ensemble_classify(
-        ds, n_networks=20, per_class=20, epochs=8, seed=5, threads=1
+        ds, ens.Training(n_networks=20, per_class=20, epochs=8, seed=5, threads=1)
     )
     reduced = ens.ensemble_classify(
-        leaf_on_only, n_networks=20, per_class=20, epochs=8, seed=6, threads=1
+        leaf_on_only,
+        ens.Training(n_networks=20, per_class=20, epochs=8, seed=6, threads=1),
     )
     fa = {label: a.accuracy for label, a in full.accuracies.items()}
     ra = {label: a.accuracy for label, a in reduced.accuracies.items()}

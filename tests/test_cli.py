@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from crownclass import cli
-from crownclass.ensemble import SweepRow, read_predictions
+from crownclass.ensemble import SweepRow, Training, read_predictions
 from crownclass.ingest import LEAF_ON, VEGETATION, PointCloud, write_point_file
 from crownclass.rasterize import read_all_representations, read_manifest
+from crownclass.util import derive_seed
 
 
 BASE_CONFIG = {
@@ -451,6 +452,31 @@ class TestErrorPaths:
         )
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_empty_augmentations_sweep_exits_1(self, tmp_path, pipeline, capsys):
+        out = pipeline["out"]
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+            sweep_variant="augmentation",
+        )
+        assert run("sweep", config, tmp_path) == 1
+        assert "augmentations must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_empty_ablations_sweep_exits_1(self, tmp_path, pipeline, capsys):
+        out = pipeline["out"]
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+            sweep_variant="ablation",
+            ablations=[],
+        )
+        assert run("sweep", config, tmp_path) == 1
+        assert "ablations must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("command", ["correct-labels", "classify", "sweep"])
     def test_store_of_other_representation_exits_1(
         self, tmp_path, pipeline, capsys, command
@@ -560,6 +586,31 @@ class TestConfigHelpers:
         assert cli.effective_epochs(dsm) == 15
         explicit = dict(dsm, epochs=2)
         assert cli.effective_epochs(explicit) == 2
+
+    def test_training_reads_each_command_keys(self):
+        config = dict(
+            cli.CONFIG_DEFAULTS,
+            seed=3,
+            correction_networks=2,
+            correction_per_class=3,
+            correction_epochs=4,
+            n_networks=11,
+            per_class=6,
+            epochs=7,
+            lr=0.125,
+            batch_size=8,
+            threads=9,
+        )
+        shared = dict(lr=0.125, batch_size=8, threads=9)
+        assert cli.training(config, "correct-labels") == Training(
+            2, 3, 4, derive_seed(3, "correct-labels"), **shared
+        )
+        for command in ("classify", "sweep"):
+            assert cli.training(config, command) == Training(
+                11, 6, 7, derive_seed(3, command), **shared
+            )
+        unset = dict(config, epochs=None, representation="dsm4")
+        assert cli.training(unset, "sweep").epochs == cli.effective_epochs(unset) == 15
 
     def test_unset_epochs_and_threads_accepted(self, tmp_path):
         config = write_config(tmp_path / "config.json", epochs=None, threads=None)

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 from crownclass import ensemble
 from crownclass.ensemble import (
-    CorrectionConfig,
+    ClassAccuracy,
+    ClassifyResult,
     EnsembleRun,
+    FlipDecision,
     Instance,
     LabeledDataset,
     SweepSpec,
     TrainedNetwork,
+    Training,
     accuracies_from_predictions,
     balanced_cyclic_sample,
     binarize_intensity,
@@ -48,6 +51,7 @@ from crownclass.ensemble import (
 )
 from crownclass.ingest import LEAF_OFF, LEAF_ON, VEGETATION, Apex, CrownCloud, PointCloud
 from crownclass.tinynet import init_params, predict_probs
+from crownclass.util import derive_seed
 
 from test_rasterize import crown_dataset
 
@@ -342,7 +346,8 @@ class TestBalancedCyclicSample:
 class TestTrainEnsemble:
     def test_run_records_memberships_and_accuracies(self):
         dataset = blob_dataset(4, 4, seed=1)
-        run = train_ensemble(dataset, n_networks=3, per_class=2, epochs=1, seed=11)
+        training = Training(n_networks=3, per_class=2, epochs=1, seed=11)
+        run = train_ensemble(dataset, training)
         assert len(run.networks) == 3
         for net in run.networks:
             assert net.params.tag == "views_reduced"
@@ -352,7 +357,7 @@ class TestTrainEnsemble:
     def test_same_seed_bit_identical(self):
         dataset = blob_dataset(4, 4, seed=1)
         runs = [
-            train_ensemble(dataset, 2, 2, 1, seed=12, threads=threads)
+            train_ensemble(dataset, Training(2, 2, 1, seed=12, threads=threads))
             for threads in (1, 4)
         ]
         for a, b in zip(runs[0].networks, runs[1].networks):
@@ -407,20 +412,20 @@ class TestFlipDecision:
 class TestMislabelIteration:
     def test_instances_without_two_holdouts_are_skipped(self, caplog):
         dataset = blob_dataset(2, 2, seed=3)
-        run = train_ensemble(dataset, 2, 2, 1, seed=16)
+        run = train_ensemble(dataset, Training(2, 2, 1, seed=16))
         # per_class == pool: every net trained on every instance.
         with caplog.at_level("WARNING"):
-            decisions = mislabel_iteration(run, dataset)
+            decisions = mislabel_iteration(run, dataset, alpha=1e-8)
         assert all(not d.flipped for d in decisions)
         assert all(math.isnan(d.p_value) for d in decisions)
         assert "held out" in caplog.text
 
     def test_pure_function_of_run_and_dataset(self):
         dataset = blob_dataset(4, 4, seed=4)
-        run = train_ensemble(dataset, 4, 2, 1, seed=17)
-        first = mislabel_iteration(run, dataset)
+        run = train_ensemble(dataset, Training(4, 2, 1, seed=17))
+        first = mislabel_iteration(run, dataset, alpha=1e-8)
         labels_after = [inst.label for inst in dataset.instances]
-        second = mislabel_iteration(run, dataset)
+        second = mislabel_iteration(run, dataset, alpha=1e-8)
         assert labels_after == [inst.label for inst in dataset.instances]
         assert [d.flipped for d in first] == [d.flipped for d in second]
         for a, b in zip(first, second):
@@ -430,10 +435,10 @@ class TestMislabelIteration:
 class TestCorrectMislabels:
     def test_clean_separable_data_converges_immediately(self):
         dataset = blob_dataset(6, 6, seed=5, aug=2)
-        config = CorrectionConfig(
-            seed=18, n_networks=6, per_class=4, epochs=3, max_iterations=5
+        training = Training(n_networks=6, per_class=4, epochs=3, seed=18)
+        dataset, history = correct_mislabels(
+            dataset, training, alpha=1e-8, max_iterations=5
         )
-        dataset, history = correct_mislabels(dataset, config)
         assert history.converged
         assert len(history.rows) == 1
         assert history.rows[0].flips_to_conifer == 0
@@ -443,10 +448,10 @@ class TestCorrectMislabels:
     def test_non_convergence_returns_state_with_flag(self):
         dataset = blob_dataset(3, 3, seed=6)
         # alpha > 1 forces every tested instance to flip every iteration.
-        config = CorrectionConfig(
-            seed=19, n_networks=4, per_class=2, epochs=1, alpha=1.1, max_iterations=2
+        training = Training(n_networks=4, per_class=2, epochs=1, seed=19)
+        dataset, history = correct_mislabels(
+            dataset, training, alpha=1.1, max_iterations=2
         )
-        dataset, history = correct_mislabels(dataset, config)
         assert not history.converged
         assert len(history.rows) == 2
         assert history.rows[0].flips_to_conifer > 0
@@ -456,13 +461,36 @@ class TestCorrectMislabels:
         # Two injected mislabels.
         dataset.instances[0].label = "deciduous"
         dataset.instances[8].label = "conifer"
-        config = CorrectionConfig(
-            seed=20, n_networks=8, per_class=5, epochs=2, max_iterations=4
+        training = Training(n_networks=8, per_class=5, epochs=2, seed=20)
+        dataset, history = correct_mislabels(
+            dataset, training, alpha=1e-8, max_iterations=4
         )
-        dataset, history = correct_mislabels(dataset, config)
         accs = [row.mean_acc for row in history.rows]
         for earlier, later in zip(accs, accs[1:]):
             assert later >= earlier - 0.02
+
+    def test_each_iteration_trains_under_its_derived_seed(self, monkeypatch):
+        dataset = blob_dataset(2, 2, seed=8)
+        trained = []
+
+        def fake_train(dataset, training):
+            trained.append(training)
+            return EnsembleRun([TrainedNetwork(None, 0.9, ())])
+
+        def fake_iteration(run, dataset, alpha, threads):
+            # Flip the first crown in the first iteration only.
+            flip = len(trained) == 1
+            return [FlipDecision(dataset.instances[0].crown_id, [], 0.0, 0.0, flip)]
+
+        monkeypatch.setattr(ensemble, "train_ensemble", fake_train)
+        monkeypatch.setattr(ensemble, "mislabel_iteration", fake_iteration)
+        training = Training(3, 2, 1, seed=21, lr=0.5, batch_size=7, threads=1)
+        _, history = correct_mislabels(dataset, training, alpha=1e-8, max_iterations=5)
+        assert history.converged and len(history.rows) == 2
+        assert trained == [
+            Training(3, 2, 1, derive_seed(21, "correction", i), 0.5, 7, 1)
+            for i in (1, 2)
+        ]
 
 
 def identical_network_run(dataset, seed=21):
@@ -598,7 +626,9 @@ class TestEnsemblePredictions:
 
     def test_interval_matches_binomial_formula(self):
         dataset = blob_dataset(4, 4, seed=10)
-        result = ensemble_classify(dataset, n_networks=4, per_class=2, epochs=1, seed=23)
+        result = ensemble_classify(
+            dataset, Training(n_networks=4, per_class=2, epochs=1, seed=23)
+        )
         for accuracy in result.accuracies.values():
             if accuracy.n == 0:
                 continue
@@ -609,8 +639,8 @@ class TestEnsemblePredictions:
 
     def test_classify_deterministic(self):
         dataset = blob_dataset(4, 4, seed=11)
-        a = ensemble_classify(dataset, 3, 2, 1, seed=24)
-        b = ensemble_classify(dataset, 3, 2, 1, seed=24)
+        a = ensemble_classify(dataset, Training(3, 2, 1, seed=24))
+        b = ensemble_classify(dataset, Training(3, 2, 1, seed=24))
         assert [(p.crown_id, p.predicted, p.p_conifer) for p in a.predictions] == [
             (p.crown_id, p.predicted, p.p_conifer) for p in b.predictions
         ]
@@ -642,15 +672,14 @@ class TestPearson:
         assert p == pytest.approx(p_ref, rel=1e-12)
 
 
-def tiny_sweep_args():
-    return dict(n_networks=2, per_class=2, epochs=1, seed=30)
+TINY_TRAINING = Training(n_networks=2, per_class=2, epochs=1, seed=30)
 
 
 class TestRunSweep:
     def test_size_sweep_emits_one_row_per_fraction(self):
         dataset = blob_dataset(4, 6, seed=12)
         spec = SweepSpec(variant="size", fractions=(0.5, 1.0), repeats=2)
-        rows = run_sweep(dataset, spec, **tiny_sweep_args())
+        rows = run_sweep(dataset, spec, TINY_TRAINING)
         assert [row.param for row in rows] == ["0.5", "1"]
         for row in rows:
             assert row.variant == "size"
@@ -660,7 +689,7 @@ class TestRunSweep:
     def test_augmentation_sweep(self):
         dataset = blob_dataset(3, 3, seed=13, aug=3)
         spec = SweepSpec(variant="augmentation", augmentations=(1, 3))
-        rows = run_sweep(dataset, spec, **tiny_sweep_args())
+        rows = run_sweep(dataset, spec, TINY_TRAINING)
         assert [row.param for row in rows] == ["1", "3"]
 
     def test_ablation_sweep_channel_variants(self):
@@ -669,7 +698,7 @@ class TestRunSweep:
             variant="ablation",
             ablations=("none", "no-leaf-off", "no-leaf-on", "binary-intensity"),
         )
-        rows = run_sweep(dataset, spec, **tiny_sweep_args())
+        rows = run_sweep(dataset, spec, TINY_TRAINING)
         assert [row.param for row in rows] == [
             "none",
             "no-leaf-off",
@@ -681,13 +710,8 @@ class TestRunSweep:
         dataset = blob_dataset(3, 3, seed=15, channels=4, tag="views")
         spec = SweepSpec(variant="ablation", ablations=("raw-intensity",))
         with pytest.raises(ValueError, match="normalization"):
-            run_sweep(dataset, spec, **tiny_sweep_args())
-        rows = run_sweep(
-            dataset,
-            spec,
-            raw=dataset,
-            **tiny_sweep_args(),
-        )
+            run_sweep(dataset, spec, TINY_TRAINING)
+        rows = run_sweep(dataset, spec, TINY_TRAINING, raw=dataset)
         assert rows[0].param == "raw-intensity"
 
     def test_crown_class_sweep_splits_strata(self):
@@ -697,13 +721,13 @@ class TestRunSweep:
                 i % 4
             ]
         spec = SweepSpec(variant="crown_class")
-        rows = run_sweep(dataset, spec, **tiny_sweep_args())
+        rows = run_sweep(dataset, spec, TINY_TRAINING)
         assert [row.param for row in rows] == ["overstory", "understory"]
 
     def test_density_sweep_reports_correlation_and_p(self):
         dataset = blob_dataset(5, 5, seed=17)
         spec = SweepSpec(variant="density")
-        rows = run_sweep(dataset, spec, **tiny_sweep_args())
+        rows = run_sweep(dataset, spec, TINY_TRAINING)
         assert len(rows) == 1
         assert rows[0].param == "pearson-r"
         assert -1.0 <= rows[0].acc_conifer <= 1.0
@@ -712,7 +736,31 @@ class TestRunSweep:
     def test_unknown_variant_rejected(self):
         dataset = blob_dataset(2, 2, seed=18)
         with pytest.raises(ValueError, match="variant"):
-            run_sweep(dataset, SweepSpec(variant="speed"), **tiny_sweep_args())
+            run_sweep(dataset, SweepSpec(variant="speed"), TINY_TRAINING)
+
+    def test_variants_train_with_derived_recipes(self, monkeypatch):
+        dataset = blob_dataset(4, 6, seed=19)
+        trained = []
+
+        def fake_classify(dataset, training):
+            trained.append(training)
+            accuracies = {
+                label: ClassAccuracy(label, 1.0, 0.0, 1)
+                for label in ("conifer", "deciduous")
+            }
+            return ClassifyResult([], accuracies)
+
+        monkeypatch.setattr(ensemble, "ensemble_classify", fake_classify)
+        training = Training(2, 4, 1, seed=31, lr=0.5, batch_size=7, threads=1)
+        spec = SweepSpec(variant="size", fractions=(0.5, 1.0), repeats=1)
+        run_sweep(dataset, spec, training)
+        spec = SweepSpec(variant="augmentation", augmentations=(1,))
+        run_sweep(dataset, spec, training)
+        assert trained == [
+            Training(2, 2, 1, derive_seed(31, "size", "0.5", 0), 0.5, 7, 1),
+            Training(2, 4, 1, derive_seed(31, "size", "1", 0), 0.5, 7, 1),
+            Training(2, 4, 1, derive_seed(31, "augmentation", 1), 0.5, 7, 1),
+        ]
 
 
 class TestTableFiles:
