@@ -15,10 +15,19 @@ Every convolution is depthwise: one 3x3 kernel per channel, zero padding
 1, stride 1, so channel count is preserved through the stack. Runtime
 arithmetic is float32; passing float64 parameters switches the whole
 graph to float64 (used by gradient checks).
+
+A network's parameters are one vector with named views (FlatTensors),
+and so are its gradients, so Adam updates the whole network in a few
+vector operations. Forward and backward passes write their arrays into
+a Workspace that train_network and predict_probs keep for the length of
+one call, so a training step allocates no large array after the first.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,19 +40,25 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BATCH_SIZE = 32
 # Samples per forward pass in predict_probs. On one thread of a 2-CPU
-# Intel Xeon the forward pass takes, per sample at chunks of 8 / 32 / 256,
-# dsm 1.0 / 0.70 / 1.0 ms and views 0.32 / 0.20 / 0.15 ms. dsm stays at 8,
-# whose activations are a quarter of 32's: at 32 a dsm classify run
-# peaked 26 MB higher, with no throughput change the benchmark could
-# resolve when the conv still streamed the whole batch per tap.
+# Intel Xeon, with one workspace per 256-sample call, the forward pass
+# takes per sample at chunks of 8 / 16 / 32: dsm 0.60 / 0.69 / 0.60 ms
+# (median of 7 fresh processes) and views 0.22 / 0.17 / 0.17 ms. dsm
+# stays at 8, as fast as 32 with a quarter of its activations.
 PREDICT_CHUNK = {"dsm": 8, "views": 32, "views_reduced": 32}
-# Input bytes per batch block of the depthwise conv (_correlate3x3). On
-# one thread of the same Xeon (2 MB L2 per core), a batch-32 float32
-# train step took, at 64 KB / 128 KB / 256 KB / 512 KB / 1 MB, dsm
+# Input bytes per batch block of the depthwise conv and its kernel
+# gradients (_padded_blocks). On one thread of the same Xeon (2 MB L2
+# per core), a batch-32 float32 train step took, before the workspace,
+# at 64 KB / 128 KB / 256 KB / 512 KB / 1 MB, dsm
 # 73.0 / 71.5 / 69.7 / 75.0 / 80.2 ms and views 16.9 / 16.5 / 16.2 /
 # 16.0 / 16.2 ms. A dsm input image is 256 KB, so each block of the
 # first dsm layer holds one image.
 BLOCK_BYTES = 256 * 1024
+# A workspace takes buffers of at least this many bytes from anonymous
+# memory maps, returned to the system when the workspace is freed. From
+# malloc they would stay in the thread's arena once an earlier workspace
+# had raised glibc's mmap threshold, and the next stage's arrays would
+# add to them.
+MAPPED_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,10 +95,32 @@ ARCHITECTURES = {
 }
 
 
+class FlatTensors(dict):
+    """Named views, in _layer_plan order, into the one vector `flat`."""
+
+    def __init__(self, tag: str, flat: np.ndarray):
+        super().__init__()
+        self.flat = flat
+        start = 0
+        for name, shape in _layer_plan(ARCHITECTURES[tag]):
+            stop = start + math.prod(shape)
+            self[name] = flat[start:stop].reshape(shape)
+            start = stop
+        if start != flat.size:
+            raise ValueError(f"{tag} has {start} parameters, got a vector of {flat.size}")
+
+
 @dataclass
 class NetworkParams:
+    """All parameters of one network in the vector `flat`; `tensors` are
+    its named views."""
+
     tag: str
-    tensors: dict[str, np.ndarray]
+    flat: np.ndarray
+    tensors: FlatTensors = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.tensors = FlatTensors(self.tag, self.flat)
 
     @property
     def spec(self) -> ArchSpec:
@@ -91,21 +128,58 @@ class NetworkParams:
 
     @property
     def dtype(self) -> np.dtype:
-        return next(iter(self.tensors.values())).dtype
+        return self.flat.dtype
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.tag, {k: v.copy() for k, v in self.tensors.items()})
+        return NetworkParams(self.tag, self.flat.copy())
 
 
 @dataclass
 class AdamState:
     lr: float
-    beta1: float
-    beta2: float
-    epsilon: float
     t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # first and second moments, shaped like NetworkParams.flat
+    v: np.ndarray
+
+
+class Workspace:
+    """Reusable arrays for the passes of one network.
+
+    take(key, shape, dtype) returns an array of that shape whose contents
+    are undefined. Each key owns one buffer, grown to the largest request
+    so far, so a smaller request (a short last batch, a later, smaller
+    layer) is a view of the leading part of the same memory, and a pass
+    allocates nothing once every key has met its largest shape. Arrays
+    that die inside one layer are keyed by role and shared by every
+    layer; what the backward pass reads is keyed by layer.
+
+    A workspace serves one pass at a time: train_network and
+    predict_probs each make one per call, and a pass given none makes
+    its own, whose arrays its results may then share. Buffers of
+    MAPPED_BYTES or more are memory maps.
+    """
+
+    def __init__(self):
+        # key -> (buffer, {shape: view of the buffer})
+        self._buffers: dict = {}
+
+    def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        entry = self._buffers.get(key)
+        if entry is not None:
+            buffer, views = entry
+            view = views.get(shape)
+            if view is not None and view.dtype == dtype:
+                return view
+            size = math.prod(shape)
+            if buffer.size >= size and buffer.dtype == dtype:
+                view = views[shape] = buffer.reshape(-1)[:size].reshape(shape)
+                return view
+        if (nbytes := math.prod(shape) * np.dtype(dtype).itemsize) >= MAPPED_BYTES:
+            buffer = np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+        else:
+            buffer = np.empty(shape, dtype=dtype)
+        self._buffers[key] = (buffer, {shape: buffer})
+        return buffer
 
 
 def _branch_prefix(spec: ArchSpec, branch: int) -> str:
@@ -142,18 +216,18 @@ def init_params(tag: str, seed: int, dtype=np.float32) -> NetworkParams:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)); biases zero."""
     spec = ARCHITECTURES[tag]
     rng = np.random.default_rng(derive_seed(seed, "init", tag))
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in _layer_plan(spec):
+    plan = _layer_plan(spec)
+    params = NetworkParams(tag, np.zeros(sum(math.prod(s) for _, s in plan), dtype=dtype))
+    for name, shape in plan:
         if name.endswith(".bias"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
             continue
         if ".conv" in name or name.startswith("conv"):
             fan_in = fan_out = 9
         else:
             fan_out, fan_in = shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        tensors[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-    return NetworkParams(tag, tensors)
+        params.tensors[name][...] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return params
 
 
 def _check_shape(name: str, arr: np.ndarray, expected: tuple[int, ...]) -> None:
@@ -161,41 +235,62 @@ def _check_shape(name: str, arr: np.ndarray, expected: tuple[int, ...]) -> None:
         raise AssertionError(f"{name}: shape {arr.shape}, expected {expected}")
 
 
-def _pad1(x: np.ndarray) -> np.ndarray:
-    *lead, h, w = x.shape
-    padded = np.zeros((*lead, h + 2, w + 2), dtype=x.dtype)
-    padded[..., 1 : h + 1, 1 : w + 1] = x
-    return padded
+def _workspace(workspace: "Workspace | None") -> Workspace:
+    return Workspace() if workspace is None else workspace
 
 
-def _correlate3x3(
-    x: np.ndarray, kernels: np.ndarray, bias: "np.ndarray | None" = None
-) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus
-    an optional per-channel bias.
+@functools.cache
+def _tap_offsets(row: int) -> tuple[int, ...]:
+    """Offsets of the 3x3 taps, row-major, in rows `row` values wide."""
+    return tuple(di * row + dj for di in range(3) for dj in range(3))
 
-    Each image is padded into a flat run of h + 2 rows of w + 2 values and
-    2 spare zeros, so tap (di, dj) is one contiguous slice at offset
-    di * (w + 2) + dj. Output rows come out w + 2 wide; the copy-out drops
-    their last two, junk, columns. The batch runs in blocks of about
-    BLOCK_BYTES of input, reusing one padded buffer, one accumulator and
-    one tap product, so a block's working set stays in cache. The sums
-    are those of one tap loop over the whole batch, in the same order:
-    taps in row-major order onto a zero accumulator, the bias last.
+
+def _padded_blocks(x: np.ndarray, ws: Workspace) -> tuple[int, np.ndarray, np.ndarray]:
+    """Batch block size for x, a zeroed buffer of one block, and the view
+    of its interior.
+
+    Each image of the block is padded into a flat run of h + 2 rows of
+    w + 2 values and 2 spare zeros, so tap (di, dj) is one contiguous
+    slice at offset di * (w + 2) + dj. A block holds about BLOCK_BYTES of
+    input, so its working set stays in cache.
     """
     n, c, h, w = x.shape
     row = w + 2
-    span = h * row
     block = max(1, BLOCK_BYTES // (x.itemsize * c * h * w))
-    flat = np.zeros((min(block, n), c, (h + 2) * row + 2), dtype=x.dtype)
+    flat = ws.take("conv.padded", (min(block, n), c, (h + 2) * row + 2), x.dtype)
+    flat.fill(0)
     interior = flat[..., : (h + 2) * row].reshape(len(flat), c, h + 2, row)[
         ..., 1 : h + 1, 1 : w + 1
     ]
-    acc = np.empty((len(flat), c, span), dtype=x.dtype)
-    tap = np.empty_like(acc)
+    return block, flat, interior
+
+
+def _correlate3x3(
+    x: np.ndarray,
+    kernels: np.ndarray,
+    bias: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
+    workspace: "Workspace | None" = None,
+) -> np.ndarray:
+    """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus
+    an optional per-channel bias, written into out (fresh if None).
+
+    The batch runs in the padded blocks of _padded_blocks, reusing one
+    accumulator and one tap product. Output rows come out w + 2 wide; the
+    copy-out drops their last two, junk, columns. The sums are those of
+    one tap loop over the whole batch, in the same order: taps in
+    row-major order onto a zero accumulator, the bias last.
+    """
+    ws = _workspace(workspace)
+    n, c, h, w = x.shape
+    row = w + 2
+    span = h * row
+    block, flat, interior = _padded_blocks(x, ws)
+    acc, tap = ws.take("conv.sums", (2, len(flat), c, span), x.dtype)
     taps = kernels.reshape(c, 9, 1)
-    offsets = [di * row + dj for di in range(3) for dj in range(3)]
-    out = np.empty((n, c, h, w), dtype=x.dtype)
+    offsets = _tap_offsets(row)
+    if out is None:
+        out = np.empty((n, c, h, w), dtype=x.dtype)
     for start in range(0, n, block):
         size = min(block, n - start)
         interior[:size] = x[start : start + size]
@@ -214,71 +309,114 @@ def _correlate3x3(
     return out
 
 
-def conv3x3_depthwise(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
+def conv3x3_depthwise(
+    x: np.ndarray,
+    kernels: np.ndarray,
+    biases: np.ndarray,
+    workspace: "Workspace | None" = None,
+) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, zero padding 1, stride 1."""
     _check_shape("conv kernels", kernels, (x.shape[-3], 3, 3))
-    return _correlate3x3(x, kernels, biases)
+    ws = _workspace(workspace)
+    return _correlate3x3(x, kernels, biases, ws.take("pre", x.shape, x.dtype), ws)
 
 
 def _conv3x3_param_grads(
-    x: np.ndarray, grad: np.ndarray
+    x: np.ndarray, grad: np.ndarray, workspace: Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_biases) of the depthwise conv.
 
-    One einsum per tap reduces over batch and space in a single pass;
-    plain einsum calls no BLAS, so the sums do not depend on thread count.
+    x is padded as in _correlate3x3 and grad into rows w + 2 wide whose
+    last two values are zero, so over a batch block the gradient of tap
+    (di, dj) is one contiguous einsum of the grad rows with x's slice at
+    offset di * (w + 2) + dj: the junk columns meet the zeros. Blocks add
+    up in batch order. Plain einsum calls no BLAS, so the sums do not
+    depend on thread count.
     """
-    _, c, h, w = x.shape
-    padded = _pad1(x)
-    d_kernels = np.empty((c, 3, 3), dtype=x.dtype)
-    for di in range(3):
-        for dj in range(3):
-            d_kernels[:, di, dj] = np.einsum(
-                "nchw,nchw->c", grad, padded[..., di : di + h, dj : dj + w]
-            )
-    return d_kernels, grad.sum(axis=(0, 2, 3))
+    n, c, h, w = x.shape
+    row = w + 2
+    span = h * row
+    block, flat, interior = _padded_blocks(x, workspace)
+    rows = workspace.take("conv.grad_rows", (len(flat), c, h, row), x.dtype)
+    rows[..., w:] = 0
+    d_taps = np.zeros((9, c), dtype=x.dtype)
+    block_taps = np.empty_like(d_taps)
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        interior[:size] = x[start : start + size]
+        rows[:size, ..., :w] = grad[start : start + size]
+        g = rows[:size].reshape(size, c, span)
+        for i, offset in enumerate(_tap_offsets(row)):
+            window = flat[:size, :, offset : offset + span]
+            np.einsum("ncp,ncp->c", g, window, out=block_taps[i])
+        d_taps += block_taps
+    return d_taps.T.reshape(c, 3, 3), grad.sum(axis=(0, 2, 3))
 
 
 def conv3x3_depthwise_backward(
-    x: np.ndarray, grad: np.ndarray, kernels: np.ndarray
+    x: np.ndarray,
+    grad: np.ndarray,
+    kernels: np.ndarray,
+    workspace: "Workspace | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_biases, d_input) of the depthwise conv.
 
     d_input is the forward correlation of grad with the flipped kernel.
     """
-    d_kernels, d_biases = _conv3x3_param_grads(x, grad)
-    return d_kernels, d_biases, _correlate3x3(grad, kernels[:, ::-1, ::-1])
+    ws = _workspace(workspace)
+    d_kernels, d_biases = _conv3x3_param_grads(x, grad, ws)
+    d_input = ws.take("d_input", x.shape, x.dtype)
+    return d_kernels, d_biases, _correlate3x3(grad, kernels[:, ::-1, ::-1], None, d_input, ws)
 
 
-def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def maxpool2x2(
+    x: np.ndarray,
+    workspace: "Workspace | None" = None,
+    layer: str = "",
+    record: bool = True,
+) -> tuple[np.ndarray, "np.ndarray | None"]:
     """Max over disjoint 2x2 windows [[a, b], [c, d]].
 
-    Also returns the record backward needs to route each gradient to the
-    first maximum in row-major order: three boolean masks, b > a, d > c
-    and max(c, d) > max(a, b).
+    Also returns, unless record is False, what backward needs to route
+    each gradient to the first maximum in row-major order: three boolean
+    masks, b > a, d > c and max(c, d) > max(a, b). The output and the
+    record are the workspace arrays of `layer`.
     """
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise AssertionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
+    ws = _workspace(workspace)
     a = x[..., 0::2, 0::2]
     b = x[..., 0::2, 1::2]
     c = x[..., 1::2, 0::2]
     d = x[..., 1::2, 1::2]
-    top = np.maximum(a, b)
-    bottom = np.maximum(c, d)
-    return np.maximum(top, bottom), (b > a, d > c, bottom > top)
+    # top is computed in the output, which then takes max(top, bottom).
+    top = np.maximum(a, b, out=ws.take((layer, "pooled"), a.shape, x.dtype))
+    bottom = np.maximum(c, d, out=ws.take("pool.rows", (2, *a.shape), x.dtype)[0])
+    masks = None
+    if record:
+        masks = ws.take((layer, "record"), (3, *a.shape), bool)
+        np.greater(b, a, out=masks[0])
+        np.greater(d, c, out=masks[1])
+        np.greater(bottom, top, out=masks[2])
+    return np.maximum(top, bottom, out=top), masks
 
 
 def maxpool2x2_backward(
-    grad: np.ndarray, record: tuple[np.ndarray, ...], input_shape: tuple[int, ...]
+    grad: np.ndarray,
+    record: np.ndarray,
+    input_shape: tuple[int, ...],
+    workspace: "Workspace | None" = None,
 ) -> np.ndarray:
     """Scatter grad back to the window maximum recorded by maxpool2x2."""
+    ws = _workspace(workspace)
     right_top, right_bottom, bottom = record
     # A 0/1 mask product and its difference from the whole split a value
     # exactly: one part is the value, the other zero.
-    low = grad * bottom
-    top = grad - low
-    out = np.empty(input_shape, dtype=grad.dtype)
+    low, top = ws.take("pool.rows", (2, *grad.shape), grad.dtype)
+    np.multiply(grad, bottom, out=low)
+    np.subtract(grad, low, out=top)
+    out = ws.take("pre", input_shape, grad.dtype)
     np.multiply(top, right_top, out=out[..., 0::2, 1::2])
     np.subtract(top, out[..., 0::2, 1::2], out=out[..., 0::2, 0::2])
     np.multiply(low, right_bottom, out=out[..., 1::2, 1::2])
@@ -313,6 +451,7 @@ def _forward(
     params: NetworkParams,
     images: np.ndarray,
     scalars: np.ndarray,
+    ws: Workspace,
     trace: "list | None" = None,
     cache: "dict | None" = None,
 ) -> np.ndarray:
@@ -349,12 +488,13 @@ def _forward(
                 x,
                 params.tensors[f"{prefix}conv{i}.kernel"],
                 params.tensors[f"{prefix}conv{i}.bias"],
+                ws,
             )
             _check_shape(f"{prefix}conv{i}", pre, (batch, channels, hw, hw))
             note(f"{prefix}conv{i}", pre)
             # max and relu commute, so the relu runs on the pooled quarter.
-            pooled, record = maxpool2x2(pre)
-            pooled = np.maximum(pooled, 0)
+            pooled, record = maxpool2x2(pre, ws, f"{prefix}layer{i}", cache is not None)
+            np.maximum(pooled, 0, out=pooled)
             hw //= 2
             _check_shape(f"{prefix}pool{i}", pooled, (batch, channels, hw, hw))
             note(f"{prefix}pool{i}", pooled)
@@ -408,9 +548,10 @@ def network_forward(
     images: np.ndarray,
     scalars: np.ndarray,
     trace: "list | None" = None,
+    workspace: "Workspace | None" = None,
 ) -> np.ndarray:
     """Class probabilities, shape (batch, 2)."""
-    logits = _forward(params, images, scalars, trace=trace)
+    logits = _forward(params, images, scalars, _workspace(workspace), trace=trace)
     probs = np.exp(_log_softmax(logits))
     if trace is not None:
         trace.append(("probs", tuple(probs.shape)))
@@ -419,14 +560,15 @@ def network_forward(
     return probs
 
 
-def _dense_backward(grad, x, weight, activated=None):
-    """activated: post-ReLU output when the layer had a ReLU."""
+def _dense_backward(grad, x, params, grads, name, activated=None):
+    """Writes the weight and bias gradients of layer `name` into grads and
+    returns the input gradient. activated: post-ReLU output when the
+    layer had a ReLU."""
     if activated is not None:
         grad = grad * (activated > 0)
-    d_weight = grad.T @ x
-    d_bias = grad.sum(axis=0)
-    d_x = grad @ weight
-    return d_weight, d_bias, d_x
+    np.matmul(grad.T, x, out=grads[name + ".weight"])
+    np.sum(grad, axis=0, out=grads[name + ".bias"])
+    return grad @ params.tensors[name + ".weight"]
 
 
 def network_gradients(
@@ -434,39 +576,32 @@ def network_gradients(
     images: np.ndarray,
     scalars: np.ndarray,
     onehot: np.ndarray,
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    workspace: "Workspace | None" = None,
+) -> tuple[FlatTensors, np.ndarray, np.ndarray]:
     """Exact gradients of the mean cross-entropy over the batch.
 
-    Returns (grads, probs, per-sample losses).
+    Returns (grads, probs, per-sample losses); grads are views into one
+    vector of the workspace, laid out like params.flat.
     """
     spec = params.spec
+    ws = _workspace(workspace)
     cache: dict = {}
-    logits = _forward(params, images, scalars, cache=cache)
+    logits = _forward(params, images, scalars, ws, cache=cache)
     onehot = np.asarray(onehot, dtype=logits.dtype)
     probs, losses = softmax_xent(logits, onehot)
     batch = logits.shape[0]
 
-    grads: dict[str, np.ndarray] = {}
+    grads = FlatTensors(params.tag, ws.take("grads", params.flat.shape, params.dtype))
     d_logits = (probs - onehot) / batch
 
     scalars_in, side0, side1, flat, concat, head0, head1 = cache["dense"]
-    grads["out.weight"], grads["out.bias"], d_head1 = _dense_backward(
-        d_logits, head1, params.tensors["out.weight"]
-    )
-    grads["head1.weight"], grads["head1.bias"], d_head0 = _dense_backward(
-        d_head1, head0, params.tensors["head1.weight"], activated=head1
-    )
-    grads["head0.weight"], grads["head0.bias"], d_concat = _dense_backward(
-        d_head0, concat, params.tensors["head0.weight"], activated=head0
-    )
+    d_head1 = _dense_backward(d_logits, head1, params, grads, "out")
+    d_head0 = _dense_backward(d_head1, head0, params, grads, "head1", activated=head1)
+    d_concat = _dense_backward(d_head0, concat, params, grads, "head0", activated=head0)
     d_flat = d_concat[:, : spec.flatten_dim]
     d_side1 = d_concat[:, spec.flatten_dim :]
-    grads["side1.weight"], grads["side1.bias"], d_side0 = _dense_backward(
-        d_side1, side0, params.tensors["side1.weight"], activated=side1
-    )
-    grads["side0.weight"], grads["side0.bias"], _ = _dense_backward(
-        d_side0, scalars_in, params.tensors["side0.weight"], activated=side0
-    )
+    d_side0 = _dense_backward(d_side1, side0, params, grads, "side1", activated=side1)
+    _dense_backward(d_side0, scalars_in, params, grads, "side0", activated=side0)
 
     final = spec.final_hw
     offset = 0
@@ -477,70 +612,50 @@ def network_gradients(
         offset += width
         for i in reversed(range(spec.conv_pairs)):
             x_in, record, pooled = cache[f"{prefix}layer{i}"]
-            d_pre = maxpool2x2_backward(d_x * (pooled > 0), record, x_in.shape)
+            # d_x is dead after this layer, so the relu mask applies in place.
+            alive = np.greater(pooled, 0, out=ws.take("relu", pooled.shape, bool))
+            np.multiply(d_x, alive, out=d_x)
+            d_pre = maxpool2x2_backward(d_x, record, x_in.shape, ws)
             if i == 0:
                 # The images need no gradient.
-                d_kernel, d_bias = _conv3x3_param_grads(x_in, d_pre)
+                d_kernel, d_bias = _conv3x3_param_grads(x_in, d_pre, ws)
             else:
                 d_kernel, d_bias, d_x = conv3x3_depthwise_backward(
-                    x_in, d_pre, params.tensors[f"{prefix}conv{i}.kernel"]
+                    x_in, d_pre, params.tensors[f"{prefix}conv{i}.kernel"], ws
                 )
-            grads[f"{prefix}conv{i}.kernel"] = d_kernel
-            grads[f"{prefix}conv{i}.bias"] = d_bias
+            grads[f"{prefix}conv{i}.kernel"][...] = d_kernel
+            grads[f"{prefix}conv{i}.bias"][...] = d_bias
 
-    ordered = {name: grads[name] for name in params.tensors}
-    return ordered, probs, losses
+    return grads, probs, losses
 
 
-def init_adam(
-    params: NetworkParams,
-    lr: float = ADAM_LR,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    epsilon: float = ADAM_EPSILON,
-) -> AdamState:
-    zeros = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-    return AdamState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        t=0,
-        m=zeros,
-        v={name: np.zeros_like(t) for name, t in params.tensors.items()},
-    )
+def init_adam(params: NetworkParams, lr: float = ADAM_LR) -> AdamState:
+    return AdamState(lr=lr, t=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
-    params: NetworkParams, grads: dict[str, np.ndarray], state: AdamState
+    params: NetworkParams, grads: FlatTensors, state: AdamState
 ) -> tuple[NetworkParams, AdamState]:
-    t = state.t + 1
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
-    tensors = {}
-    new_m = {}
-    new_v = {}
-    for name, theta in params.tensors.items():
-        g = grads[name]
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        tensors[name] = (theta - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)).astype(
-            theta.dtype
-        )
-        new_m[name] = m.astype(theta.dtype)
-        new_v[name] = v.astype(theta.dtype)
-    return (
-        NetworkParams(params.tag, tensors),
-        AdamState(state.lr, state.beta1, state.beta2, state.epsilon, t, new_m, new_v),
-    )
+    """One Adam update of params.flat, state.m and state.v in place;
+    returns params and state."""
+    state.t += 1
+    g = grads.flat
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = v / (1.0 - ADAM_BETA2**state.t)
+    params.flat -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return params, state
 
 
 def predict_probs(
     params: NetworkParams,
     images: np.ndarray,
     scalars: np.ndarray,
+    workspace: "Workspace | None" = None,
 ) -> np.ndarray:
     """Class probabilities, forwarded in PREDICT_CHUNK-sized chunks.
 
@@ -549,9 +664,13 @@ def predict_probs(
     larger batch. A one-row tail joins the previous chunk, and a lone
     sample is forwarded twice and its first row kept.
     """
+    ws = _workspace(workspace)
     if len(images) == 1:
         return network_forward(
-            params, np.concatenate([images] * 2), np.concatenate([scalars] * 2)
+            params,
+            np.concatenate([images] * 2),
+            np.concatenate([scalars] * 2),
+            workspace=ws,
         )[:1]
     chunk = PREDICT_CHUNK[params.tag]
     starts = list(range(0, len(images), chunk))
@@ -559,7 +678,8 @@ def predict_probs(
         starts.pop()
     ends = starts[1:] + [len(images)]
     parts = [
-        network_forward(params, images[a:b], scalars[a:b]) for a, b in zip(starts, ends)
+        network_forward(params, images[a:b], scalars[a:b], workspace=ws)
+        for a, b in zip(starts, ends)
     ]
     return np.concatenate(parts, axis=0)
 
@@ -574,25 +694,32 @@ def train_network(
     seed: int = 0,
     lr: float = ADAM_LR,
 ) -> tuple[NetworkParams, float]:
-    """Mini-batch Adam training over shuffled epochs.
+    """Mini-batch Adam training over shuffled epochs, on a copy of params.
 
     Returns the trained parameters and the training accuracy measured
-    over all supplied (augmented) samples after the final epoch.
+    over all supplied (augmented) samples after the final epoch. One
+    workspace serves every step and the accuracy pass.
     """
     n = len(images)
     if n == 0:
         raise ValueError("no training samples")
+    params = params.copy()
     state = init_adam(params, lr=lr)
+    ws = Workspace()
     rng = np.random.default_rng(derive_seed(seed, "train-shuffle"))
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            grads, _, _ = network_gradients(
-                params, images[take], scalars[take], onehots[take]
-            )
-            params, state = adam_step(params, grads, state)
-    probs = predict_probs(params, images, scalars)
+            # mode="clip" writes straight into out, where the default mode
+            # gathers into a temporary first; take holds valid rows only.
+            batch = [
+                np.take(a, take, 0, ws.take(key, (len(take), *a.shape[1:]), a.dtype), "clip")
+                for key, a in (("images", images), ("scalars", scalars), ("onehots", onehots))
+            ]
+            grads, _, _ = network_gradients(params, *batch, workspace=ws)
+            adam_step(params, grads, state)
+    probs = predict_probs(params, images, scalars, workspace=ws)
     accuracy = float(
         np.mean(np.argmax(probs, axis=1) == np.argmax(onehots, axis=1))
     )

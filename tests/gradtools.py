@@ -6,7 +6,7 @@ analytic backward code under test.
 
 import numpy as np
 
-from crownclass.tinynet import ARCHITECTURES, network_forward, network_gradients
+from crownclass.tinynet import ARCHITECTURES, Workspace, network_forward, network_gradients
 
 
 def random_inputs(tag, rng, batch=1):
@@ -37,14 +37,16 @@ def randomize_biases(params, rng, scale=0.05):
     return params
 
 
-def mean_loss(params, images, scalars, onehot):
-    probs = network_forward(params, images, scalars)
+def mean_loss(params, images, scalars, onehot, workspace=None):
+    probs = network_forward(params, images, scalars, workspace=workspace)
     return float(-(onehot * np.log(probs)).sum(axis=-1).mean())
 
 
 def finite_difference_grads(params, images, scalars, onehot, h=1e-5):
     """Central differences of the mean loss for every parameter."""
     fd = {}
+    # Two forward passes per parameter, all of the same shapes.
+    workspace = Workspace()
     for name, tensor in params.tensors.items():
         grad = np.zeros_like(tensor)
         flat = tensor.reshape(-1)
@@ -52,9 +54,9 @@ def finite_difference_grads(params, images, scalars, onehot, h=1e-5):
         for k in range(flat.size):
             original = flat[k]
             flat[k] = original + h
-            up = mean_loss(params, images, scalars, onehot)
+            up = mean_loss(params, images, scalars, onehot, workspace)
             flat[k] = original - h
-            down = mean_loss(params, images, scalars, onehot)
+            down = mean_loss(params, images, scalars, onehot, workspace)
             flat[k] = original
             grad_flat[k] = (up - down) / (2.0 * h)
         fd[name] = grad

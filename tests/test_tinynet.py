@@ -3,6 +3,7 @@ finite differences and against reference implementations, Adam, training
 behavior, and snapshots."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis.extra import numpy as hnp
 
 from gradtools import max_gradient_error, random_inputs, randomize_biases
 from crownclass import tinynet
+from crownclass.util import derive_seed
 from crownclass.tinynet import (
     ARCHITECTURES,
     PREDICT_CHUNK,
+    FlatTensors,
     adam_step,
     conv3x3_depthwise,
     conv3x3_depthwise_backward,
@@ -278,8 +281,15 @@ class TestCorrelateBlocks:
                 results.append(predict_probs(params, images, scalars).tobytes())
             return results
 
+        def reference_into(x, kernels, bias=None, out=None, workspace=None):
+            result = reference_correlate3x3(x, kernels, bias)
+            if out is None:
+                return result
+            out[...] = result
+            return out
+
         blocked = output_bytes()
-        monkeypatch.setattr(tinynet, "_correlate3x3", reference_correlate3x3)
+        monkeypatch.setattr(tinynet, "_correlate3x3", reference_into)
         assert output_bytes() == blocked
 
 
@@ -356,6 +366,91 @@ class TestConvBackward:
             reference_conv_backward(x, grad, kernels),
         ):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+# (channels, side) of every conv layer of the three architectures.
+LAYER_SIZES = sorted(
+    {
+        (channels, spec.image_hw >> i)
+        for spec in ARCHITECTURES.values()
+        for channels in spec.branch_channels
+        for i in range(spec.conv_pairs)
+    }
+)
+
+
+def quantized(rng, shape, step, limit):
+    """float32 multiples of step in [-limit, limit], about half of the
+    zeros negative."""
+    k = round(limit / step)
+    x = (rng.integers(-k, k + 1, size=shape) * step).astype(np.float32)
+    x[(x == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return x
+
+
+def param_grads(x, grad, block_bytes):
+    saved = tinynet.BLOCK_BYTES
+    tinynet.BLOCK_BYTES = block_bytes
+    try:
+        return tinynet._conv3x3_param_grads(x, grad, tinynet.Workspace())
+    finally:
+        tinynet.BLOCK_BYTES = saved
+
+
+class TestConvParamGrads:
+    """Flat-shift kernel gradients against the float64 scatter-add
+    reference, at every block size."""
+
+    block_sizes = st.sampled_from([1, 200, 4096, tinynet.BLOCK_BYTES])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 40), st.integers(1, 4), st.integers(1, 20), st.integers(1, 20)
+        ),
+        data=st.data(),
+        block_bytes=block_sizes,
+    )
+    def test_within_float32_summation_bound(self, shape, data, block_bytes):
+        elements = signed_zero_floats(np.float32)
+        x = data.draw(hnp.arrays(np.float32, shape, elements=elements))
+        grad = data.draw(hnp.arrays(np.float32, shape, elements=elements))
+        d_kernels, d_biases = param_grads(x, grad, block_bytes)
+        assert d_kernels.dtype == d_biases.dtype == np.float32
+        x64, grad64 = x.astype(np.float64), grad.astype(np.float64)
+        zero = np.zeros((shape[1], 3, 3))
+        ref_kernels, ref_biases, _ = reference_conv_backward(x64, grad64, zero)
+        abs_kernels, abs_biases, _ = reference_conv_backward(np.abs(x64), np.abs(grad64), zero)
+        # n float32 products summed in any order are off by at most
+        # n * (eps * sum |terms| + the smallest subnormal).
+        terms = shape[0] * shape[2] * shape[3]
+        info = np.finfo(np.float32)
+        bound = terms * (info.eps * abs_kernels + info.smallest_subnormal)
+        assert np.all(np.abs(d_kernels - ref_kernels) <= bound)
+        bound = terms * (info.eps * abs_biases + info.smallest_subnormal)
+        assert np.all(np.abs(d_biases - ref_biases) <= bound)
+
+    @pytest.mark.parametrize("channels, side", LAYER_SIZES)
+    @settings(max_examples=4, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([17, 33]), st.integers(1, 33)),
+        block_bytes=block_sizes,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_at_layer_sizes(self, channels, side, n, block_bytes, seed):
+        """Quarter-step inputs and half-step gradients keep every partial
+        sum exact in float32, so any summation order must give the
+        reference value; 17 and 33 leave a partial last block at most
+        block sizes."""
+        rng = np.random.default_rng(seed)
+        x = quantized(rng, (n, channels, side, side), 0.25, 2.0)
+        grad = quantized(rng, x.shape, 0.5, 1.0)
+        d_kernels, d_biases = param_grads(x, grad, block_bytes)
+        ref_kernels, ref_biases, _ = reference_conv_backward(
+            x.astype(np.float64), grad.astype(np.float64), np.zeros((channels, 3, 3))
+        )
+        np.testing.assert_array_equal(d_kernels, ref_kernels)
+        np.testing.assert_array_equal(d_biases, ref_biases)
 
 
 class TestDense:
@@ -506,9 +601,9 @@ class TestPredictProbs:
     def test_no_forward_pass_holds_one_row(self, tag, rows, monkeypatch):
         batches = []
 
-        def recording_forward(params, images, scalars):
+        def recording_forward(params, images, scalars, **kwargs):
             batches.append(len(images))
-            return network_forward(params, images, scalars)
+            return network_forward(params, images, scalars, **kwargs)
 
         monkeypatch.setattr(tinynet, "network_forward", recording_forward)
         params = init_params(tag, seed=3)
@@ -582,41 +677,73 @@ class TestGradients:
         assert worst < 1e-30
 
 
-class TestAdam:
-    def make_scalar_params(self, theta=0.0):
-        from crownclass.tinynet import NetworkParams
+def reference_adam_step(tensors, grads, m, v, t, lr):
+    """One Adam step tensor by tensor; returns new (tensors, m, v)."""
+    bias1, bias2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+    new_tensors, new_m, new_v = {}, {}, {}
+    for name, theta in tensors.items():
+        g = grads[name]
+        new_m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+        new_v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+        m_hat, v_hat = new_m[name] / bias1, new_v[name] / bias2
+        new_tensors[name] = theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return new_tensors, new_m, new_v
 
-        return NetworkParams("dsm", {"w": np.array([theta], dtype=np.float64)})
+
+class TestAdam:
+    def make_params(self, theta=0.0):
+        params = init_params("views_reduced", seed=17, dtype=np.float64)
+        params.flat[:] = theta
+        return params
+
+    @staticmethod
+    def grads_of(params, value):
+        return FlatTensors(params.tag, np.full_like(params.flat, value))
 
     def test_zero_gradient_keeps_params(self):
         params = init_params("views_reduced", seed=17)
+        before = params.copy()
         state = init_adam(params)
-        zero = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-        stepped, _ = adam_step(params, zero, state)
-        for name in params.tensors:
-            np.testing.assert_array_equal(stepped.tensors[name], params.tensors[name])
+        adam_step(params, self.grads_of(params, 0.0), state)
+        assert state.t == 1
+        np.testing.assert_array_equal(params.flat, before.flat)
 
     def test_first_step_magnitude(self):
-        params = self.make_scalar_params()
+        params = self.make_params()
         state = init_adam(params)
-        stepped, state = adam_step(params, {"w": np.array([3.0])}, state)
+        adam_step(params, self.grads_of(params, 3.0), state)
         # Bias correction makes the first step -lr * g/|g| up to epsilon.
-        np.testing.assert_allclose(stepped.tensors["w"], [-0.01 / (1 + 1e-8)])
+        np.testing.assert_allclose(params.flat, -0.01 / (1 + 1e-8))
 
     def test_two_steps_match_hand_unrolled_recurrence(self):
         """Constant gradient 1: both bias-corrected ratios are exactly 1,
         so each step moves by lr / (1 + epsilon)."""
-        params = self.make_scalar_params()
+        params = self.make_params()
         state = init_adam(params)
-        g = {"w": np.array([1.0])}
-        params, state = adam_step(params, g, state)
-        params, state = adam_step(params, g, state)
-        np.testing.assert_allclose(
-            params.tensors["w"], [-2 * 0.01 / (1 + 1e-8)], rtol=1e-12
-        )
+        g = self.grads_of(params, 1.0)
+        adam_step(params, g, state)
+        adam_step(params, g, state)
+        np.testing.assert_allclose(params.flat, -2 * 0.01 / (1 + 1e-8), rtol=1e-12)
         assert state.t == 2
-        np.testing.assert_allclose(state.m["w"], [0.19], rtol=1e-12)
-        np.testing.assert_allclose(state.v["w"], [0.001999], rtol=1e-12)
+        np.testing.assert_allclose(state.m, 0.19, rtol=1e-12)
+        np.testing.assert_allclose(state.v, 0.001999, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_update_is_bit_identical_to_per_tensor(self, dtype):
+        params = init_params("views", seed=3, dtype=dtype)
+        state = init_adam(params, lr=0.02)
+        tensors = {k: t.copy() for k, t in params.tensors.items()}
+        m = {k: np.zeros_like(t) for k, t in tensors.items()}
+        v = {k: np.zeros_like(t) for k, t in tensors.items()}
+        rng = np.random.default_rng(4)
+        for t in range(1, 4):
+            grads = FlatTensors(params.tag, rng.normal(size=params.flat.shape).astype(dtype))
+            adam_step(params, grads, state)
+            tensors, m, v = reference_adam_step(tensors, grads, m, v, t, 0.02)
+        for name, tensor in tensors.items():
+            assert params.tensors[name].tobytes() == tensor.tobytes(), name
+        assert state.m.tobytes() == np.concatenate([a.ravel() for a in m.values()]).tobytes()
+        assert state.v.tobytes() == np.concatenate([a.ravel() for a in v.values()]).tobytes()
 
 
 def separable_toy_data(n=64, seed=18):
@@ -675,3 +802,109 @@ class TestTrain:
             params, images, scalars, labels, epochs=3, batch_size=8, seed=3
         )
         assert accuracy > 0.95
+
+
+def reference_train(params, images, scalars, onehots, epochs, batch_size, seed):
+    """train_network as a plain loop: fancy-indexed batches, and every
+    network_gradients and predict_probs call without a workspace."""
+    params = params.copy()
+    state = init_adam(params)
+    rng = np.random.default_rng(derive_seed(seed, "train-shuffle"))
+    for _ in range(epochs):
+        order = rng.permutation(len(images))
+        for start in range(0, len(images), batch_size):
+            take = order[start : start + batch_size]
+            grads, _, _ = network_gradients(params, images[take], scalars[take], onehots[take])
+            adam_step(params, grads, state)
+    probs = predict_probs(params, images, scalars)
+    return params, float(np.mean(np.argmax(probs, axis=1) == np.argmax(onehots, axis=1)))
+
+
+class TestWorkspace:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        tag=st.sampled_from(["dsm", "views", "views_reduced"]),
+        batch_size=st.sampled_from([2, 5, 8, 32]),
+        # 33 at batch 32 leaves a one-sample last batch.
+        rows=st.one_of(st.just(33), st.integers(2, 40)),
+        epochs=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_training_matches_loop_without_workspace(self, tag, batch_size, rows, epochs, seed):
+        rng = np.random.default_rng(seed)
+        images, scalars = crown_like_inputs(tag, rng, rows)
+        onehots = np.eye(2, dtype=np.float32)[rng.integers(0, 2, rows)]
+        params = randomize_biases(init_params(tag, seed=seed % 1000), rng)
+        before = params.copy()
+        trained, accuracy = train_network(
+            params, images, scalars, onehots, epochs, batch_size=batch_size, seed=seed
+        )
+        ref_params, ref_accuracy = reference_train(
+            params, images, scalars, onehots, epochs, batch_size, seed
+        )
+        assert trained.flat.tobytes() == ref_params.flat.tobytes()
+        assert accuracy == ref_accuracy
+        assert params.flat.tobytes() == before.flat.tobytes()  # trains a copy
+
+    def test_second_dsm_step_allocates_under_1mb(self):
+        rng = np.random.default_rng(5)
+        images, scalars = crown_like_inputs("dsm", rng, 32)
+        onehots = np.eye(2, dtype=np.float32)[np.arange(32) % 2]
+        params = init_params("dsm", seed=5)
+        state = init_adam(params)
+        workspace = tinynet.Workspace()
+
+        def step():
+            grads, _, _ = network_gradients(
+                params, images, scalars, onehots, workspace=workspace
+            )
+            adam_step(params, grads, state)
+
+        def buffers():
+            return {key: entry[0] for key, entry in workspace._buffers.items()}
+
+        tracemalloc.start()
+        try:
+            step()
+            first = buffers()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            step()
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra < 1 << 20
+        # tracemalloc does not see memory maps: the workspace must not
+        # replace a buffer either.
+        second = buffers()
+        assert second.keys() == first.keys()
+        assert all(second[key] is first[key] for key in first)
+
+    def test_params_are_views_of_one_vector(self):
+        params = init_params("views", seed=6)
+        assert list(params.tensors) == [name for name, _ in tinynet._layer_plan(params.spec)]
+        assert sum(t.size for t in params.tensors.values()) == params.flat.size
+        for tensor in params.tensors.values():
+            assert np.shares_memory(tensor, params.flat)
+        copy = params.copy()
+        assert not np.shares_memory(copy.flat, params.flat)
+        for name, tensor in copy.tensors.items():
+            assert np.shares_memory(tensor, copy.flat)
+            assert not np.shares_memory(tensor, params.flat)
+            np.testing.assert_array_equal(tensor, params.tensors[name])
+
+    @pytest.mark.parametrize("tag", ["dsm", "views"])
+    def test_calls_without_workspace_share_no_memory(self, tag):
+        rng = np.random.default_rng(7)
+        params = init_params(tag, seed=7)
+        images, scalars = crown_like_inputs(tag, rng, 3)
+        onehots = np.eye(2, dtype=np.float32)[[0, 1, 0]]
+        first = network_gradients(params, images, scalars, onehots)
+        kept = [g.copy() for g in first[0].values()]
+        second = network_gradients(params, images[::-1], scalars[::-1], onehots[::-1])
+        arrays = lambda result: [result[0].flat, *result[0].values(), result[1], result[2]]
+        for a in arrays(first):
+            for b in arrays(second):
+                assert not np.shares_memory(a, b)
+        for g, k in zip(first[0].values(), kept):
+            assert g.tobytes() == k.tobytes()
