@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
+import operator
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -60,96 +60,93 @@ FIGURE_COLUMNS = ("figure", "series", "x", "y")
 REPRESENTATIONS = ("views4", "dsm4")
 ABLATIONS = ens.ABLATION_NAMES
 
+# A rule is (accepts, wanted): the test a key's value must pass and what
+# the error says it must be. The rules check type(), not isinstance():
+# JSON true and false load as bools, which are ints.
+
+
+def _count(minimum: int = 1, unset: bool = False) -> tuple:
+    """An integer of at least ``minimum`` (1 or 0); null too if ``unset``."""
+    wanted = f"a {'positive' if minimum else 'non-negative'} integer{' or null' if unset else ''}"
+    return lambda v: (unset and v is None) or (type(v) is int and v >= minimum), wanted
+
+
+def _number(interval: str) -> tuple:
+    """A finite number within ``interval``, written like "[0, 1)" or "(0, inf)"."""
+    low, high = map(float, interval[1:-1].split(","))
+    above = operator.le if interval[0] == "[" else operator.lt
+    below = operator.le if interval[-1] == "]" else operator.lt
+
+    def accepts(v) -> bool:
+        # NaN and +-inf fail; abs() since math.isfinite() overflows on a huge int
+        finite = type(v) in (int, float) and abs(v) <= sys.float_info.max
+        return finite and above(low, v) and below(v, high)
+
+    return accepts, f"a finite number within {interval}"
+
+
+def _one_of(choices: tuple) -> tuple:
+    return lambda v: v in choices, f"one of {choices}"
+
+
+def _list_of(rule: tuple, non_empty: bool = False) -> tuple:
+    accepts, wanted = rule
+    wanted = f"a {'non-empty ' if non_empty else ''}list, each {wanted}"
+    return lambda v: type(v) is list and (v or not non_empty) and all(map(accepts, v)), wanted
+
+
 # Synthetic-forest, intensity, training and sweep keys default to the
 # library's own values so the two never drift apart.
-_SYNTH_DEFAULTS = SynthParams(seed=0)
-_SWEEP_DEFAULTS = ens.SweepSpec("size")
+_SYNTH = SynthParams(seed=0)
+_SWEEP = ens.SweepSpec("size")
 
-# Flat config schema: every key has a default except the mandatory seed.
-CONFIG_DEFAULTS = {
-    # file paths
-    "points_file": None,
-    "stems_file": None,
-    "registrations_file": None,
-    "tensor_file": None,
-    "manifest_file": None,
-    "labels_file": None,
-    "raw_tensor_file": None,
-    "raw_manifest_file": None,
-    "history_file": None,
-    "summary_file": None,
-    "sweep_file": None,
-    # synthetic forest
-    "n_conifer": _SYNTH_DEFAULTS.n_conifer,
-    "n_deciduous": _SYNTH_DEFAULTS.n_deciduous,
-    "label_noise": _SYNTH_DEFAULTS.label_noise,
-    "dome_fraction": _SYNTH_DEFAULTS.dome_fraction,
-    "jitter_sigma": _SYNTH_DEFAULTS.jitter_sigma,
-    "leaf_on_density": _SYNTH_DEFAULTS.leaf_on_density,
-    "conifer_retention": _SYNTH_DEFAULTS.conifer_retention,
-    "deciduous_retention": _SYNTH_DEFAULTS.deciduous_retention,
-    # intensity normalization
-    "intensity_norm": True,
-    "grid_cell": GRID_CELL,
-    "significance_alpha": SIGNIFICANCE_ALPHA,
-    # crown representations
-    "representation": "views4",
-    "n_rotations": 180,
-    "rotation_step": 2.0,
-    # mislabel correction
-    "correction_networks": 100,
-    "correction_per_class": 80,
-    "correction_epochs": 3,
-    "alpha": 1e-8,
-    "max_iterations": 20,
-    # ensemble classification
-    "n_networks": 50,
-    "per_class": 100,
-    "epochs": None,  # unset: 5 for views4, 15 for dsm4
-    "lr": ADAM_LR,
-    "batch_size": BATCH_SIZE,
-    "ablation": "none",
-    # sweeps
-    "sweep_variant": "size",
-    "fractions": list(_SWEEP_DEFAULTS.fractions),
-    "repeats": _SWEEP_DEFAULTS.repeats,
-    "augmentations": list(_SWEEP_DEFAULTS.augmentations),
-    "ablations": list(_SWEEP_DEFAULTS.ablations),
-    # execution
-    "threads": None,
+# The flat config schema, every key but the mandatory seed as
+# key: (default, accepts, wanted), in pipeline order; load_config rejects
+# a value that fails `accepts` with "<key> must be <wanted>".
+CONFIG_KEYS = {
+    **dict.fromkeys(
+        ("points_file", "stems_file", "registrations_file", "tensor_file", "manifest_file")
+        + ("labels_file", "raw_tensor_file", "raw_manifest_file")
+        + ("history_file", "summary_file", "sweep_file"),
+        (None, lambda v: v is None or type(v) is str, "null or a string"),
+    ),
+    # synthetic forest, in the ranges SynthParams enforces; a class may be left out
+    "n_conifer": (_SYNTH.n_conifer, *_count(0)),
+    "n_deciduous": (_SYNTH.n_deciduous, *_count(0)),
+    "label_noise": (_SYNTH.label_noise, *_number("[0, 1)")),
+    "dome_fraction": (_SYNTH.dome_fraction, *_number("[0, 1]")),
+    "jitter_sigma": (_SYNTH.jitter_sigma, *_number("[0, inf)")),
+    "leaf_on_density": (_SYNTH.leaf_on_density, *_number("(0, inf)")),
+    "conifer_retention": (_SYNTH.conifer_retention, *_number("[0, 1]")),
+    "deciduous_retention": (_SYNTH.deciduous_retention, *_number("[0, 1]")),
+    "intensity_norm": (True, lambda v: type(v) is bool, "true or false"),
+    "grid_cell": (GRID_CELL, *_number("(0, inf)")),
+    "significance_alpha": (SIGNIFICANCE_ALPHA, *_number("(0, 1)")),
+    "representation": ("views4", *_one_of(REPRESENTATIONS)),
+    "n_rotations": (180, *_count()),
+    "rotation_step": (2.0, *_number("(-inf, inf)")),
+    # mislabel correction, then ensemble classification
+    "correction_networks": (100, *_count()),
+    "correction_per_class": (80, *_count()),
+    "correction_epochs": (3, *_count()),
+    "alpha": (1e-8, *_number("(0, 1)")),
+    "max_iterations": (20, *_count()),
+    "n_networks": (50, *_count()),
+    "per_class": (100, *_count()),
+    "epochs": (None, *_count(unset=True)),  # unset: 5 for views4, 15 for dsm4
+    "lr": (ADAM_LR, *_number("(0, inf)")),
+    "batch_size": (BATCH_SIZE, *_count()),
+    "ablation": ("none", *_one_of(ABLATIONS)),
+    "sweep_variant": ("size", *_one_of(ens.SWEEP_VARIANTS)),
+    "fractions": (list(_SWEEP.fractions), *_list_of(_number("(0, 1]"), non_empty=True)),
+    "repeats": (_SWEEP.repeats, *_count()),
+    "augmentations": (list(_SWEEP.augmentations), *_list_of(_count())),
+    "ablations": (list(_SWEEP.ablations), *_list_of(_one_of(ABLATIONS))),
+    "threads": (None, *_count(unset=True)),
 }
-
-
-# Counts and sizes; epochs and threads may also be left unset (null).
-POSITIVE_INTEGER_KEYS = (
-    "n_rotations",
-    "correction_networks",
-    "correction_per_class",
-    "correction_epochs",
-    "max_iterations",
-    "n_networks",
-    "per_class",
-    "epochs",
-    "batch_size",
-    "repeats",
-    "threads",
-)
-# Forest sizes: a class may be left out.
-NON_NEGATIVE_INTEGER_KEYS = ("n_conifer", "n_deciduous")
-# Ranges of the numeric keys, as (key, test, allowed range); the
-# synthetic-forest ones are those SynthParams enforces.
-NUMBER_RANGES = (
-    ("label_noise", lambda v: 0 <= v < 1, "within [0, 1)"),
-    ("dome_fraction", lambda v: 0 <= v <= 1, "within [0, 1]"),
-    ("jitter_sigma", lambda v: v >= 0, "non-negative"),
-    ("conifer_retention", lambda v: 0 <= v <= 1, "within [0, 1]"),
-    ("deciduous_retention", lambda v: 0 <= v <= 1, "within [0, 1]"),
-    ("leaf_on_density", lambda v: v > 0, "positive"),
-    ("grid_cell", lambda v: v > 0, "positive"),
-    ("significance_alpha", lambda v: 0 < v < 1, "within (0, 1)"),
-    ("alpha", lambda v: 0 < v < 1, "within (0, 1)"),
-    ("lr", lambda v: v > 0, "positive"),
-)
+CONFIG_DEFAULTS = {key: default for key, (default, _, _) in CONFIG_KEYS.items()}
+# The config keys SynthParams takes under the same name.
+SYNTH_KEYS = tuple(key for key in CONFIG_KEYS if key in SynthParams.__dataclass_fields__)
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -162,7 +159,7 @@ def load_config(path: str, overrides: dict) -> dict:
         raise InputError(f"config file {path} is not valid JSON: {error}")
     if not isinstance(raw, dict):
         raise InputError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(CONFIG_DEFAULTS) - {"seed"}
+    unknown = set(raw) - set(CONFIG_KEYS) - {"seed"}
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "seed" not in raw:
@@ -170,58 +167,11 @@ def load_config(path: str, overrides: dict) -> dict:
     config = dict(CONFIG_DEFAULTS)
     config.update(raw)
     config.update({k: v for k, v in overrides.items() if v is not None})
-    # type() rather than isinstance(): JSON true and false load as bools,
-    # which are ints.
     if type(config["seed"]) is not int:
         raise InputError(f"seed must be an integer, not {config['seed']!r}")
-    for key, default in CONFIG_DEFAULTS.items():
-        value = config[key]
-        if key in POSITIVE_INTEGER_KEYS:
-            unset = value is None and default is None
-            if not (unset or type(value) is int and value > 0):
-                raise InputError(f"{key} must be a positive integer, not {value!r}")
-        elif key in NON_NEGATIVE_INTEGER_KEYS:
-            if not (type(value) is int and value >= 0):
-                raise InputError(f"{key} must be a non-negative integer, not {value!r}")
-        elif type(default) is bool:
-            if type(value) is not bool:
-                raise InputError(f"{key} must be true or false, not {value!r}")
-        elif type(default) in (int, float):
-            # JSON NaN and Infinity load as floats.
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise InputError(f"{key} must be a finite number, not {value!r}")
-        elif key.endswith("_file"):
-            if not (value is None or type(value) is str):
-                raise InputError(f"{key} must be null or a string, not {value!r}")
-    for key, within, allowed in NUMBER_RANGES:
-        if not within(config[key]):
-            raise InputError(f"{key} must be {allowed}, not {config[key]!r}")
-    if config["representation"] not in REPRESENTATIONS:
-        raise InputError(f"representation must be one of {REPRESENTATIONS}")
-    if config["ablation"] not in ABLATIONS:
-        raise InputError(f"ablation must be one of {ABLATIONS}")
-    if config["sweep_variant"] not in ens.SWEEP_VARIANTS:
-        raise InputError(f"sweep_variant must be one of {ens.SWEEP_VARIANTS}")
-    fractions = config["fractions"]
-    if not (
-        type(fractions) is list
-        and fractions
-        and all(type(f) in (int, float) and 0 < f <= 1 for f in fractions)
-    ):
-        raise InputError(
-            f"fractions must be a non-empty list of numbers in (0, 1], not {fractions!r}"
-        )
-    augmentations = config["augmentations"]
-    if not (
-        type(augmentations) is list
-        and all(type(a) is int and a > 0 for a in augmentations)
-    ):
-        raise InputError(
-            f"augmentations must be a list of positive integers, not {augmentations!r}"
-        )
-    ablations = config["ablations"]
-    if not (type(ablations) is list and all(a in ABLATIONS for a in ablations)):
-        raise InputError(f"ablations must be a list drawn from {ABLATIONS}")
+    for key, (_, accepts, wanted) in CONFIG_KEYS.items():
+        if not accepts(config[key]):
+            raise InputError(f"{key} must be {wanted}, not {config[key]!r}")
     return config
 
 
@@ -289,17 +239,7 @@ def read_summary(path: Path) -> list[tuple[str, float, float, int]]:
 
 
 def cmd_synth(config: dict, out_dir: Path) -> list[str]:
-    params = SynthParams(
-        seed=config["seed"],
-        n_conifer=config["n_conifer"],
-        n_deciduous=config["n_deciduous"],
-        label_noise=config["label_noise"],
-        dome_fraction=config["dome_fraction"],
-        jitter_sigma=config["jitter_sigma"],
-        leaf_on_density=config["leaf_on_density"],
-        conifer_retention=config["conifer_retention"],
-        deciduous_retention=config["deciduous_retention"],
-    )
+    params = SynthParams(seed=config["seed"], **{k: config[k] for k in SYNTH_KEYS})
     dataset = generate_dataset(params)
     write_point_file(out_dir / "points.csv", dataset.points)
     write_stem_file(out_dir / "stems.csv", dataset.stems)
@@ -398,7 +338,14 @@ def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_
     labels_key, labels_path = manifest_key, manifest_path
     if config.get("labels_file"):
         labels_key, labels_path = "labels_file", require_input(config, "labels_file")
-        overrides = dict(read_csv_rows(labels_path, LABEL_COLUMNS, _label_override))
+        stored, seen = {i.crown_id for i in dataset.instances}, set()
+        overrides = dict(
+            read_csv_rows(
+                labels_path,
+                LABEL_COLUMNS,
+                lambda fields: _parse_label_row(fields, stored, seen),
+            )
+        )
         for instance in dataset.instances:
             instance.label = overrides.get(instance.crown_id, instance.label)
     for label in (CONIFER, DECIDUOUS):
@@ -410,10 +357,15 @@ def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_
     return dataset
 
 
-def _label_override(fields: list[str]) -> tuple[str, str]:
+def _parse_label_row(fields: list[str], stored: set[str], seen: set[str]) -> tuple[str, str]:
     crown_id, label, _ = fields
     if label not in CLASS_INDEX:
         raise ValueError(f"unknown label {label!r}")
+    if crown_id not in stored:
+        raise ValueError(f"crown {crown_id} is not in the raster store")
+    if crown_id in seen:
+        raise ValueError(f"crown {crown_id} is labeled twice")
+    seen.add(crown_id)
     return crown_id, label
 
 
@@ -508,18 +460,17 @@ def _figure_rows_from_sweep(rows) -> list[tuple]:
 
 def cmd_report(config: dict, out_dir: Path) -> list[str]:
     """Tabulate whatever result tables the config names into one
-    plot-ready long-format file."""
+    plot-ready long-format file; a named table must exist."""
     rows: list[tuple] = []
-    history_file = config.get("history_file")
-    if history_file and Path(history_file).exists():
-        rows.extend(_figure_rows_from_history(ens.read_history(history_file)))
-    summary_file = config.get("summary_file")
-    if summary_file and Path(summary_file).exists():
-        for label, accuracy, _, n in read_summary(Path(summary_file)):
+    if config["history_file"]:
+        history = ens.read_history(require_input(config, "history_file"))
+        rows.extend(_figure_rows_from_history(history))
+    if config["summary_file"]:
+        for label, accuracy, _, n in read_summary(require_input(config, "summary_file")):
             rows.append(("classification", label, n, accuracy))
-    sweep_file = config.get("sweep_file")
-    if sweep_file and Path(sweep_file).exists():
-        rows.extend(_figure_rows_from_sweep(ens.read_sweep_table(sweep_file)))
+    if config["sweep_file"]:
+        sweep = ens.read_sweep_table(require_input(config, "sweep_file"))
+        rows.extend(_figure_rows_from_sweep(sweep))
     write_csv_rows(
         out_dir / "figures.csv",
         FIGURE_COLUMNS,

@@ -115,9 +115,8 @@ class LabeledDataset:
 
 def from_store(images: np.ndarray, manifest: dict) -> LabeledDataset:
     """Dataset over a raster store's images, (crowns, rotations, C, H, W),
-    and the kind, scaled flag and per-crown columns of its manifest."""
-    if not manifest["scaled"]:
-        raise ValueError("representations must be scaled")
+    and the kind and per-crown columns of its manifest (``read_manifest``
+    has checked that the images are scaled)."""
     tag = "views" if manifest["kind"] == "views4" else "dsm"
     instances = [
         Instance(crown_id, label, crown_class, label, float(density))

@@ -223,17 +223,25 @@ def write_representation_file(
 
 
 def read_manifest(manifest_path: "str | Path") -> dict:
+    """A raster store's manifest; one that is not a JSON object, lacks a
+    store key or crown column, names no known kind or holds unscaled
+    rasters raises InputError naming the file."""
     try:
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
     except json.JSONDecodeError as error:
         raise InputError(f"{manifest_path}: not valid JSON: {error}") from error
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: not a raster store manifest (not a JSON object)")
     missing = [key for key in STORE_KEYS + CROWN_COLUMNS if key not in manifest]
-    if missing or manifest["kind"] not in KIND_SHAPES:
+    # type() first: an unhashable kind, such as a list, cannot be looked up
+    if missing or type(manifest["kind"]) is not str or manifest["kind"] not in KIND_SHAPES:
         raise InputError(
             f"{manifest_path}: not a raster store manifest "
             f"(missing {', '.join(missing) or 'a known kind'})"
         )
+    if not manifest["scaled"]:
+        raise InputError(f"{manifest_path}: its rasters are not scaled for the networks")
     return manifest
 
 

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crownclass import cli
 from crownclass.ensemble import SweepRow, Training, read_predictions
 from crownclass.ingest import LEAF_ON, VEGETATION, PointCloud, write_point_file
 from crownclass.rasterize import read_all_representations, read_manifest
-from crownclass.util import derive_seed
+from crownclass.util import InputError, derive_seed
 
 
 BASE_CONFIG = {
@@ -335,6 +337,7 @@ class TestErrorPaths:
             ("intensity_norm", 1),
             ("points_file", 5),
             ("labels_file", ["labels.csv"]),
+            pytest.param("lr", 10**400, id="lr-beyond-float-range"),
         ],
     )
     def test_bad_config_value_exits_1_naming_key(self, tmp_path, capsys, key, value):
@@ -525,6 +528,63 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"labels_file {labels} labels no crown conifer" in err
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda m: dict(m, scaled=False), lambda m: dict(m, kind=["views4"]), lambda m: 5],
+        ids=["unscaled", "unhashable-kind", "not-an-object"],
+    )
+    def test_bad_store_manifest_exits_1_naming_file(self, tmp_path, pipeline, capsys, spoil):
+        out = pipeline["out"]
+        manifest = tmp_path / "rasters.json"
+        manifest.write_text(json.dumps(spoil(json.loads((out / "rasters.json").read_text()))))
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(manifest),
+        )
+        assert run("classify", config, tmp_path) == 1
+        assert f"error: {manifest}: " in capsys.readouterr().err
+
+    def labels_file_config(self, tmp_path, pipeline, crown_ids):
+        out = pipeline["out"]
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "crown_id,label,original_label\n"
+            + "".join(f"{cid},conifer,conifer\n" for cid in crown_ids)
+        )
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+            labels_file=str(labels),
+        )
+        return labels, config
+
+    def test_labels_file_crown_absent_from_store_exits_1_naming_line(
+        self, tmp_path, pipeline, capsys
+    ):
+        stored = read_manifest(pipeline["out"] / "rasters.json")["crown_id"]
+        labels, config = self.labels_file_config(tmp_path, pipeline, stored[:1] + ["zz"])
+        assert run("classify", config, tmp_path) == 1
+        assert f"{labels}:3: crown zz is not in the raster store" in capsys.readouterr().err
+
+    def test_labels_file_crown_labeled_twice_exits_1_naming_line(
+        self, tmp_path, pipeline, capsys
+    ):
+        stored = read_manifest(pipeline["out"] / "rasters.json")["crown_id"]
+        labels, config = self.labels_file_config(tmp_path, pipeline, stored[:2] + stored[:1])
+        assert run("classify", config, tmp_path) == 1
+        expected = f"{labels}:4: crown {stored[0]} is labeled twice"
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["history_file", "summary_file", "sweep_file"])
+    def test_report_of_absent_table_exits_1_naming_key(self, tmp_path, capsys, key):
+        absent = tmp_path / "absent.csv"
+        config = write_config(tmp_path / "config.json", **{key: str(absent)})
+        assert run("report", config, tmp_path) == 1
+        assert f"error: {key} does not exist: {absent}" in capsys.readouterr().err
+        assert not (tmp_path / "figures.csv").exists()
+
     def test_store_shape_disagreeing_with_manifest_exits_1(
         self, tmp_path, pipeline, capsys
     ):
@@ -641,3 +701,30 @@ class TestConfigHelpers:
         config = write_config(tmp_path / "config.json")
         assert run("report", config, tmp_path) == 0
         assert (tmp_path / "figures.csv").read_bytes() == b"figure,series,x,y\r\n"
+
+
+# Any JSON value: NaN and +-inf among the floats, bools, nested lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+
+
+class TestConfigKeys:
+    def test_every_default_passes(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1}))
+        assert cli.load_config(str(config), {}) == dict(cli.CONFIG_DEFAULTS, seed=1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.sampled_from(list(cli.CONFIG_KEYS)), value=JSON_VALUES)
+    def test_any_value_loads_or_names_its_key(self, tmp_path_factory, key, value):
+        path = tmp_path_factory.getbasetemp() / "any-value.json"
+        path.write_text(json.dumps({"seed": 1, key: value}))
+        try:
+            config = cli.load_config(str(path), {})
+        except InputError as error:
+            assert str(error).startswith(f"{key} must be ")
+        else:
+            assert json.dumps(config[key]) == json.dumps(value)

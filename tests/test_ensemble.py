@@ -1,6 +1,7 @@
 """Tests for resampling, the mislabel t-test loop, ensemble classification,
 and the sweep table machinery."""
 
+import json
 import math
 from collections import Counter
 
@@ -27,7 +28,6 @@ from crownclass.ensemble import (
     ensemble_classify,
     ensemble_predictions,
     flip_decision,
-    from_store,
     mislabel_iteration,
     read_history,
     read_predictions,
@@ -50,8 +50,9 @@ from crownclass.ensemble import (
     trained_on,
 )
 from crownclass.ingest import LEAF_OFF, LEAF_ON, VEGETATION, Apex, CrownCloud, PointCloud
+from crownclass.rasterize import read_manifest
 from crownclass.tinynet import init_params, predict_probs
-from crownclass.util import derive_seed
+from crownclass.util import InputError, derive_seed
 
 from test_rasterize import crown_dataset
 
@@ -214,19 +215,25 @@ class TestFromRepresentations:
         assert dataset.images.shape == (1, 3, 4, 128, 128)
         np.testing.assert_allclose(dataset.scalars, np.full((1, 1), 4.0 / 300.0))
 
-    def test_unscaled_rejected(self):
-        dataset = self.build("views4")
-        manifest = {
-            "kind": "views4",
-            "scaled": False,
-            "crown_id": ["c1"],
-            "label": ["conifer"],
-            "crown_class": ["codominant"],
-            "density": [1.0],
-            "scalars": dataset.scalars.tolist(),
-        }
-        with pytest.raises(ValueError, match="scaled"):
-            from_store(dataset.images, manifest)
+    def test_unscaled_rejected(self, tmp_path):
+        manifest = tmp_path / "rasters.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "kind": "views4",
+                    "n_rotations": 3,
+                    "step": 120.0,
+                    "scaled": False,
+                    "crown_id": ["c1"],
+                    "label": ["conifer"],
+                    "crown_class": ["codominant"],
+                    "density": [1.0],
+                    "scalars": [[0.125, 0.36]],
+                }
+            )
+        )
+        with pytest.raises(InputError, match="rasters.json: its rasters are not scaled"):
+            read_manifest(manifest)
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
