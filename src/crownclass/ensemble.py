@@ -352,37 +352,35 @@ def trained_on(run: EnsembleRun, n_crowns: int) -> np.ndarray:
     return matrix
 
 
-def _instance_probs(
-    run: EnsembleRun, dataset: LabeledDataset, trained: np.ndarray, threads=None
-):
-    """Per network, softmax probabilities shaped (instances, augmentations,
-    2) for the crowns it never trained on; rows of its training crowns are
-    never computed and stay nan.
+def holdout_probs(
+    run: EnsembleRun, dataset: LabeledDataset, threads: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The run's held-out table: softmax probabilities (networks, crowns,
+    rotations, 2) in the networks' dtype, nan where the network trained
+    on the crown, and ``held``, the (networks, crowns) matrix True where
+    it did not.
 
-    Each network gathers its held-out samples crown-major and
-    rotation-minor, GATHER_BLOCK at a time, from the (mapped) store.
+    Each network fills its own rows, gathering its held-out samples
+    crown-major and rotation-minor, GATHER_BLOCK at a time, from the
+    (mapped) store.
     """
-    n, aug = dataset.images.shape[:2]
+    held = ~trained_on(run, len(dataset))
+    aug = dataset.augmentations
+    probs = np.full((*held.shape, aug, 2), np.nan, run.networks[0].params.dtype)
 
-    def predict(job: tuple[TrainedNetwork, np.ndarray]):
-        net, trained_row = job
-        held = np.flatnonzero(~trained_row)
-        crowns = np.repeat(held, aug)
-        rotations = np.tile(np.arange(aug), len(held))
-        flat = np.empty((len(crowns), 2), dtype=net.params.dtype)
+    def predict(j: int) -> None:
+        crowns = np.repeat(np.flatnonzero(held[j]), aug)
+        rotations = np.tile(np.arange(aug), len(crowns) // aug)
         for start in range(0, len(crowns), GATHER_BLOCK):
             block = slice(start, start + GATHER_BLOCK)
-            flat[block] = predict_probs(
-                net.params,
+            probs[j, crowns[block], rotations[block]] = predict_probs(
+                run.networks[j].params,
                 dataset.images[crowns[block], rotations[block]],
                 dataset.scalars[crowns[block]],
             )
-        probs = np.full((n, aug, 2), np.nan, dtype=flat.dtype)
-        probs[held] = flat.reshape(len(held), aug, 2)
-        return probs
 
-    jobs = list(zip(run.networks, trained))
-    return parallel_map(predict, jobs, threads or default_threads())
+    parallel_map(predict, list(range(len(run.networks))), threads or default_threads())
+    return probs, held
 
 
 @dataclass
@@ -424,15 +422,15 @@ def mislabel_iteration(
     Instances held out by fewer than two networks are skipped (reported
     unflipped with nan statistics) and logged.
     """
-    trained = trained_on(run, len(dataset))
-    probs = _instance_probs(run, dataset, trained, threads)
+    probs, held = holdout_probs(run, dataset, threads)
+    labels = np.array([CLASS_INDEX[inst.label] for inst in dataset.instances])
+    acc_n = np.array([net.acc_n for net in run.networks])
+    # d = acc_ni - (1 - acc_n) per (network, crown); read only where held
+    d = np.mean(np.argmax(probs, axis=-1) == labels[:, None], axis=-1)
+    d -= 1.0 - acc_n[:, None]
     decisions = []
     for i, inst in enumerate(dataset.instances):
-        label_index = CLASS_INDEX[inst.label]
-        d_values = []
-        for j in np.flatnonzero(~trained[:, i]):
-            acc_ni = float(np.mean(np.argmax(probs[j][i], axis=1) == label_index))
-            d_values.append(acc_ni - (1.0 - run.networks[j].acc_n))
+        d_values = d[held[:, i], i].tolist()
         if len(d_values) < 2:
             logger.warning(
                 "%s held out by %d networks; skipping its test",
@@ -479,20 +477,14 @@ def correct_mislabels(
         seed = derive_seed(training.seed, "correction", iteration)
         run = train_ensemble(dataset, replace(training, seed=seed))
         decisions = mislabel_iteration(run, dataset, alpha, training.threads)
-        flips = [d for d in decisions if d.flipped]
-        by_id = {inst.crown_id: inst for inst in dataset.instances}
-        to_conifer = 0
-        to_deciduous = 0
-        for decision in flips:
-            inst = by_id[decision.crown_id]
-            if inst.label == CONIFER:
-                inst.label = DECIDUOUS
-                to_deciduous += 1
-            else:
-                inst.label = CONIFER
-                to_conifer += 1
+        flips = [inst for inst, d in zip(dataset.instances, decisions) if d.flipped]
+        to_deciduous = sum(inst.label == CONIFER for inst in flips)
+        for inst in flips:
+            inst.label = DECIDUOUS if inst.label == CONIFER else CONIFER
         mean_acc = float(np.mean([net.acc_n for net in run.networks]))
-        rows.append(HistoryRow(iteration, to_conifer, to_deciduous, mean_acc))
+        rows.append(
+            HistoryRow(iteration, len(flips) - to_deciduous, to_deciduous, mean_acc)
+        )
         logger.info(
             "correction iteration %d: %d flips, mean training accuracy %.3f",
             iteration,
@@ -543,17 +535,16 @@ def ensemble_predictions(
     run: EnsembleRun, dataset: LabeledDataset, threads: int | None = None
 ) -> list[InstancePrediction]:
     """Average holdout softmax over networks and augmentations per crown."""
-    trained = trained_on(run, len(dataset))
-    probs = _instance_probs(run, dataset, trained, threads)
+    probs, held = holdout_probs(run, dataset, threads)
     predictions = []
     for i, inst in enumerate(dataset.instances):
-        holdout = [probs[j][i] for j in np.flatnonzero(~trained[:, i])]
-        if not holdout:
+        holdout = probs[held[:, i], i]  # (holding networks, rotations, 2)
+        if not len(holdout):
             predictions.append(
                 InstancePrediction(inst.crown_id, inst.label, "", float("nan"), 0)
             )
             continue
-        mean_probs = np.stack(holdout).mean(axis=(0, 1))
+        mean_probs = holdout.mean(axis=(0, 1))
         predicted = INDEX_CLASS[int(np.argmax(mean_probs))]
         predictions.append(
             InstancePrediction(
@@ -721,15 +712,10 @@ def run_sweep(
 
     elif spec.variant == "crown_class":
         result = classify(dataset, "crown-class")
-        group_of = {
-            inst.crown_id: (
-                "overstory" if inst.crown_class in OVERSTORY_CLASSES else "understory"
-            )
-            for inst in dataset.instances
-        }
-        for group in ("overstory", "understory"):
+        overstory = [inst.crown_class in OVERSTORY_CLASSES for inst in dataset.instances]
+        for group, wanted in (("overstory", True), ("understory", False)):
             group_preds = [
-                p for p in result.predictions if group_of[p.crown_id] == group
+                p for p, over in zip(result.predictions, overstory) if over == wanted
             ]
             rows.append(
                 _row("crown_class", group, accuracies_from_predictions(group_preds))
@@ -737,15 +723,14 @@ def run_sweep(
 
     elif spec.variant == "density":
         result = classify(dataset, "density")
-        by_id = {inst.crown_id: inst for inst in dataset.instances}
         stats = {}
         for label in (CONIFER, DECIDUOUS):
             densities = []
             correct_probs = []
-            for pred in result.predictions:
+            for inst, pred in zip(dataset.instances, result.predictions):
                 if pred.label != label or pred.held_out_by == 0:
                     continue
-                densities.append(by_id[pred.crown_id].density)
+                densities.append(inst.density)
                 correct_probs.append(
                     pred.p_conifer if label == CONIFER else 1.0 - pred.p_conifer
                 )

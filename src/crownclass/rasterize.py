@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.format import open_memmap, write_array_header_1_0
 
+from . import SPECIES_CLASSES
 from .ingest import LEAF_OFF, LEAF_ON, CrownCloud
 from .util import InputError, write_json
 
@@ -40,6 +41,8 @@ DSM_CHANNEL_SCALES = np.array(
 
 # Per-rotation image shape of each representation kind in the store.
 KIND_SHAPES = {"views4": (4, VIEW_SIZE, VIEW_SIZE), "dsm4": (4, DSM_SIZE, DSM_SIZE)}
+# Scalar features per crown of each kind (rasterize_crown).
+KIND_SCALARS = {"views4": 2, "dsm4": 1}
 # Store manifest: these facts plus one list per crown column, row order.
 STORE_KEYS = ("kind", "n_rotations", "step", "scaled")
 CROWN_COLUMNS = ("crown_id", "label", "crown_class", "density", "scalars")
@@ -222,10 +225,48 @@ def write_representation_file(
     write_json(manifest_path, manifest)
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_crown_columns(manifest_path, manifest: dict) -> None:
+    """Each crown column must be a list with one value per crown_id, of
+    the column's kind; the first that is not raises InputError naming
+    the file and the column."""
+    width = KIND_SCALARS[manifest["kind"]]
+    rules = {
+        "crown_id": (lambda v: type(v) is str, "a string"),
+        "label": (lambda v: v in SPECIES_CLASSES, " or ".join(SPECIES_CLASSES)),
+        "crown_class": (lambda v: type(v) is str, "a string"),
+        "density": (_is_number, "a finite number"),
+        "scalars": (
+            lambda v: type(v) is list and len(v) == width and all(map(_is_number, v)),
+            f"a list of {width} finite numbers",
+        ),
+    }
+    crowns = manifest["crown_id"]
+    for column, (valid, rule) in rules.items():
+        values = manifest[column]
+        if type(values) is not list:
+            raise InputError(f"{manifest_path}: column {column} is not a list")
+        if len(values) != len(crowns):
+            raise InputError(
+                f"{manifest_path}: column {column} holds {len(values)} values "
+                f"for {len(crowns)} crowns"
+            )
+        for row, value in enumerate(values):
+            if not valid(value):
+                raise InputError(
+                    f"{manifest_path}: column {column}, row {row}: "
+                    f"{json.dumps(value)[:40]} is not {rule}"
+                )
+
+
 def read_manifest(manifest_path: "str | Path") -> dict:
     """A raster store's manifest; one that is not a JSON object, lacks a
-    store key or crown column, names no known kind or holds unscaled
-    rasters raises InputError naming the file."""
+    store key or crown column, names no known kind, holds unscaled
+    rasters or a malformed crown column raises InputError naming the
+    file."""
     try:
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -242,6 +283,7 @@ def read_manifest(manifest_path: "str | Path") -> dict:
         )
     if not manifest["scaled"]:
         raise InputError(f"{manifest_path}: its rasters are not scaled for the networks")
+    _check_crown_columns(manifest_path, manifest)
     return manifest
 
 

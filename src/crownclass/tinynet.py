@@ -59,6 +59,10 @@ BLOCK_BYTES = 256 * 1024
 # had raised glibc's mmap threshold, and the next stage's arrays would
 # add to them.
 MAPPED_BYTES = 1 << 20
+# Dense layers: the side stack maps the scalar features, the head stack
+# the flattened images and side output to logits. ReLU after all but "out".
+SIDE_LAYERS = ("side0", "side1")
+HEAD_LAYERS = ("head0", "head1", "out")
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,14 @@ def _branch_prefix(spec: ArchSpec, branch: int) -> str:
     return f"img{branch}." if len(spec.branch_channels) > 1 else ""
 
 
+def _dense_stacks(spec: ArchSpec):
+    """Per dense stack: its layer names, then its input and output widths."""
+    return (
+        (SIDE_LAYERS, (spec.scalar_dim, *spec.side_dims)),
+        (HEAD_LAYERS, (spec.concat_dim, *spec.head_dims, 2)),
+    )
+
+
 def _layer_plan(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
     """Parameter names and shapes in declaration (and file) order."""
     plan: list[tuple[str, tuple[int, ...]]] = []
@@ -194,21 +206,10 @@ def _layer_plan(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
         for i in range(spec.conv_pairs):
             plan.append((f"{prefix}conv{i}.kernel", (channels, 3, 3)))
             plan.append((f"{prefix}conv{i}.bias", (channels,)))
-    side0, side1 = spec.side_dims
-    head0, head1 = spec.head_dims
-    for name, shape in (
-        ("side0.weight", (side0, spec.scalar_dim)),
-        ("side0.bias", (side0,)),
-        ("side1.weight", (side1, side0)),
-        ("side1.bias", (side1,)),
-        ("head0.weight", (head0, spec.concat_dim)),
-        ("head0.bias", (head0,)),
-        ("head1.weight", (head1, head0)),
-        ("head1.bias", (head1,)),
-        ("out.weight", (2, head1)),
-        ("out.bias", (2,)),
-    ):
-        plan.append((name, shape))
+    for names, widths in _dense_stacks(spec):
+        for name, fan_in, out in zip(names, widths, widths[1:]):
+            plan.append((f"{name}.weight", (out, fan_in)))
+            plan.append((f"{name}.bias", (out,)))
     return plan
 
 
@@ -447,6 +448,21 @@ def softmax_xent(
     return np.exp(log_probs), loss
 
 
+def _dense_forward(params, x, names, widths, note) -> list[np.ndarray]:
+    """One stack of _dense_stacks; returns its input and every layer's
+    output. The "out" layer, which has no ReLU, is noted as the logits."""
+    acts = [x]
+    for name, out in zip(names, widths[1:]):
+        relu = name != "out"
+        weight, bias = params.tensors[name + ".weight"], params.tensors[name + ".bias"]
+        x = dense(x, weight, bias, relu)
+        name = name if relu else "logits"
+        _check_shape(name, x, (len(x), out))
+        note(name, x)
+        acts.append(x)
+    return acts
+
+
 def _forward(
     params: NetworkParams,
     images: np.ndarray,
@@ -507,40 +523,16 @@ def _forward(
     _check_shape("flatten", flat, (batch, spec.flatten_dim))
     note("flatten", flat)
 
-    side0 = dense(
-        scalars, params.tensors["side0.weight"], params.tensors["side0.bias"], relu=True
-    )
-    _check_shape("side0", side0, (batch, spec.side_dims[0]))
-    note("side0", side0)
-    side1 = dense(
-        side0, params.tensors["side1.weight"], params.tensors["side1.bias"], relu=True
-    )
-    _check_shape("side1", side1, (batch, spec.side_dims[1]))
-    note("side1", side1)
-
-    concat = np.concatenate([flat, side1], axis=1)
+    side_stack, head_stack = _dense_stacks(spec)
+    side = _dense_forward(params, scalars, *side_stack, note)
+    concat = np.concatenate([flat, side[-1]], axis=1)
     _check_shape("concat", concat, (batch, spec.concat_dim))
     note("concat", concat)
-
-    head0 = dense(
-        concat, params.tensors["head0.weight"], params.tensors["head0.bias"], relu=True
-    )
-    _check_shape("head0", head0, (batch, spec.head_dims[0]))
-    note("head0", head0)
-    head1 = dense(
-        head0, params.tensors["head1.weight"], params.tensors["head1.bias"], relu=True
-    )
-    _check_shape("head1", head1, (batch, spec.head_dims[1]))
-    note("head1", head1)
-    logits = dense(
-        head1, params.tensors["out.weight"], params.tensors["out.bias"], relu=False
-    )
-    _check_shape("logits", logits, (batch, 2))
-    note("logits", logits)
+    head = _dense_forward(params, concat, *head_stack, note)
 
     if cache is not None:
-        cache["dense"] = (scalars, side0, side1, flat, concat, head0, head1)
-    return logits
+        cache["side"], cache["head"] = side, head
+    return head[-1]
 
 
 def network_forward(
@@ -560,15 +552,17 @@ def network_forward(
     return probs
 
 
-def _dense_backward(grad, x, params, grads, name, activated=None):
-    """Writes the weight and bias gradients of layer `name` into grads and
-    returns the input gradient. activated: post-ReLU output when the
-    layer had a ReLU."""
-    if activated is not None:
-        grad = grad * (activated > 0)
-    np.matmul(grad.T, x, out=grads[name + ".weight"])
-    np.sum(grad, axis=0, out=grads[name + ".bias"])
-    return grad @ params.tensors[name + ".weight"]
+def _dense_backward(grad, acts, names, params, grads):
+    """Writes the weight and bias gradients of one dense stack, whose
+    input and layer outputs _dense_forward returned as acts, into grads
+    and returns the gradient at the stack's input."""
+    for k, name in reversed(list(enumerate(names))):
+        if name != "out":
+            grad = grad * (acts[k + 1] > 0)
+        np.matmul(grad.T, acts[k], out=grads[name + ".weight"])
+        np.sum(grad, axis=0, out=grads[name + ".bias"])
+        grad = grad @ params.tensors[name + ".weight"]
+    return grad
 
 
 def network_gradients(
@@ -594,14 +588,9 @@ def network_gradients(
     grads = FlatTensors(params.tag, ws.take("grads", params.flat.shape, params.dtype))
     d_logits = (probs - onehot) / batch
 
-    scalars_in, side0, side1, flat, concat, head0, head1 = cache["dense"]
-    d_head1 = _dense_backward(d_logits, head1, params, grads, "out")
-    d_head0 = _dense_backward(d_head1, head0, params, grads, "head1", activated=head1)
-    d_concat = _dense_backward(d_head0, concat, params, grads, "head0", activated=head0)
+    d_concat = _dense_backward(d_logits, cache["head"], HEAD_LAYERS, params, grads)
     d_flat = d_concat[:, : spec.flatten_dim]
-    d_side1 = d_concat[:, spec.flatten_dim :]
-    d_side0 = _dense_backward(d_side1, side0, params, grads, "side1", activated=side1)
-    _dense_backward(d_side0, scalars_in, params, grads, "side0", activated=side0)
+    _dense_backward(d_concat[:, spec.flatten_dim :], cache["side"], SIDE_LAYERS, params, grads)
 
     final = spec.final_hw
     offset = 0

@@ -545,6 +545,56 @@ class TestErrorPaths:
         assert run("classify", config, tmp_path) == 1
         assert f"error: {manifest}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "column, spoil, message",
+        [
+            ("crown_id", lambda m: dict(m, crown_id=5), "column crown_id is not a list"),
+            (
+                "crown_id",
+                lambda m: dict(m, crown_id=[5] + m["crown_id"][1:]),
+                "column crown_id, row 0: 5 is not a string",
+            ),
+            ("scalars", lambda m: dict(m, scalars=m["scalars"][:-1]), "column scalars holds"),
+            (
+                "scalars",
+                lambda m: dict(m, scalars=[m["scalars"][0][:1]] + m["scalars"][1:]),
+                "column scalars, row 0: ",
+            ),
+            (
+                "label",
+                lambda m: dict(m, label=m["label"][:-1] + ["x"]),
+                'column label, row 23: "x" is not conifer or deciduous',
+            ),
+            (
+                "density",
+                lambda m: dict(m, density=["dense"] + m["density"][1:]),
+                'column density, row 0: "dense" is not a finite number',
+            ),
+        ],
+        ids=[
+            "id-not-a-list",
+            "id-not-a-string",
+            "scalars-row-short",
+            "scalars-too-narrow",
+            "unknown-label",
+            "density-not-a-number",
+        ],
+    )
+    def test_bad_store_column_exits_1_naming_file_and_column(
+        self, tmp_path, pipeline, capsys, column, spoil, message
+    ):
+        out = pipeline["out"]
+        manifest = tmp_path / "rasters.json"
+        manifest.write_text(json.dumps(spoil(json.loads((out / "rasters.json").read_text()))))
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(manifest),
+        )
+        assert run("classify", config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"error: {manifest}: column {column}" in err and message in err
+
     def labels_file_config(self, tmp_path, pipeline, crown_ids):
         out = pipeline["out"]
         labels = tmp_path / "labels.csv"

@@ -3,7 +3,9 @@ and the sweep table machinery."""
 
 import json
 import math
+import sys
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from crownclass.ensemble import (
     HistoryRow,
     InstancePrediction,
     SweepRow,
-    _instance_probs,
+    holdout_probs,
     _pearson,
     _training_tensors,
     trained_on,
@@ -553,7 +555,6 @@ class TestHeldOutPrediction:
     def test_matches_full_forward_on_held_out_pairs_only(self, case, block):
         run, dataset = case
         n, aug = dataset.images.shape[:2]
-        trained = trained_on(run, n)
         forwarded = {id(net.params): [] for net in run.networks}
 
         def recording_predict(params, images, scalars):
@@ -564,14 +565,16 @@ class TestHeldOutPrediction:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ensemble, "GATHER_BLOCK", block)
             patch.setattr(ensemble, "predict_probs", recording_predict)
-            probs = _instance_probs(run, dataset, trained, threads=2)
+            probs, held = holdout_probs(run, dataset, threads=2)
+        np.testing.assert_array_equal(held, ~trained_on(run, n))
+        assert probs.shape == (len(run.networks), n, aug, 2)
+        assert probs.dtype == run.networks[0].params.dtype
         reference = reference_instance_probs(run, dataset)
         for j, net in enumerate(run.networks):
-            held = np.flatnonzero(~trained[j])
             # crown-major, rotation-minor, and never a training crown
-            assert forwarded[id(net.params)] == list(np.repeat(held, aug))
-            np.testing.assert_array_equal(probs[j][held], reference[j][held])
-            assert np.isnan(probs[j][trained[j]]).all()
+            assert forwarded[id(net.params)] == list(np.repeat(np.flatnonzero(held[j]), aug))
+            np.testing.assert_array_equal(probs[j, held[j]], reference[j][held[j]])
+            assert np.isnan(probs[j, ~held[j]]).all()
 
     @settings(max_examples=50, deadline=None)
     @given(case=membership_runs())
@@ -583,18 +586,113 @@ class TestHeldOutPrediction:
             for i in range(len(dataset)):
                 assert trained[j, i] == (i in net.held)
 
+    def test_threads_filling_one_table_match_one_thread(self):
+        # More pool threads than cores, switching often: rows
+        # written by one thread must not clobber another's.
+        dataset = blob_dataset(5, 5, seed=14, aug=3)
+        run = EnsembleRun(
+            [
+                TrainedNetwork(init_params(dataset.tag, seed=k), 0.9, (k, k + 1, 9 - k))
+                for k in range(8)
+            ]
+        )
+        serial, _ = holdout_probs(run, dataset, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled, _ = holdout_probs(run, dataset, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.tobytes() == serial.tobytes()
+
     def test_one_crown_one_rotation_held_out(self):
         dataset = blob_dataset(2, 1, seed=13, aug=1)
         params = init_params(dataset.tag, seed=25)
         run = EnsembleRun(
             [TrainedNetwork(params, 0.9, (0, 2)), TrainedNetwork(params, 0.9, (1, 2))]
         )
-        trained = trained_on(run, len(dataset))
-        probs = _instance_probs(run, dataset, trained)
+        probs, held = holdout_probs(run, dataset)
+        np.testing.assert_array_equal(held, [[False, True, False], [True, False, False]])
         reference = reference_instance_probs(run, dataset)
-        np.testing.assert_array_equal(probs[0][1], reference[0][1])
-        np.testing.assert_array_equal(probs[1][0], reference[1][0])
-        assert np.isnan(probs[0][[0, 2]]).all() and np.isnan(probs[1][[1, 2]]).all()
+        np.testing.assert_array_equal(probs[0, 1], reference[0][1])
+        np.testing.assert_array_equal(probs[1, 0], reference[1][0])
+        assert np.isnan(probs[0, [0, 2]]).all() and np.isnan(probs[1, [1, 2]]).all()
+
+
+def reference_mislabel_iteration(run, dataset, alpha):
+    """Reference for mislabel_iteration: a loop over crowns and their
+    held-out networks, on full-forward probabilities."""
+    trained = trained_on(run, len(dataset))
+    probs = reference_instance_probs(run, dataset)
+    decisions = []
+    for i, inst in enumerate(dataset.instances):
+        label_index = ensemble.CLASS_INDEX[inst.label]
+        d_values = []
+        for j in np.flatnonzero(~trained[:, i]):
+            acc_ni = float(np.mean(np.argmax(probs[j][i], axis=1) == label_index))
+            d_values.append(acc_ni - (1.0 - run.networks[j].acc_n))
+        if len(d_values) < 2:
+            decisions.append(
+                FlipDecision(inst.crown_id, d_values, float("nan"), float("nan"), False)
+            )
+            continue
+        decisions.append(flip_decision(inst.crown_id, d_values, alpha))
+    return decisions
+
+
+def reference_ensemble_predictions(run, dataset):
+    """Reference for ensemble_predictions: per crown, a stack of its
+    held-out networks' rows, on full-forward probabilities."""
+    trained = trained_on(run, len(dataset))
+    probs = reference_instance_probs(run, dataset)
+    predictions = []
+    for i, inst in enumerate(dataset.instances):
+        holdout = [probs[j][i] for j in np.flatnonzero(~trained[:, i])]
+        if not holdout:
+            predictions.append(
+                InstancePrediction(inst.crown_id, inst.label, "", float("nan"), 0)
+            )
+            continue
+        mean_probs = np.stack(holdout).mean(axis=(0, 1))
+        predictions.append(
+            InstancePrediction(
+                inst.crown_id,
+                inst.label,
+                ensemble.INDEX_CLASS[int(np.argmax(mean_probs))],
+                float(mean_probs[0]),
+                len(holdout),
+            )
+        )
+    return predictions
+
+
+class TestHeldOutTableConsumers:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=membership_runs(),
+        labels=st.lists(st.sampled_from(["conifer", "deciduous"]), min_size=6, max_size=6),
+        acc_n=st.lists(st.floats(0.5, 1.0), min_size=4, max_size=4),
+        alpha=st.sampled_from([1e-8, 0.3, 0.9]),
+    )
+    def test_equal_to_per_crown_loops(self, case, labels, acc_n, alpha):
+        run, dataset = case
+        for inst, label in zip(dataset.instances, labels):
+            inst.label = label
+        for net, acc in zip(run.networks, acc_n):
+            net.acc_n = acc
+        decisions = mislabel_iteration(run, dataset, alpha, threads=2)
+        # assert_equal: nan equals nan, and zeros must agree in sign
+        np.testing.assert_equal(
+            [astuple(d) for d in decisions],
+            [astuple(d) for d in reference_mislabel_iteration(run, dataset, alpha)],
+        )
+        for decision in decisions:
+            assert all(type(v) is float for v in decision.d_values)
+        predictions = ensemble_predictions(run, dataset, threads=2)
+        np.testing.assert_equal(
+            [astuple(p) for p in predictions],
+            [astuple(p) for p in reference_ensemble_predictions(run, dataset)],
+        )
 
 
 class TestEnsemblePredictions:
