@@ -14,20 +14,16 @@ import json
 import logging
 import operator
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import CLASS_INDEX, CONIFER, DECIDUOUS, __version__
 from . import ensemble as ens
 from .ingest import (
-    GROUND,
-    VEGETATION,
-    assemble_crowns,
-    build_dem,
-    filter_canopy,
-    height_normalize,
+    crowns_from_points,
     read_point_file,
     read_stem_file,
     write_point_file,
@@ -213,7 +209,7 @@ def require_input(config: dict, key: str) -> Path:
     return path
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
+def write_manifest(out_dir: Path, command: str, config: dict, outputs: tuple[str, ...]) -> None:
     manifest = {
         "command": command,
         "version": __version__,
@@ -238,62 +234,42 @@ def read_summary(path: Path) -> list[tuple[str, float, float, int]]:
 # Subcommands
 
 
-def cmd_synth(config: dict, out_dir: Path) -> list[str]:
+def cmd_synth(config: dict, out_dir: Path) -> None:
     params = SynthParams(seed=config["seed"], **{k: config[k] for k in SYNTH_KEYS})
     dataset = generate_dataset(params)
     write_point_file(out_dir / "points.csv", dataset.points)
     write_stem_file(out_dir / "stems.csv", dataset.stems)
     write_truth_file(out_dir / "truth.csv", dataset.truth)
-    return ["points.csv", "stems.csv", "truth.csv"]
 
 
-def cmd_normalize_intensity(config: dict, out_dir: Path) -> list[str]:
-    points = read_point_file(require_input(config, "points_file"))
-    if not config["intensity_norm"]:
+def cmd_normalize_intensity(config: dict, out_dir: Path) -> None:
+    points, models = read_point_file(Path(config["points_file"])), {}
+    if config["intensity_norm"]:
+        seed = derive_seed(config["seed"], "intensity")
+        models = fit_all_models(points, cell=float(config["grid_cell"]), seed=seed)
+        points = apply_residualization(points, models, alpha=float(config["significance_alpha"]))
+    else:
         logger.info("intensity normalization bypassed; copying points through")
-        write_point_file(out_dir / "points_normalized.csv", points)
-        write_models(out_dir / "intensity_models.json", {})
-        return ["points_normalized.csv", "intensity_models.json"]
-    models = fit_all_models(
-        points,
-        cell=float(config["grid_cell"]),
-        seed=derive_seed(config["seed"], "intensity"),
-    )
-    normalized = apply_residualization(
-        points, models, alpha=float(config["significance_alpha"])
-    )
-    write_point_file(out_dir / "points_normalized.csv", normalized)
+    write_point_file(out_dir / "points_normalized.csv", points)
     write_models(out_dir / "intensity_models.json", models)
-    return ["points_normalized.csv", "intensity_models.json"]
 
 
 def crowns_from_points_file(config: dict) -> list:
-    path = require_input(config, "points_file")
-    points = read_point_file(path)
-    ground = points.select(points.pclass == GROUND)
-    if len(ground) == 0:
-        raise InputError(f"points_file {path} holds no ground returns; no DEM to build")
-    vegetation = points.select(points.pclass == VEGETATION)
-    try:
-        normalized = height_normalize(vegetation, build_dem(ground))
-    except ValueError as error:  # a vegetation point outside the ground's extent
-        raise InputError(f"points_file {path}: {error}") from error
-    return assemble_crowns(filter_canopy(normalized))
+    path = Path(config["points_file"])
+    return crowns_from_points(read_point_file(path), f"points_file {path}")
 
 
-def cmd_register(config: dict, out_dir: Path) -> list[str]:
+def cmd_register(config: dict, out_dir: Path) -> None:
     crowns = crowns_from_points_file(config)
-    stems = read_stem_file(require_input(config, "stems_file"))
-    labeled = register_crowns(crowns, stems)
-    logger.info("registered %d of %d crowns", len(labeled), len(crowns))
-    write_registrations(out_dir / "registrations.csv", labeled)
-    return ["registrations.csv"]
+    registrations = register_crowns(crowns, read_stem_file(Path(config["stems_file"])))
+    logger.info("registered %d of %d crowns", len(registrations), len(crowns))
+    write_registrations(out_dir / "registrations.csv", registrations)
 
 
-def cmd_rasterize(config: dict, out_dir: Path) -> list[str]:
+def cmd_rasterize(config: dict, out_dir: Path) -> None:
     """Rasterize registered crowns one at a time, in sorted order, into the store."""
     crowns = {c.crown_id: c for c in crowns_from_points_file(config)}
-    registrations = require_input(config, "registrations_file")
+    registrations = Path(config["registrations_file"])
     rows = read_registrations(registrations)
     for row in rows:
         if row.crown_id not in crowns:
@@ -321,10 +297,11 @@ def cmd_rasterize(config: dict, out_dir: Path) -> list[str]:
         step=step,
         n_crowns=len(rows),
     )
-    return ["rasters.bin", "rasters.json"]
 
 
 def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_file"):
+    """The store the two keys name, relabelled by labels_file when that is
+    set. The keys are checked here too, since STAGES does not list the raw store's."""
     tensor_path = require_input(config, tensor_key)
     manifest_path = require_input(config, manifest_key)
     manifest = read_manifest(manifest_path)
@@ -336,8 +313,8 @@ def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_
     images = read_all_representations(tensor_path, manifest)
     dataset = ens.from_store(images, manifest)
     labels_key, labels_path = manifest_key, manifest_path
-    if config.get("labels_file"):
-        labels_key, labels_path = "labels_file", require_input(config, "labels_file")
+    if config["labels_file"]:
+        labels_key, labels_path = "labels_file", Path(config["labels_file"])
         stored, seen = {i.crown_id for i in dataset.instances}, set()
         overrides = dict(
             read_csv_rows(
@@ -380,14 +357,7 @@ def load_raw_dataset(config: dict):
     return load_dataset(config, "raw_tensor_file", "raw_manifest_file")
 
 
-def load_ablated_dataset(config: dict):
-    """The dataset classify trains on under the configured ablation."""
-    dataset = load_dataset(config)
-    raw = load_raw_dataset(config) if config["ablation"] == "raw-intensity" else None
-    return ens.ablate(dataset, config["ablation"], raw)
-
-
-def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
+def cmd_correct_labels(config: dict, out_dir: Path) -> None:
     dataset, history = ens.correct_mislabels(
         load_dataset(config),
         training(config, "correct-labels"),
@@ -402,18 +372,18 @@ def cmd_correct_labels(config: dict, out_dir: Path) -> list[str]:
         ([i.crown_id, i.label, i.original_label] for i in dataset.instances),
     )
     ens.write_history(out_dir / "history.csv", history)
-    return ["corrected_labels.csv", "history.csv"]
 
 
-def cmd_classify(config: dict, out_dir: Path) -> list[str]:
-    dataset = load_ablated_dataset(config)
+def cmd_classify(config: dict, out_dir: Path) -> None:
+    dataset = load_dataset(config)
+    raw = load_raw_dataset(config) if config["ablation"] == "raw-intensity" else None
+    dataset = ens.ablate(dataset, config["ablation"], raw)
     result = ens.ensemble_classify(dataset, training(config, "classify"))
     ens.write_predictions(out_dir / "predictions.csv", result.predictions)
     write_summary(out_dir / "summary.csv", result)
-    return ["predictions.csv", "summary.csv"]
 
 
-def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
+def cmd_sweep(config: dict, out_dir: Path) -> None:
     dataset = load_dataset(config)
     spec = ens.SweepSpec(
         variant=config["sweep_variant"],
@@ -430,12 +400,10 @@ def cmd_sweep(config: dict, out_dir: Path) -> list[str]:
             f"augmentations must be at most the store's {dataset.augmentations} "
             f"rotations, not {list(spec.augmentations)}"
         )
-    raw = None
-    if spec.variant == "ablation" and "raw-intensity" in spec.ablations:
-        raw = load_raw_dataset(config)
+    raw_ablation = spec.variant == "ablation" and "raw-intensity" in spec.ablations
+    raw = load_raw_dataset(config) if raw_ablation else None
     rows = ens.run_sweep(dataset, spec, training(config, "sweep"), raw)
     ens.write_sweep_table(out_dir / "sweep.csv", rows)
-    return ["sweep.csv"]
 
 
 def _figure_rows_from_history(rows) -> list[tuple]:
@@ -458,36 +426,55 @@ def _figure_rows_from_sweep(rows) -> list[tuple]:
     return out
 
 
-def cmd_report(config: dict, out_dir: Path) -> list[str]:
+def cmd_report(config: dict, out_dir: Path) -> None:
     """Tabulate whatever result tables the config names into one
-    plot-ready long-format file; a named table must exist."""
+    plot-ready long-format file."""
     rows: list[tuple] = []
     if config["history_file"]:
-        history = ens.read_history(require_input(config, "history_file"))
-        rows.extend(_figure_rows_from_history(history))
+        rows.extend(_figure_rows_from_history(ens.read_history(Path(config["history_file"]))))
     if config["summary_file"]:
-        for label, accuracy, _, n in read_summary(require_input(config, "summary_file")):
+        for label, accuracy, _, n in read_summary(Path(config["summary_file"])):
             rows.append(("classification", label, n, accuracy))
     if config["sweep_file"]:
-        sweep = ens.read_sweep_table(require_input(config, "sweep_file"))
-        rows.extend(_figure_rows_from_sweep(sweep))
+        rows.extend(_figure_rows_from_sweep(ens.read_sweep_table(Path(config["sweep_file"]))))
     write_csv_rows(
         out_dir / "figures.csv",
         FIGURE_COLUMNS,
         ([figure, series, float(x), float(y)] for figure, series, x, y in rows),
     )
-    return ["figures.csv"]
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "normalize-intensity": cmd_normalize_intensity,
-    "register": cmd_register,
-    "rasterize": cmd_rasterize,
-    "correct-labels": cmd_correct_labels,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
+@dataclass(frozen=True)
+class Stage:
+    run: Callable[[dict, Path], None]
+    requires: tuple[str, ...]  # input keys the command needs
+    reads_if_set: tuple[str, ...]  # input keys it reads only when they are set
+    writes: tuple[str, ...]  # files it writes into --out, in the order main prints them
+
+
+# The pipeline graph: each command's inputs and outputs. main checks that
+# every required or set input exists before the command starts.
+STORE = ("tensor_file", "manifest_file")  # the input keys of a raster store
+STAGES = {
+    "synth": Stage(cmd_synth, (), (), ("points.csv", "stems.csv", "truth.csv")),
+    "normalize-intensity": Stage(
+        cmd_normalize_intensity,
+        ("points_file",),
+        (),
+        ("points_normalized.csv", "intensity_models.json"),
+    ),
+    "register": Stage(cmd_register, ("points_file", "stems_file"), (), ("registrations.csv",)),
+    "rasterize": Stage(
+        cmd_rasterize, ("points_file", "registrations_file"), (), ("rasters.bin", "rasters.json")
+    ),
+    "correct-labels": Stage(
+        cmd_correct_labels, STORE, ("labels_file",), ("corrected_labels.csv", "history.csv")
+    ),
+    "classify": Stage(cmd_classify, STORE, ("labels_file",), ("predictions.csv", "summary.csv")),
+    "sweep": Stage(cmd_sweep, STORE, ("labels_file",), ("sweep.csv",)),
+    "report": Stage(
+        cmd_report, (), ("history_file", "summary_file", "sweep_file"), ("figures.csv",)
+    ),
 }
 
 
@@ -499,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         "correction, ensemble classification, and evaluation sweeps.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in STAGES:
         sub = subparsers.add_parser(name, help=f"run the {name} step")
         sub.add_argument("--config", required=True, help="path to the JSON run config")
         sub.add_argument("--out", default=".", help="output directory")
@@ -528,11 +515,14 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     if args.no_intensity_norm:
         overrides["intensity_norm"] = False
+    stage = STAGES[args.command]
     try:
         config = load_config(args.config, overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = COMMANDS[args.command](config, out_dir)
+        for key in stage.requires + tuple(k for k in stage.reads_if_set if config[k]):
+            require_input(config, key)
+        stage.run(config, out_dir)
     except InputError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -540,8 +530,8 @@ def main(argv: "list[str] | None" = None) -> int:
         logger.exception("command failed")
         print(f"error: {error}", file=sys.stderr)
         return 2
-    write_manifest(out_dir, args.command, config, outputs)
-    for name in outputs:
+    write_manifest(out_dir, args.command, config, stage.writes)
+    for name in stage.writes:
         print(out_dir / name)
     return 0
 

@@ -685,6 +685,7 @@ def run_sweep(
                 )
                 per_class = max(1, int(round(fraction * training.per_class)))
                 result = classify(subset, *seed_path, per_class=per_class)
+                del subset  # one repeat's copy of its crowns at a time
                 for label in (CONIFER, DECIDUOUS):
                     per_label_acc[label].append(result.accuracies[label].accuracy)
             stats = {}  # per label: mean accuracy and its 95% half-width

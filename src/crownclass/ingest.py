@@ -305,6 +305,20 @@ def assemble_crowns(
     return crowns
 
 
+def crowns_from_points(points: PointCloud, source: str = "points") -> list[CrownCloud]:
+    """A plot's crowns: a DEM from its ground returns, the vegetation's
+    heights above it, then its canopy grouped by crown. No ground returns,
+    or vegetation outside their extent, raise InputError naming ``source``."""
+    ground = points.select(points.pclass == GROUND)
+    if len(ground) == 0:
+        raise InputError(f"{source} holds no ground returns; no DEM to build")
+    try:
+        normalized = height_normalize(points.select(points.pclass == VEGETATION), build_dem(ground))
+    except ValueError as error:
+        raise InputError(f"{source}: {error}") from error
+    return assemble_crowns(filter_canopy(normalized))
+
+
 def _point_columns(path: str | Path) -> tuple[dict[str, np.ndarray], InputError | None]:
     """The point file's columns from one C-level pass, and None. Where
     NumPy's parser refuses a row, Python's csv and number rules parse the

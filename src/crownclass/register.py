@@ -5,7 +5,7 @@ maximizes total score."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,22 +24,13 @@ SCORE_TIERS = (
 
 
 @dataclass
-class LabeledCrown:
-    crown: CrownCloud
-    label: str  # "conifer" | "deciduous"
-    crown_class: str
-    matched_stem_id: str
-    score: int
-
-
-@dataclass
 class Registration:
-    """One row of the registration table."""
+    """One crown matched to one field stem: a row of the registration table."""
 
     crown_id: str
     stem_id: str
     score: int
-    label: str
+    label: str  # "conifer" | "deciduous"
     crown_class: str
 
 
@@ -89,46 +80,29 @@ def max_score_assignment(scores: np.ndarray) -> list[tuple[int, int]]:
 
 def register_crowns(
     crowns: list[CrownCloud], stems: list[FieldStem]
-) -> list[LabeledCrown]:
+) -> list[Registration]:
     """Match crowns to live field stems, one-to-one, maximizing total
     pair score. Unmatched crowns and stems are dropped."""
     crowns = sorted(crowns, key=lambda c: c.crown_id)
     stems = sorted(stems, key=lambda s: s.stem_id)
-    if not crowns or not stems:
-        return []
     scores = np.zeros((len(crowns), len(stems)), dtype=np.int64)
     for i, crown in enumerate(crowns):
         for j, stem in enumerate(stems):
             scores[i, j] = pair_score(crown, stem)
-    labeled = []
-    for i, j in max_score_assignment(scores):
-        labeled.append(
-            LabeledCrown(
-                crown=crowns[i],
-                label=stems[j].species_class,
-                crown_class=stems[j].crown_class,
-                matched_stem_id=stems[j].stem_id,
-                score=int(scores[i, j]),
-            )
+    return [
+        Registration(
+            crowns[i].crown_id,
+            stems[j].stem_id,
+            int(scores[i, j]),
+            stems[j].species_class,
+            stems[j].crown_class,
         )
-    return labeled
+        for i, j in max_score_assignment(scores)
+    ]
 
 
-def write_registrations(path: "str | Path", labeled: list[LabeledCrown]) -> None:
-    write_csv_rows(
-        path,
-        REGISTRATION_COLUMNS,
-        (
-            [
-                item.crown.crown_id,
-                item.matched_stem_id,
-                item.score,
-                item.label,
-                item.crown_class,
-            ]
-            for item in labeled
-        ),
-    )
+def write_registrations(path: "str | Path", rows: list[Registration]) -> None:
+    write_csv_rows(path, REGISTRATION_COLUMNS, map(astuple, rows))
 
 
 def _parse_registration_row(fields: list[str], seen: set[str]) -> Registration:

@@ -21,14 +21,7 @@ from test_register import brute_force_total
 
 from crownclass import cli
 from crownclass import ensemble as ens
-from crownclass.ingest import (
-    GROUND,
-    VEGETATION,
-    assemble_crowns,
-    build_dem,
-    filter_canopy,
-    height_normalize,
-)
+from crownclass.ingest import crowns_from_points
 from crownclass.intensity import apply_residualization, fit_intensity_model
 from crownclass.rasterize import make_dsm4, make_views4, rotate_about_apex
 from crownclass.register import max_score_assignment, register_crowns
@@ -41,16 +34,9 @@ def report(index: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def crowns_from_dataset(dataset):
-    pts = dataset.points
-    ground = pts.select(pts.pclass == GROUND)
-    veg = pts.select(pts.pclass == VEGETATION)
-    dem = build_dem(ground)
-    return assemble_crowns(filter_canopy(height_normalize(veg, dem)))
-
-
-def views4_dataset(labeled, n_rotations, step):
-    rows = [(lc.crown, lc.label, lc.crown_class) for lc in labeled]
+def views4_dataset(crowns, registrations, n_rotations, step):
+    by_id = {crown.crown_id: crown for crown in crowns}
+    rows = [(by_id[row.crown_id], row.label, row.crown_class) for row in registrations]
     return crown_dataset(rows, "views4", n_rotations, step)
 
 
@@ -219,15 +205,16 @@ def test_05_mislabel_correction_recovers_injected_flips():
         deciduous_intensity_off=(50.0, 8.0),
     )
     dataset = generate_dataset(params)
-    labeled = register_crowns(crowns_from_dataset(dataset), dataset.stems)
+    crowns = crowns_from_points(dataset.points)
+    registrations = register_crowns(crowns, dataset.stems)
     truth = {row.crown_id: row.true_label for row in dataset.truth}
     recorded = {row.crown_id: row.recorded_label for row in dataset.truth}
     injected = {cid for cid in truth if truth[cid] != recorded[cid]}
-    assert len(labeled) == 400
+    assert len(registrations) == 400
     assert sum(1 for cid in truth if truth[cid] == "conifer") == 32
     assert len(injected) == 40
 
-    ds = views4_dataset(labeled, n_rotations=10, step=36.0)
+    ds = views4_dataset(crowns, registrations, n_rotations=10, step=36.0)
     corrected, history = ens.correct_mislabels(
         ds,
         ens.Training(
@@ -267,8 +254,8 @@ def test_05_mislabel_correction_recovers_injected_flips():
 def clean_forest():
     """Noise-free forest shared by the classification and ablation checks."""
     dataset = generate_dataset(SynthParams(seed=101, label_noise=0.0))
-    labeled = register_crowns(crowns_from_dataset(dataset), dataset.stems)
-    ds = views4_dataset(labeled, n_rotations=10, step=2.0)
+    crowns = crowns_from_points(dataset.points)
+    ds = views4_dataset(crowns, register_crowns(crowns, dataset.stems), n_rotations=10, step=2.0)
     return ds, ens.select_channels(ds, ens.LEAF_ON_CHANNELS)
 
 

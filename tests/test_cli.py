@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,16 +69,7 @@ def pipeline(tmp_path_factory):
         summary_file=str(out / "summary.csv"),
         sweep_file=str(out / "sweep.csv"),
     )
-    for command in (
-        "synth",
-        "normalize-intensity",
-        "register",
-        "rasterize",
-        "correct-labels",
-        "classify",
-        "sweep",
-        "report",
-    ):
+    for command in cli.STAGES:
         assert run(command, config, out) == 0, command
     return {"root": root, "out": out, "config": config}
 
@@ -205,6 +197,79 @@ class TestPipelineOutputs:
             out / "points.csv"
         ).read_bytes()
         assert json.loads((target / "intensity_models.json").read_text()) == {}
+
+
+REQUIRED_INPUTS = [(c, key) for c, stage in cli.STAGES.items() for key in stage.requires]
+OPTIONAL_INPUTS = [(c, key) for c, stage in cli.STAGES.items() for key in stage.reads_if_set]
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_walkthrough() -> tuple[dict, list[tuple[str, str, str]]]:
+    """The README's CLI walkthrough: its configs by file name (the heredoc,
+    then each sed copy of it) and its (command, config, out) lines."""
+    section = README.read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    name, text = re.search(r"^cat > (\S+) <<'EOF'\n(.*?)\nEOF$", block, re.S | re.M).groups()
+    texts = {name: text}
+    for old, new, source, target in re.findall(
+        r"^sed 's\|([^|]*)\|([^|]*)\|' (\S+) > (\S+)$", block, re.M
+    ):
+        lines = texts[source].splitlines()
+        texts[target] = "\n".join(line.replace(old, new, 1) for line in lines)
+    commands = re.findall(r"^crownclass (\S+) +--config (\S+) --out (\S+)$", block, re.M)
+    return {name: json.loads(text) for name, text in texts.items()}, commands
+
+
+class TestStages:
+    @pytest.mark.parametrize("command, key", REQUIRED_INPUTS)
+    def test_unset_required_input_exits_1_before_reading(self, tmp_path, capsys, command, key):
+        # The other inputs name a file that exists but no stage can read.
+        config = tmp_path / "config.json"
+        others = {k: str(config) for k in cli.STAGES[command].requires if k != key}
+        write_config(config, **others)
+        out = tmp_path / "out"
+        assert run(command, config, out) == 1
+        assert f"config key {key} is required for this command" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key", OPTIONAL_INPUTS)
+    def test_set_but_absent_input_exits_1_before_reading(self, tmp_path, capsys, command, key):
+        config = tmp_path / "config.json"
+        absent = tmp_path / "absent.csv"
+        requires = cli.STAGES[command].requires
+        write_config(config, **{k: str(config) for k in requires}, **{key: str(absent)})
+        out = tmp_path / "out"
+        assert run(command, config, out) == 1
+        assert f"error: {key} does not exist: {absent}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(cli.STAGES))
+    def test_manifest_lists_the_table_outputs(self, pipeline, command):
+        out = pipeline["out"]
+        manifest = json.loads((out / f"manifest_{command}.json").read_text())
+        writes = cli.STAGES[command].writes
+        assert manifest["outputs"] == sorted(writes)
+        assert all((out / name).is_file() for name in writes)
+
+    def test_stdout_lists_the_table_outputs_in_order(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json")
+        assert run("synth", config, tmp_path) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [str(tmp_path / name) for name in cli.STAGES["synth"].writes]
+
+    def test_readme_walkthrough_inputs_come_from_earlier_outputs(self, tmp_path):
+        configs, commands = readme_walkthrough()
+        assert [command for command, _, _ in commands] == list(cli.STAGES)
+        written: set[str] = set()
+        for command, config_name, out in commands:
+            config = configs[config_name]
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            cli.load_config(str(tmp_path / "config.json"), {})
+            stage = cli.STAGES[command]
+            inputs = stage.requires + tuple(k for k in stage.reads_if_set if config.get(k))
+            for key in inputs:
+                assert config.get(key) in written, (command, key, config.get(key))
+            written |= {f"{out}/{name}" for name in stage.writes}
 
 
 # Imports every crownclass module, optionally runs one stage, then prints

@@ -4,6 +4,7 @@ and the sweep table machinery."""
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 
@@ -842,6 +843,24 @@ class TestRunSweep:
         dataset = blob_dataset(2, 2, seed=18)
         with pytest.raises(ValueError, match="variant"):
             run_sweep(dataset, SweepSpec(variant="speed"), TINY_TRAINING)
+
+    def test_size_sweep_holds_one_copy_of_its_crowns_at_a_time(self, monkeypatch):
+        instances = [light_instance(f"c{i:03d}", "conifer") for i in range(10)]
+        instances += [light_instance(f"d{i:03d}", "deciduous") for i in range(30)]
+        images = np.zeros((40, 4, 4, 64, 64), dtype=np.float32)  # 10.5 MB
+        dataset = LabeledDataset("views", instances, images, np.zeros((40, 2), np.float32))
+        accuracies = {label: ClassAccuracy(label, 1.0, 0.0, 1) for label in ensemble.CLASS_INDEX}
+        result = ClassifyResult([], accuracies)
+        monkeypatch.setattr(ensemble, "ensemble_classify", lambda *_: result)
+        spec = SweepSpec(variant="size", fractions=(1.0,), repeats=2)
+        tracemalloc.start()
+        try:
+            run_sweep(dataset, spec, TINY_TRAINING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every repeat at fraction 1 gathers all 40 crowns.
+        assert images.nbytes <= peak < 1.5 * images.nbytes
 
     def test_variants_train_with_derived_recipes(self, monkeypatch):
         dataset = blob_dataset(4, 6, seed=19)

@@ -9,6 +9,7 @@ import pytest
 
 from crownclass.ingest import LEAF_ON, VEGETATION, Apex, CrownCloud, FieldStem, PointCloud
 from crownclass.register import (
+    Registration,
     max_score_assignment,
     pair_score,
     read_registrations,
@@ -159,12 +160,9 @@ class TestAssignment:
 class TestRegisterCrowns:
     def test_matched_crown_carries_stem_label(self):
         crown, stem = make_pair(0.05, 3.0)
-        labeled = register_crowns([crown], [stem])
-        assert len(labeled) == 1
-        assert labeled[0].label == "conifer"
-        assert labeled[0].crown_class == "dominant"
-        assert labeled[0].matched_stem_id == "s"
-        assert labeled[0].score == 100
+        assert register_crowns([crown], [stem]) == [
+            Registration("c", "s", 100, "conifer", "dominant")
+        ]
 
     def test_empty_inputs(self):
         crown, stem = make_pair(0.05, 3.0)
@@ -193,24 +191,19 @@ class TestRegisterCrowns:
                 )
             )
         ]
-        labeled = register_crowns(crowns, stems)
-        crown_ids = [item.crown.crown_id for item in labeled]
-        stem_ids = [item.matched_stem_id for item in labeled]
-        assert len(crown_ids) == len(set(crown_ids))
+        registrations = register_crowns(crowns, stems)
+        crown_ids = [row.crown_id for row in registrations]
+        stem_ids = [row.stem_id for row in registrations]
+        assert crown_ids == sorted(set(crown_ids))
         assert len(stem_ids) == len(set(stem_ids))
-        assert all(item.score > 0 for item in labeled)
+        assert all(row.score > 0 for row in registrations)
 
     def test_round_trip(self, tmp_path):
         crown, stem = make_pair(0.05, 3.0)
-        labeled = register_crowns([crown], [stem])
+        registrations = register_crowns([crown], [stem])
         path = tmp_path / "registrations.csv"
-        write_registrations(path, labeled)
-        rows = read_registrations(path)
-        assert len(rows) == 1
-        assert rows[0].crown_id == "c"
-        assert rows[0].stem_id == "s"
-        assert rows[0].score == 100
-        assert rows[0].label == "conifer"
+        write_registrations(path, registrations)
+        assert read_registrations(path) == registrations
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "registrations.csv"

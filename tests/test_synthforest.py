@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from crownclass.ingest import (
-    GROUND,
-    LEAF_OFF,
-    LEAF_ON,
-    VEGETATION,
-    assemble_crowns,
-    build_dem,
-    filter_canopy,
-    height_normalize,
-)
+from crownclass.ingest import LEAF_OFF, LEAF_ON, VEGETATION, crowns_from_points
 from crownclass.register import register_crowns
 from crownclass.synthforest import (
     SynthParams,
@@ -27,13 +18,6 @@ def small_params(**overrides):
     base = dict(seed=11, n_conifer=4, n_deciduous=12)
     base.update(overrides)
     return SynthParams(**base)
-
-
-def crowns_from_dataset(dataset):
-    ground = dataset.points.select(dataset.points.pclass == GROUND)
-    veg = dataset.points.select(dataset.points.pclass == VEGETATION)
-    dem = build_dem(ground)
-    return assemble_crowns(filter_canopy(height_normalize(veg, dem)))
 
 
 class TestGenerateCrown:
@@ -119,20 +103,20 @@ class TestPipelineInterop:
     def test_zero_jitter_registers_every_pair_at_full_score(self):
         params = small_params(jitter_sigma=0.0, stem_height_sigma=0.0)
         dataset = generate_dataset(params)
-        crowns = crowns_from_dataset(dataset)
+        crowns = crowns_from_points(dataset.points)
         assert len(crowns) == 16
-        labeled = register_crowns(crowns, dataset.stems)
-        assert len(labeled) == 16
-        assert all(lc.score == 100 for lc in labeled)
+        registrations = register_crowns(crowns, dataset.stems)
+        assert len(registrations) == 16
+        assert all(row.score == 100 for row in registrations)
 
     def test_registered_labels_match_recorded_labels(self):
         dataset = generate_dataset(small_params(seed=29))
-        crowns = crowns_from_dataset(dataset)
-        labeled = register_crowns(crowns, dataset.stems)
+        crowns = crowns_from_points(dataset.points)
+        registrations = register_crowns(crowns, dataset.stems)
         recorded = {r.crown_id: r.recorded_label for r in dataset.truth}
-        assert len(labeled) == len(crowns)
-        for lc in labeled:
-            assert lc.label == recorded[lc.crown.crown_id]
+        assert len(registrations) == len(crowns)
+        for row in registrations:
+            assert row.label == recorded[row.crown_id]
 
 
 class TestTruthFile:
