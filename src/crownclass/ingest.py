@@ -186,21 +186,48 @@ def build_dem(ground_points: PointCloud, cell: float = 1.0) -> Dem:
 
     void_rows, void_cols = np.nonzero(~populated)
     if void_rows.size:
-        # Imported here so a DEM without voids does not load scipy.spatial.
-        from scipy.spatial import cKDTree
-
-        pop_rc = np.argwhere(populated)
-        tree = cKDTree(pop_rc)
-        void_rc = np.column_stack([void_rows, void_cols])
-        nearest_dist, _ = tree.query(void_rc)
-        # Integer lattice distances are well separated, so a small epsilon
-        # is safe for collecting every exact tie.
-        for (r, c), dist in zip(void_rc, nearest_dist):
-            candidates = tree.query_ball_point((r, c), dist + 1e-9)
-            best = min(map(tuple, pop_rc[candidates]))
-            elevation[r, c] = elevation[best]
+        elevation[void_rows, void_cols] = elevation[
+            _nearest_populated(populated, void_rows, void_cols)
+        ]
 
     return Dem(origin_x=float(origin_x), origin_y=float(origin_y), cell=cell, elevation=elevation)
+
+
+# (void, column) pairs that _nearest_populated compares at once; bounds
+# its scratch arrays to a few MB.
+VOID_CHUNK_CELLS = 1 << 18
+
+
+def _nearest_populated(
+    populated: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the populated cell nearest each cell (rows, cols) by
+    squared lattice distance, ties to the lowest (row, col).
+
+    Within one column the nearest populated cell is the one fewest rows
+    away, the lower row on a tie; so each cell compares one candidate per
+    column, at (distance, row), and the first column wins what is left.
+    """
+    n_rows, n_cols = populated.shape
+    index = np.arange(n_rows)[:, None]
+    # Rows of the nearest populated cell at or above, and at or below,
+    # each cell of its column; a far sentinel where there is none.
+    far = 2 * (n_rows + n_cols)
+    above = np.maximum.accumulate(np.where(populated, index, -far), axis=0)
+    below = np.minimum.accumulate(np.where(populated, index, far)[::-1], axis=0)[::-1]
+    candidate = np.where(index - above <= below - index, above, below)
+    near_rows = np.empty(len(rows), dtype=np.int64)
+    near_cols = np.empty(len(rows), dtype=np.int64)
+    step = max(1, VOID_CHUNK_CELLS // n_cols)
+    for start in range(0, len(rows), step):
+        chunk = slice(start, start + step)
+        row, col = rows[chunk, None], cols[chunk, None]
+        row_of = candidate[rows[chunk]]
+        # Orders by squared distance, then row; argmin takes the first column.
+        key = ((np.arange(n_cols) - col) ** 2 + (row_of - row) ** 2) * far + row_of
+        near_cols[chunk] = np.argmin(key, axis=1)
+        near_rows[chunk] = np.take_along_axis(row_of, near_cols[chunk, None], axis=1)[:, 0]
+    return near_rows, near_cols
 
 
 def height_normalize(points: PointCloud, dem: Dem) -> PointCloud:
@@ -221,19 +248,46 @@ def filter_canopy(points: PointCloud, threshold: float = 3.0) -> PointCloud:
     return points.select(points.z >= threshold)
 
 
-def _hull_area(x: np.ndarray, y: np.ndarray) -> float:
-    # Imported here so stages that compute no crown features skip loading
-    # scipy.spatial.
-    from scipy.spatial import ConvexHull, QhullError
+def _cross(o, a, b):
+    """z of (a - o) x (b - o): positive when o, a, b turn counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    coords = np.unique(np.column_stack([x, y]), axis=0)
-    if coords.shape[0] < 3:
+
+def _hull_area(x: np.ndarray, y: np.ndarray) -> float:
+    """Area of the 2-D convex hull of the points (x, y). Raises
+    ValueError("degenerate crown") for fewer than three distinct points
+    or a zero area."""
+    coords = np.column_stack([x, y])
+    if len(coords) >= 3:
+        # Akl-Toussaint: no point strictly inside the polygon of the
+        # extreme points along x, x + y, y and y - x is a hull vertex.
+        # Minima then maxima of those four directions go round the hull
+        # counter-clockwise, from the leftmost point.
+        along = (x, x + y, y, y - x)
+        ring = coords[[np.argmin(a) for a in along] + [np.argmax(a) for a in along]]
+        inside = np.ones(len(coords), dtype=bool)
+        for start, end in zip(ring, np.roll(ring, -1, axis=0)):
+            if (start != end).any():
+                inside &= _cross(start, end, coords.T) > 0
+        coords = coords[~inside]
+    points = np.unique(coords, axis=0).tolist()
+    if len(points) < 3:
         raise ValueError("degenerate crown")
-    try:
-        hull = ConvexHull(coords)
-    except QhullError as exc:
-        raise ValueError("degenerate crown") from exc
-    return float(hull.volume)  # 2-D hull: volume is the polygon area
+    # Andrew's monotone chain over the points sorted by (x, y).
+    lower: list = []
+    upper: list = []
+    for chain, ordered in ((lower, points), (upper, reversed(points))):
+        for p in ordered:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    # Shoelace formula, about the first vertex to keep the products small.
+    hull = np.array(lower[:-1] + upper[:-1])
+    hx, hy = hull[:, 0] - hull[0, 0], hull[:, 1] - hull[0, 1]
+    area = 0.5 * float(np.dot(hx, np.roll(hy, -1)) - np.dot(hy, np.roll(hx, -1)))
+    if not area > 0:
+        raise ValueError("degenerate crown")
+    return area
 
 
 def crown_features(points: PointCloud) -> tuple[float, float, float]:

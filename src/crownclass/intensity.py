@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import LEAF_OFF, LEAF_ON, SEASON_NAMES, VEGETATION, PointCloud
-from .util import derive_seed, student_t_cdf, write_json
+from .util import InputError, derive_seed, student_t_cdf, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -156,9 +156,10 @@ def fit_all_models(
             continue
         season = SEASON_NAMES[season_code]
         if count < MIN_GROUP_SAMPLES:
-            raise ValueError(
-                f"group {season}:{return_number} has only {count} grid "
-                f"samples; enlarge the input or coarsen the grid"
+            raise InputError(
+                f"group {season}:{return_number} has only {count} samples on the "
+                f"grid_cell {cell:g} m grid, needs at least {MIN_GROUP_SAMPLES}; "
+                f"lower grid_cell or enlarge the input"
             )
         model = fit_intensity_model(samples.select(mask), season, return_number)
         models[model.key] = model

@@ -89,19 +89,20 @@ def make_dsm4(crown: CrownCloud) -> np.ndarray:
     intensity, leaf-off height, leaf-off intensity] of the highest point
     per 12.5-cm pixel."""
     channels = np.zeros((4, DSM_SIZE, DSM_SIZE), dtype=np.float32)
+    points = crown.points
     for season, base in ((LEAF_ON, 0), (LEAF_OFF, 2)):
-        part = crown.points.select(crown.points.season == season)
-        if len(part) == 0:
-            continue
+        season_mask = points.season == season
         row, col, inside = _pixel_coords(
-            part.x - crown.apex.x, part.y - crown.apex.y, DSM_CELL, DSM_SIZE
+            points.x[season_mask] - crown.apex.x,
+            points.y[season_mask] - crown.apex.y,
+            DSM_CELL,
+            DSM_SIZE,
         )
-        part, row, col = part.select(inside), row[inside], col[inside]
-        if len(part) == 0:
-            continue
-        top = _top_per_pixel(row * DSM_SIZE + col, part.z, part.intensity)
-        channels[base, row[top], col[top]] = part.z[top]
-        channels[base + 1, row[top], col[top]] = part.intensity[top]
+        row, col = row[inside], col[inside]
+        z, intensity = points.z[season_mask][inside], points.intensity[season_mask][inside]
+        top = _top_per_pixel(row * DSM_SIZE + col, z, intensity)
+        channels[base, row[top], col[top]] = z[top]
+        channels[base + 1, row[top], col[top]] = intensity[top]
     return channels
 
 
@@ -111,37 +112,28 @@ def make_views4(crown: CrownCloud) -> np.ndarray:
     of the highest point, profile pixels the mean intensity of a 75-cm
     slab through the apex."""
     images = np.zeros((4, VIEW_SIZE, VIEW_SIZE), dtype=np.float32)
-    dx = crown.points.x - crown.apex.x
-    dy = crown.points.y - crown.apex.y
+    points = crown.points
 
     for season, aerial_ch, profile_ch in ((LEAF_ON, 0, 2), (LEAF_OFF, 1, 3)):
-        season_mask = crown.points.season == season
-        part = crown.points.select(season_mask)
-        if len(part) == 0:
-            continue
+        season_mask = points.season == season
+        dx = points.x[season_mask] - crown.apex.x
+        dy = points.y[season_mask] - crown.apex.y
+        z, intensity = points.z[season_mask], points.intensity[season_mask]
 
-        row, col, inside = _pixel_coords(
-            dx[season_mask], dy[season_mask], VIEW_CELL, VIEW_SIZE
-        )
-        air, arow, acol = part.select(inside), row[inside], col[inside]
-        if len(air):
-            top = _top_per_pixel(arow * VIEW_SIZE + acol, air.z, air.intensity)
-            images[aerial_ch, arow[top], acol[top]] = air.intensity[top]
+        row, col, inside = _pixel_coords(dx, dy, VIEW_CELL, VIEW_SIZE)
+        row, col, aerial = row[inside], col[inside], intensity[inside]
+        top = _top_per_pixel(row * VIEW_SIZE + col, z[inside], aerial)
+        images[aerial_ch, row[top], col[top]] = aerial[top]
 
         # Profile slab: 75 cm thick, through the apex, along the current
         # x-axis; rows count down from the apex height.
-        in_plane = np.abs(dy[season_mask]) <= PROFILE_HALF_THICKNESS
-        slab = part.select(in_plane)
-        if len(slab) == 0:
-            continue
+        in_plane = np.abs(dy) <= PROFILE_HALF_THICKNESS
         half = VIEW_SIZE // 2
-        pcol = np.floor(
-            (slab.x - crown.apex.x) / VIEW_CELL + half + 0.5
-        ).astype(np.int64)
-        prow = np.floor((crown.tree_height - slab.z) / VIEW_CELL).astype(np.int64)
+        pcol = np.floor(dx[in_plane] / VIEW_CELL + half + 0.5).astype(np.int64)
+        prow = np.floor((crown.tree_height - z[in_plane]) / VIEW_CELL).astype(np.int64)
         ok = (prow >= 0) & (prow < VIEW_SIZE) & (pcol >= 0) & (pcol < VIEW_SIZE)
         prow, pcol = prow[ok], pcol[ok]
-        values = slab.intensity[ok].astype(np.float64)
+        values = intensity[in_plane][ok].astype(np.float64)
         sums = np.zeros((VIEW_SIZE, VIEW_SIZE), dtype=np.float64)
         counts = np.zeros((VIEW_SIZE, VIEW_SIZE), dtype=np.int64)
         np.add.at(sums, (prow, pcol), values)

@@ -54,16 +54,90 @@ def pair_score(crown: CrownCloud, stem: FieldStem) -> int:
     return 0
 
 
+def linear_sum_assignment(cost: np.ndarray):
+    """Rows and columns of a minimum-cost one-to-one assignment of a
+    finite 2-D cost matrix, as two index arrays sorted by row.
+
+    Crouse's shortest augmenting path method ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), step for step as
+    scipy's ``rectangular_lsap.cpp`` takes it, so every tie resolves as
+    there: a tall matrix is solved transposed; rows are added in order;
+    each path search scans the columns left in a list that starts reversed
+    and loses a used column by moving its last entry into that slot; and
+    at the shortest length it takes the last free column, else the first.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    cost = np.ascontiguousarray(cost)
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    shortest = np.empty(n_cols)
+    path = np.full(n_cols, -1)
+    col4row = np.full(n_rows, -1)
+    row4col = np.full(n_cols, -1)
+    row_seen = np.zeros(n_rows, dtype=bool)
+    col_seen = np.zeros(n_cols, dtype=bool)
+    for cur_row in range(n_rows):
+        # Shortest augmenting path from cur_row to a free column (sink).
+        remaining = np.arange(n_cols - 1, -1, -1)
+        n_remaining = n_cols
+        row_seen[:] = False
+        col_seen[:] = False
+        shortest[:] = np.inf
+        min_val = 0.0
+        row, sink = cur_row, -1
+        while sink < 0:
+            row_seen[row] = True
+            cols = remaining[:n_remaining]
+            reduced = min_val + cost[row, cols] - u[row] - v[cols]
+            better = reduced < shortest[cols]
+            path[cols[better]] = row
+            shortest[cols[better]] = reduced[better]
+            lengths = shortest[cols]
+            min_val = lengths.min()
+            at_min = np.flatnonzero(lengths == min_val)
+            free = at_min[row4col[cols[at_min]] < 0]
+            index = free[-1] if free.size else at_min[0]
+            col = remaining[index]
+            col_seen[col] = True
+            n_remaining -= 1
+            remaining[index] = remaining[n_remaining]
+            if row4col[col] < 0:
+                sink = col
+            else:
+                row = row4col[col]
+        # Update the dual variables.
+        u[cur_row] += min_val
+        row_seen[cur_row] = False
+        seen_rows = np.flatnonzero(row_seen)
+        u[seen_rows] += min_val - shortest[col4row[seen_rows]]
+        v[col_seen] -= min_val - shortest[col_seen]
+        # Augment the assignment along the path.
+        col = sink
+        while True:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == cur_row:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(n_rows), col4row
+
+
 def max_score_assignment(scores: np.ndarray) -> list[tuple[int, int]]:
     """One-to-one assignment maximizing the total score.
 
-    Zero-score cells are never part of the result. Among equal-total
-    assignments a secondary objective prefers pairs early in row-major
-    order, keeping the output deterministic.
+    Zero-score cells are never part of the result. Equal-total
+    assignments are ranked by a bonus: each pair adds rows * cols minus
+    its row-major cell index. That does not rank every tie: a swap such
+    as (A-X, B-Y) against (A-Y, B-X) keeps the sum of cell indices, and
+    such residual ties fall to the scan order of ``linear_sum_assignment``,
+    which this module holds, so they resolve the same on every install.
     """
-    # Imported here so only the register stage loads scipy.optimize.
-    from scipy.optimize import linear_sum_assignment
-
     scores = np.asarray(scores, dtype=np.int64)
     if scores.size == 0 or scores.max() == 0:
         return []
@@ -74,7 +148,9 @@ def max_score_assignment(scores: np.ndarray) -> list[tuple[int, int]]:
     # never trade away score.
     scale = min(n_rows, n_cols) * n_rows * n_cols + 1
     value = np.where(scores > 0, scores * scale + bonus, 0)
-    rows, cols = linear_sum_assignment(value, maximize=True)
+    # Negation is exact on these integers, so the minimum-cost solve of
+    # -value is the maximum-value assignment.
+    rows, cols = linear_sum_assignment(-value)
     return [(int(i), int(j)) for i, j in zip(rows, cols) if scores[i, j] > 0]
 
 

@@ -304,7 +304,7 @@ class TestStartup:
     def test_importing_every_module_loads_no_scipy(self):
         assert scipy_modules_loaded() == []
 
-    @pytest.mark.parametrize("command", ["synth", "classify"])
+    @pytest.mark.parametrize("command", ["synth", "register", "rasterize", "classify"])
     def test_stage_loads_no_scipy(self, pipeline, tmp_path, command):
         loaded = scipy_modules_loaded(
             command, "--config", str(pipeline["config"]), "--out", str(tmp_path)
@@ -416,11 +416,12 @@ class TestErrorPaths:
         assert run("synth", path, tmp_path) == 1
 
     def test_runtime_error_exits_2(self, tmp_path):
-        """Ten points fill one grid cell, too few samples to fit an
-        intensity model: a runtime failure, not a malformed file."""
-        n = 10
+        """Thirty points in one row of grid cells, all at one range and
+        scan angle: the intensity model's regressors are degenerate, a
+        runtime failure, not a malformed file or config value."""
+        n = 30
         cloud = PointCloud.from_columns(
-            x=np.linspace(0, 5, n),
+            x=np.linspace(0, 58, n),
             y=0.0,
             z=np.linspace(10.0, 15.0, n),
             intensity=100,
@@ -434,6 +435,19 @@ class TestErrorPaths:
         write_point_file(tmp_path / "veg.csv", cloud)
         config = write_config(tmp_path / "config.json", points_file=str(tmp_path / "veg.csv"))
         assert run("normalize-intensity", config, tmp_path) == 2
+
+    def test_too_few_grid_samples_exit_1_naming_grid_cell(self, tmp_path, capsys):
+        """A small forest leaves a group fewer samples on the default 10 m
+        grid than a model needs; a finer grid_cell would fit it."""
+        forest = {"seed": 3, "n_conifer": 8, "n_deciduous": 40}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(forest, points_file=str(tmp_path / "points.csv"))))
+        assert run("synth", config, tmp_path) == 0
+        capsys.readouterr()
+        assert run("normalize-intensity", config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "group off:3 has only 5 samples on the grid_cell 10 m grid" in err
+        assert "Traceback" not in err
 
     def test_points_without_ground_exit_1_naming_file(self, tmp_path, pipeline, capsys):
         lines = (pipeline["out"] / "points.csv").read_text().splitlines()

@@ -4,6 +4,7 @@ filtering, crown features, and the text file formats."""
 import logging
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from crownclass.ingest import (
     VEGETATION,
     FieldStem,
     PointCloud,
+    _hull_area,
     assemble_crowns,
     build_dem,
     crown_features,
@@ -139,6 +141,84 @@ class TestBuildDem:
             )
 
 
+def reference_fill(elevation, populated):
+    """Brute-force void fill: each void takes the populated cell of least
+    squared lattice distance, the lowest (row, col) on a tie."""
+    filled = elevation.copy()
+    cells = [tuple(rc) for rc in np.argwhere(populated)]
+    for r, c in np.argwhere(~populated):
+        best = min(cells, key=lambda rc: ((rc[0] - r) ** 2 + (rc[1] - c) ** 2, rc))
+        filled[r, c] = elevation[best]
+    return filled
+
+
+def kdtree_fill(elevation, populated):
+    """The same fill through a k-d tree: the nearest distance, then every
+    populated cell within it, the lowest (row, col) winning."""
+    from scipy.spatial import cKDTree
+
+    filled = elevation.copy()
+    pop_rc = np.argwhere(populated)
+    tree = cKDTree(pop_rc)
+    void_rc = np.argwhere(~populated)
+    nearest, _ = tree.query(void_rc)
+    for (r, c), dist in zip(void_rc, nearest):
+        best = min(map(tuple, pop_rc[tree.query_ball_point((r, c), dist + 1e-9)]))
+        filled[r, c] = elevation[best]
+    return filled
+
+
+def sparse_ground(rng, shape, fraction):
+    """One ground point in each of a random ``fraction`` of the cells of
+    a grid of ``shape``, the two opposite corners always among them so the
+    DEM spans the whole grid; returns the cloud and the populated mask."""
+    populated = rng.random(shape) < fraction
+    populated[0, 0] = populated[-1, -1] = True
+    rows, cols = np.nonzero(populated)
+    coords = np.column_stack(
+        [
+            cols + rng.uniform(0.01, 0.99, len(cols)),
+            rows + rng.uniform(0.01, 0.99, len(rows)),
+            rng.uniform(90, 110, len(rows)),
+        ]
+    )
+    return ground_cloud(coords), populated
+
+
+class TestDemFill:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 25), st.integers(1, 25)),
+        fraction=st.sampled_from([0.0, 0.02, 0.1, 0.5, 0.9]),
+    )
+    def test_matches_brute_force_nearest_cell(self, seed, shape, fraction):
+        rng = np.random.default_rng(seed)
+        cloud, populated = sparse_ground(rng, shape, fraction)
+        dem = build_dem(cloud)
+        elevation = np.where(populated, dem.elevation, 0.0)
+        np.testing.assert_array_equal(dem.elevation, reference_fill(elevation, populated))
+
+    @pytest.mark.parametrize("fraction", [0.02, 0.3])
+    def test_no_slower_than_the_kdtree_fill(self, fraction):
+        """On a 300x300 grid build_dem, cell means included, fills the same
+        values as the k-d tree fill in at most half its time (about a sixth
+        on an idle Xeon core). The best of three build_dem runs is taken,
+        so a load spike on a shared runner cannot fail the check; a spike
+        during the one k-d tree run only widens the margin."""
+        cloud, populated = sparse_ground(np.random.default_rng(5), (300, 300), fraction)
+        numpy_s = []
+        for _ in range(3):
+            start = time.perf_counter()
+            dem = build_dem(cloud)
+            numpy_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        expected = kdtree_fill(np.where(populated, dem.elevation, 0.0), populated)
+        kdtree_s = time.perf_counter() - start
+        np.testing.assert_array_equal(dem.elevation, expected)
+        assert min(numpy_s) <= kdtree_s / 2, (numpy_s, kdtree_s)
+
+
 class TestHeightNormalize:
     def test_height_above_ground(self):
         dem = build_dem(ground_cloud([(0.5, 0.5, 100.0)]))
@@ -247,6 +327,63 @@ class TestCrownFeatures:
             yr = cy + (x - cx) * math.sin(theta) + (y - cy) * math.cos(theta)
             _, _, area_rot = crown_features(veg_cloud(list(zip(xr, yr, z))))
             np.testing.assert_allclose(area_rot, area, rtol=1e-9)
+
+
+def qhull_area(x, y):
+    """Qhull's area of the distinct points, or None where Qhull finds no
+    2-D hull."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    coords = np.unique(np.column_stack([x, y]), axis=0)
+    if len(coords) < 3:
+        return None
+    try:
+        return ConvexHull(coords).volume
+    except QhullError:
+        return None
+
+
+class TestHullArea:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=80)
+    )
+    def test_lattice_points_match_qhull(self, cells):
+        """Points on a 12.5 cm lattice away from the origin, so duplicates,
+        collinear runs and points on hull edges are common."""
+        cols, rows = np.array(cells).T
+        x, y = 4321.0 + 0.125 * cols, 876.5 + 0.125 * rows
+        expected = qhull_area(x, y)
+        if expected is None:
+            with pytest.raises(ValueError, match="degenerate crown"):
+                _hull_area(x, y)
+        else:
+            assert _hull_area(x, y) == pytest.approx(expected, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 2000))
+    def test_scattered_points_match_qhull(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(512.0, 2.0, n)
+        y = rng.uniform(-3.0, 3.0, n) + 2048.0
+        assert _hull_area(x, y) == pytest.approx(qhull_area(x, y), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0)],
+            [(0.0, 0.0), (1.0, 1.0)],
+            [(1.0, 2.0)] * 5,
+            [(0.0, 0.0), (1.0, 1.0)] * 4,
+            [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (0.5, 0.5)],
+            [(float(i), 7.0) for i in range(20)],
+        ],
+        ids=["one", "two", "one-repeated", "two-repeated", "diagonal", "horizontal"],
+    )
+    def test_fewer_than_three_distinct_or_collinear_is_degenerate(self, points):
+        x, y = np.array(points).T
+        with pytest.raises(ValueError, match="degenerate crown"):
+            _hull_area(x, y)
 
 
 class TestMakeCrownCloud:

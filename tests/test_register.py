@@ -1,15 +1,21 @@
 """Tests for crown-stem registration: score tiers, strict thresholds,
-and the assignment against a brute-force oracle."""
+and the assignment against a brute-force oracle and against scipy's
+solver."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from crownclass.ingest import LEAF_ON, VEGETATION, Apex, CrownCloud, FieldStem, PointCloud
 from crownclass.register import (
     Registration,
+    linear_sum_assignment,
     max_score_assignment,
     pair_score,
     read_registrations,
@@ -155,6 +161,74 @@ class TestAssignment:
     def test_equal_total_prefers_early_pairs(self):
         scores = np.array([[100, 100], [100, 100]])
         assert max_score_assignment(scores) == [(0, 0), (1, 1)]
+
+    def test_residual_tie_follows_the_solver_scan_order(self):
+        """Two assignments tie on score (180) and on the bonus sum of cell
+        indices (1 + 5 + 6 = 2 + 4 + 6); the solver's scan order takes
+        the one that is not first in row-major order."""
+        scores = np.array([[40, 40, 70], [40, 40, 70], [70, 0, 70]])
+        value = bonus_form(scores)
+        tied = ([(0, 1), (1, 2), (2, 0)], [(0, 2), (1, 1), (2, 0)])
+        assert len({sum(int(value[i, j]) for i, j in pairs) for pairs in tied}) == 1
+        assert sum(int(value[i, j]) for i, j in tied[0]) == brute_force_total(value)
+        assert max_score_assignment(scores) == tied[1]
+
+
+def bonus_form(scores):
+    """The value matrix max_score_assignment maximizes: each positive
+    score scaled above any bonus sum, plus a bonus falling along row-major
+    cell order; zero cells stay zero."""
+    n_rows, n_cols = scores.shape
+    bonus = n_rows * n_cols - np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
+    scale = min(n_rows, n_cols) * n_rows * n_cols + 1
+    return np.where(scores > 0, scores * scale + bonus, 0)
+
+
+SHAPES = {
+    "square": st.integers(1, 9).map(lambda n: (n, n)),
+    "wide": st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda s: (s[0], s[0] + s[1])),
+    "tall": st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda s: (s[0] + s[1], s[0])),
+}
+
+
+def assert_same_as_scipy(matrix, maximize):
+    """A maximum is solved as the minimum of the negated matrix, the way
+    max_score_assignment solves it."""
+    rows, cols = linear_sum_assignment(-matrix if maximize else matrix)
+    want_rows, want_cols = scipy_assignment(matrix, maximize=maximize)
+    assert rows.tolist() == want_rows.tolist()
+    assert cols.tolist() == want_cols.tolist()
+
+
+class TestAssignmentMatchesScipy:
+    """The in-repo solver returns exactly scipy's rows and columns, so
+    ties resolve as they always have."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), maximize=st.booleans(), spread=st.sampled_from([2, 4, 1000]))
+    def test_integer_matrices(self, shape, data, maximize, spread):
+        """Few distinct values make ties everywhere; a wide spread few."""
+        matrix = data.draw(
+            arrays(np.int64, data.draw(SHAPES[shape]), elements=st.integers(-spread, spread))
+        )
+        assert_same_as_scipy(matrix, maximize)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bonus_form_of_tier_scores(self, shape, data):
+        scores = data.draw(
+            arrays(np.int64, data.draw(SHAPES[shape]), elements=st.sampled_from([0, 40, 70, 100]))
+        )
+        assert_same_as_scipy(bonus_form(scores), maximize=True)
+
+    def test_plot_sized_bonus_form(self):
+        rng = np.random.default_rng(29)
+        scores = np.array([0, 40, 70, 100])[rng.integers(0, 4, size=(200, 180))]
+        scores[rng.random(scores.shape) < 0.9] = 0
+        assert_same_as_scipy(bonus_form(scores), maximize=True)
+        assert_same_as_scipy(bonus_form(scores.T), maximize=True)
 
 
 class TestRegisterCrowns:
