@@ -490,7 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=f"run the {name} step")
         sub.add_argument("--config", required=True, help="path to the JSON run config")
         sub.add_argument("--out", default=".", help="output directory")
-        sub.add_argument("--threads", type=int, default=None)
+        sub.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="worker processes forked per ensemble fan-out (default: one per CPU)",
+        )
         sub.add_argument(
             "--no-intensity-norm",
             action="store_true",

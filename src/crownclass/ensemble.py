@@ -245,7 +245,7 @@ class Training:
     seed: int
     lr: float = ADAM_LR
     batch_size: int = BATCH_SIZE
-    threads: int | None = None  # None: one per CPU
+    threads: int | None = None  # forked worker processes; None: one per CPU
 
 
 @dataclass
@@ -339,7 +339,7 @@ def train_ensemble(dataset: LabeledDataset, training: Training) -> EnsembleRun:
 
 
 # Held-out samples are gathered from the store in blocks of this many,
-# so a prediction thread never holds more gathered rows than one block.
+# so a prediction worker never holds more gathered rows than one block.
 GATHER_BLOCK = 256
 
 
@@ -360,26 +360,31 @@ def holdout_probs(
     on the crown, and ``held``, the (networks, crowns) matrix True where
     it did not.
 
-    Each network fills its own rows, gathering its held-out samples
-    crown-major and rotation-minor, GATHER_BLOCK at a time, from the
-    (mapped) store.
+    Each network's worker gathers its held-out samples crown-major and
+    rotation-minor, GATHER_BLOCK at a time, from the (mapped) store and
+    returns their (held crowns x rotations, 2) rows, which fill its row
+    of the table.
     """
     held = ~trained_on(run, len(dataset))
     aug = dataset.augmentations
     probs = np.full((*held.shape, aug, 2), np.nan, run.networks[0].params.dtype)
 
-    def predict(j: int) -> None:
+    def predict(j: int) -> np.ndarray:
         crowns = np.repeat(np.flatnonzero(held[j]), aug)
         rotations = np.tile(np.arange(aug), len(crowns) // aug)
+        rows = np.empty((len(crowns), 2), probs.dtype)
         for start in range(0, len(crowns), GATHER_BLOCK):
             block = slice(start, start + GATHER_BLOCK)
-            probs[j, crowns[block], rotations[block]] = predict_probs(
+            rows[block] = predict_probs(
                 run.networks[j].params,
                 dataset.images[crowns[block], rotations[block]],
                 dataset.scalars[crowns[block]],
             )
+        return rows
 
-    parallel_map(predict, list(range(len(run.networks))), threads or default_threads())
+    jobs = list(range(len(run.networks)))
+    for j, rows in enumerate(parallel_map(predict, jobs, threads or default_threads())):
+        probs[j, held[j]] = rows.reshape(-1, aug, 2)
     return probs, held
 
 

@@ -137,6 +137,11 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.tag, self.flat.copy())
 
+    def __reduce__(self):
+        # Pickled as (tag, flat) alone; unpickling rebuilds the tensors
+        # as views of the one vector rather than as copies.
+        return NetworkParams, (self.tag, self.flat)
+
 
 @dataclass
 class AdamState:

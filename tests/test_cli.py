@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crownclass import cli
-from crownclass.ensemble import SweepRow, Training, read_predictions
+from crownclass.ensemble import SweepRow, Training, read_history, read_predictions
 from crownclass.ingest import LEAF_ON, VEGETATION, PointCloud, write_point_file
 from crownclass.rasterize import read_all_representations, read_manifest
 from crownclass.util import InputError, derive_seed
@@ -147,6 +148,24 @@ class TestPipelineOutputs:
         assert run("classify", pipeline["config"], second) == 0
         for name in ("predictions.csv", "summary.csv", "manifest_classify.json"):
             assert (out / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_worker_count_changes_no_table(self, pipeline, tmp_path):
+        # A loose alpha makes label correction flip crowns, so later
+        # iterations must train on the labels the earlier ones set.
+        config = json.loads(pipeline["config"].read_text())
+        config.update(alpha=0.99, correction_networks=6)
+        config_path = write_config(tmp_path / "config.json", **config)
+        tables = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            for command in ("correct-labels", "classify", "sweep"):
+                assert run(command, config_path, out, "--threads", threads) == 0, command
+                assert multiprocessing.active_children() == []
+                for name in cli.STAGES[command].writes:
+                    tables[threads, name] = (out / name).read_bytes()
+        assert len(read_history(tmp_path / "1" / "history.csv")) >= 2
+        for key in [key for key in tables if key[0] == "1"]:
+            assert tables[key] == tables["2", key[1]], key[1]
 
     def test_corrected_labels_header(self, pipeline):
         with open(pipeline["out"] / "corrected_labels.csv", newline="") as handle:

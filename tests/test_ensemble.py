@@ -3,7 +3,7 @@ and the sweep table machinery."""
 
 import json
 import math
-import sys
+import multiprocessing
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple
@@ -466,6 +466,23 @@ class TestCorrectMislabels:
         assert len(history.rows) == 2
         assert history.rows[0].flips_to_conifer > 0
 
+    def test_worker_count_changes_no_label_or_history(self):
+        # alpha > 1 flips every tested crown in every iteration, so each
+        # iteration's workers must train on the labels the last one set.
+        histories = []
+        for threads in (1, 2):
+            dataset = blob_dataset(4, 4, seed=9)
+            training = Training(n_networks=4, per_class=2, epochs=1, seed=23, threads=threads)
+            dataset, history = correct_mislabels(
+                dataset, training, alpha=1.1, max_iterations=3
+            )
+            labels = [inst.label for inst in dataset.instances]
+            histories.append((labels, [astuple(row) for row in history.rows]))
+        assert histories[0] == histories[1]
+        labels, rows = histories[0]
+        assert len(rows) == 3 and all(row[1] + row[2] > 0 for row in rows)
+        assert multiprocessing.active_children() == []
+
     def test_mean_accuracy_trend_on_separable_data(self):
         dataset = blob_dataset(8, 8, seed=7, aug=2)
         # Two injected mislabels.
@@ -563,10 +580,11 @@ class TestHeldOutPrediction:
             forwarded[id(params)].extend(int(s) for s in scalars[:, 0])
             return predict_probs(params, images, scalars)
 
+        # One worker, so the calls are made, and recorded, in this process.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ensemble, "GATHER_BLOCK", block)
             patch.setattr(ensemble, "predict_probs", recording_predict)
-            probs, held = holdout_probs(run, dataset, threads=2)
+            probs, held = holdout_probs(run, dataset, threads=1)
         np.testing.assert_array_equal(held, ~trained_on(run, n))
         assert probs.shape == (len(run.networks), n, aug, 2)
         assert probs.dtype == run.networks[0].params.dtype
@@ -588,8 +606,8 @@ class TestHeldOutPrediction:
                 assert trained[j, i] == (i in net.held)
 
     def test_threads_filling_one_table_match_one_thread(self):
-        # More pool threads than cores, switching often: rows
-        # written by one thread must not clobber another's.
+        # More workers than cores: the rows each worker returns must
+        # land in its own network's row of the table.
         dataset = blob_dataset(5, 5, seed=14, aug=3)
         run = EnsembleRun(
             [
@@ -598,13 +616,9 @@ class TestHeldOutPrediction:
             ]
         )
         serial, _ = holdout_probs(run, dataset, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled, _ = holdout_probs(run, dataset, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
+        pooled, _ = holdout_probs(run, dataset, threads=8)
         assert pooled.tobytes() == serial.tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_one_crown_one_rotation_held_out(self):
         dataset = blob_dataset(2, 1, seed=13, aug=1)

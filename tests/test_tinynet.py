@@ -3,6 +3,7 @@ finite differences and against reference implementations, Adam, training
 behavior, and snapshots."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -892,6 +893,22 @@ class TestWorkspace:
             assert np.shares_memory(tensor, copy.flat)
             assert not np.shares_memory(tensor, params.flat)
             np.testing.assert_array_equal(tensor, params.tensors[name])
+
+    @pytest.mark.parametrize("tag", ["dsm", "views", "views_reduced"])
+    def test_pickle_round_trip_keeps_views_of_one_vector(self, tag):
+        # Every network a worker process trains comes back pickled.
+        params = init_params(tag, seed=8)
+        data = pickle.dumps(params)
+        back = pickle.loads(data)
+        assert back.tag == tag
+        assert back.flat.tobytes() == params.flat.tobytes()
+        assert back.flat.flags.writeable
+        assert list(back.tensors) == list(params.tensors)
+        for name, tensor in back.tensors.items():
+            assert np.shares_memory(tensor, back.flat)
+            assert tensor.tobytes() == params.tensors[name].tobytes()
+        # the vector once, not once more per named view
+        assert len(data) < params.flat.nbytes + 512
 
     @pytest.mark.parametrize("tag", ["dsm", "views"])
     def test_calls_without_workspace_share_no_memory(self, tag):
