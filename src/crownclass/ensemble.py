@@ -267,16 +267,26 @@ class EnsembleRun:
     networks: list[TrainedNetwork]
 
 
-def _training_tensors(dataset: LabeledDataset, membership: list[int]):
-    """One gather of the members' samples, membership-major and
-    rotation-minor, with their scalars and one-hot labels."""
+def _sample_rows(dataset: LabeledDataset, crowns) -> np.ndarray:
+    """The store rows of the crowns' samples, crown-major and
+    rotation-minor: row crown * rotations + rotation of the dataset's
+    (crowns, rotations) image store."""
     aug = dataset.augmentations
-    images = dataset.images[membership]
-    images = images.reshape(len(images) * aug, *images.shape[2:])
-    scalars = np.repeat(dataset.scalars[membership], aug, axis=0)
-    classes = [CLASS_INDEX[dataset.instances[i].label] for i in membership]
-    onehots = np.eye(2, dtype=np.float32)[np.repeat(classes, aug)]
-    return images, scalars, onehots
+    crowns = np.asarray(crowns, dtype=np.intp)
+    return (crowns[:, None] * aug + np.arange(aug)).reshape(-1)
+
+
+def _sample_store(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The scalars and one-hot labels laid out like the image store,
+    (crowns, rotations, k), so that a store row selects all three: views,
+    equal over rotations."""
+    shape = (len(dataset), dataset.augmentations)
+    classes = [CLASS_INDEX[inst.label] for inst in dataset.instances]
+    onehots = np.eye(2, dtype=np.float32)[classes]
+    return (
+        np.broadcast_to(dataset.scalars[:, None], (*shape, dataset.scalars.shape[1])),
+        np.broadcast_to(onehots[:, None], (*shape, 2)),
+    )
 
 
 # Zero-bias initialization occasionally yields a network whose conv
@@ -300,10 +310,10 @@ def train_ensemble(dataset: LabeledDataset, training: Training) -> EnsembleRun:
     memberships = balanced_cyclic_sample(
         dataset, training.per_class, training.n_networks, seed
     )
+    scalars, onehots = _sample_store(dataset)
 
     def build(index: int) -> TrainedNetwork:
         membership = memberships[index]
-        images, scalars, onehots = _training_tensors(dataset, membership)
         for attempt in range(DEGENERATE_RETRIES + 1):
             if attempt == 0:
                 net_seed = derive_seed(seed, "network", index)
@@ -312,13 +322,14 @@ def train_ensemble(dataset: LabeledDataset, training: Training) -> EnsembleRun:
             params = init_params(dataset.tag, seed=net_seed)
             params, acc_n = train_network(
                 params,
-                images,
+                dataset.images,
                 scalars,
                 onehots,
                 epochs=training.epochs,
                 batch_size=training.batch_size,
                 seed=net_seed,
                 lr=training.lr,
+                rows=_sample_rows(dataset, membership),
             )
             if acc_n >= DEGENERATE_ACCURACY:
                 break
@@ -338,11 +349,6 @@ def train_ensemble(dataset: LabeledDataset, training: Training) -> EnsembleRun:
 # Holdout evaluation
 
 
-# Held-out samples are gathered from the store in blocks of this many,
-# so a prediction worker never holds more gathered rows than one block.
-GATHER_BLOCK = 256
-
-
 def trained_on(run: EnsembleRun, n_crowns: int) -> np.ndarray:
     """Boolean (networks, crowns) matrix, True where the network trained
     on the crown."""
@@ -360,31 +366,23 @@ def holdout_probs(
     on the crown, and ``held``, the (networks, crowns) matrix True where
     it did not.
 
-    Each network's worker gathers its held-out samples crown-major and
-    rotation-minor, GATHER_BLOCK at a time, from the (mapped) store and
-    returns their (held crowns x rotations, 2) rows, which fill its row
-    of the table.
+    Each network's worker predicts its held-out samples, crown-major and
+    rotation-minor, in one predict_probs call that reads them from the
+    (mapped) store a chunk at a time, and returns their (held crowns x
+    rotations, 2) rows, which fill its row of the table.
     """
     held = ~trained_on(run, len(dataset))
     aug = dataset.augmentations
     probs = np.full((*held.shape, aug, 2), np.nan, run.networks[0].params.dtype)
+    scalars, _ = _sample_store(dataset)
 
     def predict(j: int) -> np.ndarray:
-        crowns = np.repeat(np.flatnonzero(held[j]), aug)
-        rotations = np.tile(np.arange(aug), len(crowns) // aug)
-        rows = np.empty((len(crowns), 2), probs.dtype)
-        for start in range(0, len(crowns), GATHER_BLOCK):
-            block = slice(start, start + GATHER_BLOCK)
-            rows[block] = predict_probs(
-                run.networks[j].params,
-                dataset.images[crowns[block], rotations[block]],
-                dataset.scalars[crowns[block]],
-            )
-        return rows
+        rows = _sample_rows(dataset, np.flatnonzero(held[j]))
+        return predict_probs(run.networks[j].params, dataset.images, scalars, rows=rows)
 
     jobs = list(range(len(run.networks)))
-    for j, rows in enumerate(parallel_map(predict, jobs, threads or default_threads())):
-        probs[j, held[j]] = rows.reshape(-1, aug, 2)
+    for j, held_probs in enumerate(parallel_map(predict, jobs, threads or default_threads())):
+        probs[j, held[j]] = held_probs.reshape(-1, aug, 2)
     return probs, held
 
 

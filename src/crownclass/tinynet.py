@@ -645,37 +645,70 @@ def adam_step(
     return params, state
 
 
+def _sample_index(images: np.ndarray, rows) -> tuple[np.ndarray, ...]:
+    """One index array per leading axis of images (all but its last
+    three) locating each sample: rows number the samples row-major over
+    those axes, and None means every sample in order."""
+    lead = images.shape[:-3]
+    return np.unravel_index(np.arange(math.prod(lead)) if rows is None else rows, lead)
+
+
+def _gather(images: np.ndarray, index: tuple[np.ndarray, ...], ws: Workspace) -> np.ndarray:
+    """The images of the samples at index, copied one by one into the
+    workspace's batch array. A copy per sample reads a memory-mapped
+    store, or a strided view of one such as its first rotations, without
+    copying any other sample."""
+    out = ws.take("images", (len(index[0]), *images.shape[-3:]), images.dtype)
+    for k, at in enumerate(zip(*index)):
+        out[k] = images[at]
+    return out
+
+
+def _predict(
+    params: NetworkParams,
+    images: np.ndarray,
+    index: tuple[np.ndarray, ...],
+    scalars: np.ndarray,
+    ws: Workspace,
+) -> np.ndarray:
+    """predict_probs of the samples at index, whose scalars are given one
+    row per sample."""
+    n = len(scalars)
+    if n == 1:
+        pair = tuple(np.repeat(i, 2) for i in index)
+        return _predict(params, images, pair, np.repeat(scalars, 2, axis=0), ws)[:1]
+    probs = np.empty((n, 2), params.dtype)
+    # No chunk starts on the last row, so a one-row tail joins the chunk before.
+    starts = list(range(0, n - 1, PREDICT_CHUNK[params.tag]))
+    for a, b in zip(starts, starts[1:] + [n]):
+        batch = _gather(images, tuple(i[a:b] for i in index), ws)
+        probs[a:b] = network_forward(params, batch, scalars[a:b], workspace=ws)
+    return probs
+
+
 def predict_probs(
     params: NetworkParams,
     images: np.ndarray,
     scalars: np.ndarray,
     workspace: "Workspace | None" = None,
+    rows: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Class probabilities, forwarded in PREDICT_CHUNK-sized chunks.
+    """Class probabilities, (samples, 2), of the samples `rows` of images
+    and scalars, forwarded in PREDICT_CHUNK-sized chunks.
+
+    images may be a store with more than one leading axis, such as
+    (crowns, rotations, C, H, W), with scalars laid out alike, (crowns,
+    rotations, S); rows number its samples row-major, and None means
+    every sample in order. Each chunk's images are gathered into the
+    workspace, so a call never holds more than one chunk of them.
 
     No chunk has one row: a one-row batch takes BLAS's matrix-vector path
     in the dense layers, whose bits differ from the same sample in any
     larger batch. A one-row tail joins the previous chunk, and a lone
     sample is forwarded twice and its first row kept.
     """
-    ws = _workspace(workspace)
-    if len(images) == 1:
-        return network_forward(
-            params,
-            np.concatenate([images] * 2),
-            np.concatenate([scalars] * 2),
-            workspace=ws,
-        )[:1]
-    chunk = PREDICT_CHUNK[params.tag]
-    starts = list(range(0, len(images), chunk))
-    if len(images) - starts[-1] == 1:
-        starts.pop()
-    ends = starts[1:] + [len(images)]
-    parts = [
-        network_forward(params, images[a:b], scalars[a:b], workspace=ws)
-        for a, b in zip(starts, ends)
-    ]
-    return np.concatenate(parts, axis=0)
+    index = _sample_index(images, rows)
+    return _predict(params, images, index, scalars[index], _workspace(workspace))
 
 
 def train_network(
@@ -687,16 +720,22 @@ def train_network(
     batch_size: int = BATCH_SIZE,
     seed: int = 0,
     lr: float = ADAM_LR,
+    rows: "np.ndarray | None" = None,
 ) -> tuple[NetworkParams, float]:
     """Mini-batch Adam training over shuffled epochs, on a copy of params.
 
+    The training samples are `rows` of images, scalars and onehots, laid
+    out as in predict_probs (None: every sample in order); each batch's
+    images are gathered into the workspace, never the whole sample set.
     Returns the trained parameters and the training accuracy measured
-    over all supplied (augmented) samples after the final epoch. One
+    over all the (augmented) samples after the final epoch. One
     workspace serves every step and the accuracy pass.
     """
-    n = len(images)
+    index = _sample_index(images, rows)
+    n = len(index[0])
     if n == 0:
         raise ValueError("no training samples")
+    scalars, onehots = scalars[index], onehots[index]  # one small row per sample
     params = params.copy()
     state = init_adam(params, lr=lr)
     ws = Workspace()
@@ -705,15 +744,12 @@ def train_network(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            # mode="clip" writes straight into out, where the default mode
-            # gathers into a temporary first; take holds valid rows only.
-            batch = [
-                np.take(a, take, 0, ws.take(key, (len(take), *a.shape[1:]), a.dtype), "clip")
-                for key, a in (("images", images), ("scalars", scalars), ("onehots", onehots))
-            ]
-            grads, _, _ = network_gradients(params, *batch, workspace=ws)
+            batch = _gather(images, tuple(i[take] for i in index), ws)
+            grads, _, _ = network_gradients(
+                params, batch, scalars[take], onehots[take], workspace=ws
+            )
             adam_step(params, grads, state)
-    probs = predict_probs(params, images, scalars, workspace=ws)
+    probs = _predict(params, images, index, scalars, ws)
     accuracy = float(
         np.mean(np.argmax(probs, axis=1) == np.argmax(onehots, axis=1))
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import traceback
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -134,6 +135,92 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
             worker.join()
 
 
+# The incomplete beta continued fraction stops once a step changes it by
+# less than this relative amount, within BETA_MAX_STEPS steps.
+BETA_EPS = 1e-15
+BETA_MAX_STEPS = 10_000
+# Stands in for a zero denominator in the Lentz recurrence.
+BETA_TINY = 1e-300
+
+
+def _nonzero(value: float) -> float:
+    return value if abs(value) > BETA_TINY else BETA_TINY
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction F of I_x(a, b) = x^a (1 - x)^b F / (a B(a, b)),
+    by the modified Lentz method. It converges fast where
+    x < (a + 1) / (a + b + 2)."""
+    c = 1.0
+    d = 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
+    fraction = d
+    for m in range(1, BETA_MAX_STEPS + 1):
+        # the even, then the odd coefficient of step m
+        for term in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / _nonzero(1.0 + term * d)
+            c = _nonzero(1.0 + term / c)
+            fraction *= c * d
+        if abs(c * d - 1.0) < BETA_EPS:
+            return fraction
+    raise ArithmeticError(f"incomplete beta fraction ({a}, {b}, {x}) did not converge")
+
+
+# Stirling's series of ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2):
+# the coefficients B_2k / (2k (2k - 1)) of z^(1 - 2k), k = 1..5. Beyond
+# STIRLING_MIN the next term is below 1e-17.
+STIRLING_TERMS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+STIRLING_MIN = 20.0
+
+
+def _stirling_tail(z: float) -> float:
+    return sum(c * z ** (1 - 2 * k) for k, c in enumerate(STIRLING_TERMS, 1))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b). With a large, lgamma(a + b) - lgamma(a) would lose the
+    rounding of two large numbers (about 1e-11 at a = 2500); Stirling's
+    series differenced term by term keeps the digits."""
+    a, b = max(a, b), min(a, b)
+    if a < STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_ratio = (  # ln Gamma(a + b) - ln Gamma(a)
+        (a - 0.5) * math.log1p(b / a)
+        + b * math.log(a + b)
+        - b
+        + _stirling_tail(a + b)
+        - _stirling_tail(a)
+    )
+    return math.lgamma(b) - log_ratio
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), given y = 1 - x
+    computed without cancellation. The continued fraction is taken on
+    its convergent side: I_x(a, b) = 1 - I_y(b, a) above
+    x = (a + 1) / (a + b + 2)."""
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _t_lower_tail(t: float, df: float) -> float:
+    """P(T <= -|t|) = I_x(df / 2, 1 / 2) / 2 at x = df / (df + t^2)."""
+    t2 = t * t
+    if math.isnan(t2):
+        return math.nan
+    if math.isinf(t2):
+        return 0.0
+    return 0.5 * _regularized_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
 def student_t_cdf(t: "float | np.ndarray", df: float) -> "float | np.ndarray":
     """Cumulative distribution of Student's t with ``df`` degrees of freedom.
 
@@ -142,12 +229,8 @@ def student_t_cdf(t: "float | np.ndarray", df: float) -> "float | np.ndarray":
     """
     if df <= 0:
         raise ValueError("df must be positive")
-    # Imported here so stages that never test significance skip loading scipy.
-    from scipy import special
-
     t_arr = np.asarray(t, dtype=np.float64)
-    x = df / (df + t_arr**2)
-    lower = 0.5 * special.betainc(df / 2.0, 0.5, x)
+    lower = np.reshape([_t_lower_tail(float(v), df) for v in t_arr.flat], t_arr.shape)
     out = np.where(t_arr <= 0, lower, 1.0 - lower)
     return float(out) if np.isscalar(t) or out.ndim == 0 else out
 

@@ -49,11 +49,13 @@ from crownclass.ensemble import (
     SweepRow,
     holdout_probs,
     _pearson,
-    _training_tensors,
+    _sample_rows,
+    _sample_store,
     trained_on,
 )
 from crownclass.ingest import LEAF_OFF, LEAF_ON, VEGETATION, Apex, CrownCloud, PointCloud
 from crownclass.rasterize import read_manifest
+from crownclass import tinynet
 from crownclass.tinynet import init_params, predict_probs
 from crownclass.util import InputError, derive_seed
 
@@ -101,6 +103,26 @@ class TestStudentTCdf:
     def test_invalid_df_rejected(self):
         with pytest.raises(ValueError, match="df"):
             student_t_cdf(1.0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        df=st.one_of(st.integers(1, 5000), st.floats(0.5, 50)),
+        log_t=st.floats(-1, 3),
+    )
+    def test_matches_scipy_betainc(self, df, log_t):
+        from scipy import special  # an oracle only; crownclass never loads scipy
+
+        t = -(10.0**log_t)
+        reference = 0.5 * special.betainc(df / 2, 0.5, df / (df + t * t))
+        assert student_t_cdf(t, df) == pytest.approx(reference, rel=1e-11, abs=0)
+
+    def test_near_zero_keeps_digits_that_1_minus_x_loses(self):
+        # P(T <= -t) ~ 1/2 - t f(0) for tiny t, f the t density; x =
+        # df / (df + t^2) rounds to 1 here, so betainc of x gives 1/2.
+        t, df = 1e-8, 5000
+        density = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
+        assert student_t_cdf(-t, df) == pytest.approx(0.5 - t * density, rel=1e-15)
+        assert student_t_cdf(-t, df) < 0.5
 
 
 def light_instance(cid, label):
@@ -282,12 +304,33 @@ class TestDatasetTransforms:
             truncate_augmentations(dataset, 4)
 
 
+def reference_training_tensors(dataset, membership):
+    """One copy of the members' samples, membership-major and
+    rotation-minor, with their scalars and one-hot labels."""
+    aug = dataset.augmentations
+    images = np.concatenate([dataset.images[i] for i in membership])
+    scalars = np.repeat(dataset.scalars[membership], aug, axis=0)
+    classes = [ensemble.CLASS_INDEX[dataset.instances[i].label] for i in membership]
+    onehots = np.eye(2, dtype=np.float32)[np.repeat(classes, aug)]
+    return images, scalars, onehots
+
+
+def store_samples(dataset, rows):
+    """Images, scalars and one-hot labels at store rows, gathered by
+    fancy indexing."""
+    index = np.unravel_index(rows, (len(dataset), dataset.augmentations))
+    scalars, onehots = _sample_store(dataset)
+    return dataset.images[index], scalars[index], onehots[index]
+
+
 class TestTrainingTensors:
     def test_membership_major_rotation_minor(self):
         dataset = blob_dataset(2, 2, seed=19, aug=3)
         dataset.scalars[:] = np.arange(8).reshape(4, 2)
         membership = [2, 0, 2, 3]
-        images, scalars, onehots = _training_tensors(dataset, membership)
+        rows = _sample_rows(dataset, membership)
+        np.testing.assert_array_equal(rows, [6, 7, 8, 0, 1, 2, 6, 7, 8, 9, 10, 11])
+        images, scalars, onehots = store_samples(dataset, rows)
         np.testing.assert_array_equal(
             images, np.concatenate([dataset.images[i] for i in membership])
         )
@@ -296,6 +339,8 @@ class TestTrainingTensors:
         )
         expected = [[0, 1]] * 3 + [[1, 0]] * 3 + [[0, 1]] * 6
         np.testing.assert_array_equal(onehots, np.array(expected, dtype=np.float32))
+        # the scalars beside the store are a view, not a copy per rotation
+        assert np.shares_memory(_sample_store(dataset)[0], dataset.scalars)
 
 
 class TestBalancedCyclicSample:
@@ -363,6 +408,60 @@ class TestTrainEnsemble:
             assert net.params.tag == "views_reduced"
             assert 0.0 <= net.acc_n <= 1.0
             assert len(net.membership) == 4
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        aug=st.integers(1, 4),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_train_as_the_copied_membership(self, aug, extra, seed):
+        # extra > 0: the dataset is the first rotations of a larger
+        # store, a strided view as truncate_augmentations makes.
+        dataset = truncate_augmentations(blob_dataset(3, 3, seed % 100, aug + extra), aug)
+        memberships = []
+
+        def checking_train(params, images, scalars, onehots, epochs, rows, **kwargs):
+            assert images is dataset.images  # the store itself, no copy
+            # membership-major and rotation-minor
+            membership = list(rows[::aug] // aug)
+            np.testing.assert_array_equal(rows, _sample_rows(dataset, membership))
+            trained = tinynet.train_network(
+                params, images, scalars, onehots, epochs, rows=rows, **kwargs
+            )
+            reference = tinynet.train_network(
+                params, *reference_training_tensors(dataset, membership), epochs, **kwargs
+            )
+            assert trained[0].flat.tobytes() == reference[0].flat.tobytes()
+            assert trained[1] == reference[1]
+            memberships.append(membership)
+            return trained
+
+        training = Training(2, 2, 1, seed=seed, batch_size=5, threads=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ensemble, "train_network", checking_train)
+            run = train_ensemble(dataset, training)
+        for net in run.networks:
+            assert list(net.membership) in memberships
+
+    def test_worker_peak_does_not_grow_with_rotations(self):
+        # The task a worker runs, here in this process: its traced
+        # allocations must hold no copy of its members' samples.
+        base = blob_dataset(4, 4, seed=2, aug=32)
+        sample_bytes = base.images[0, 0].nbytes  # 32 KB
+        peaks = {}
+        for aug in (4, 32):
+            # 8 members x 4 rotations fill one batch and one prediction chunk.
+            dataset = truncate_augmentations(base, aug)
+            training = Training(n_networks=1, per_class=4, epochs=1, seed=3, threads=1)
+            tracemalloc.start()
+            try:
+                train_ensemble(dataset, training)
+                peaks[aug] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # A copy of the members' samples would add 7 MB at 32 rotations.
+        assert peaks[32] < peaks[4] + sample_bytes, peaks
 
     def test_same_seed_bit_identical(self):
         dataset = blob_dataset(4, 4, seed=1)
@@ -544,6 +643,9 @@ def membership_runs(draw):
     tag = draw(st.sampled_from(["views_reduced", "dsm"]))
     n = draw(st.integers(1, 6))
     aug = draw(st.integers(1, 3))
+    # extra > 0: the images are the first rotations of a larger store, a
+    # strided view as truncate_augmentations makes.
+    extra = draw(st.integers(0, 2))
     seed = draw(st.integers(0, 2**32 - 1))
     memberships = draw(
         st.lists(
@@ -554,8 +656,9 @@ def membership_runs(draw):
     )
     rng = np.random.default_rng(seed)
     channels, hw = (2, 64) if tag == "views_reduced" else (4, 128)
-    images = rng.uniform(0.0, 1.0, size=(n, aug, channels, hw, hw)).astype(np.float32)
+    images = rng.uniform(0.0, 1.0, size=(n, aug + extra, channels, hw, hw)).astype(np.float32)
     images[images < 0.6] = 0.0
+    images = images[:, :aug]
     scalar_dim = 2 if tag == "views_reduced" else 1
     scalars = np.repeat(np.arange(n, dtype=np.float32)[:, None], scalar_dim, axis=1)
     instances = [light_instance(f"t{i}", "conifer") for i in range(n)]
@@ -567,33 +670,77 @@ def membership_runs(draw):
     return EnsembleRun(networks), dataset
 
 
+def checked_holdout_probs(run, dataset):
+    """holdout_probs on one worker, checking that each network makes one
+    predict_probs call on the store itself, for the rows of its held-out
+    crowns, crown-major and rotation-minor."""
+    aug = dataset.augmentations
+    calls = {}
+
+    def recording_predict(params, images, scalars, rows):
+        assert images is dataset.images  # the store itself, no copy
+        calls[id(params)] = rows
+        return predict_probs(params, images, scalars, rows=rows)
+
+    # One worker, so the calls are made, and recorded, in this process.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "predict_probs", recording_predict)
+        probs, held = holdout_probs(run, dataset, threads=1)
+    assert len(calls) == len(run.networks)
+    for j, net in enumerate(run.networks):
+        rows = calls[id(net.params)]
+        # crown-major, rotation-minor, and never a training crown
+        np.testing.assert_array_equal(rows // aug, np.repeat(np.flatnonzero(held[j]), aug))
+        np.testing.assert_array_equal(rows % aug, np.tile(np.arange(aug), held[j].sum()))
+    return probs, held
+
+
 class TestHeldOutPrediction:
     @settings(max_examples=25, deadline=None)
-    @given(case=membership_runs(), block=st.sampled_from([1, 2, 3, 256]))
-    def test_matches_full_forward_on_held_out_pairs_only(self, case, block):
+    @given(case=membership_runs())
+    def test_matches_full_forward_on_held_out_pairs_only(self, case):
         run, dataset = case
         n, aug = dataset.images.shape[:2]
-        forwarded = {id(net.params): [] for net in run.networks}
-
-        def recording_predict(params, images, scalars):
-            assert 1 <= len(images) <= block
-            forwarded[id(params)].extend(int(s) for s in scalars[:, 0])
-            return predict_probs(params, images, scalars)
-
-        # One worker, so the calls are made, and recorded, in this process.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ensemble, "GATHER_BLOCK", block)
-            patch.setattr(ensemble, "predict_probs", recording_predict)
-            probs, held = holdout_probs(run, dataset, threads=1)
+        probs, held = checked_holdout_probs(run, dataset)
         np.testing.assert_array_equal(held, ~trained_on(run, n))
         assert probs.shape == (len(run.networks), n, aug, 2)
         assert probs.dtype == run.networks[0].params.dtype
         reference = reference_instance_probs(run, dataset)
-        for j, net in enumerate(run.networks):
-            # crown-major, rotation-minor, and never a training crown
-            assert forwarded[id(net.params)] == list(np.repeat(np.flatnonzero(held[j]), aug))
+        for j in range(len(run.networks)):
             np.testing.assert_array_equal(probs[j, held[j]], reference[j][held[j]])
             assert np.isnan(probs[j, ~held[j]]).all()
+
+    @pytest.mark.parametrize(
+        "crowns, aug, stored, trained",
+        # 257 and 513 held-out rows: a one-row tail past 256, from a
+        # truncated (strided) store and from a whole one.
+        [(3, 257, 258, (0, 1)), (4, 171, 171, (0,))],
+    )
+    def test_one_row_tail_past_256_rows(self, crowns, aug, stored, trained):
+        rng = np.random.default_rng(aug)
+        images = rng.uniform(0.0, 1.0, size=(crowns, stored, 2, 64, 64)).astype(np.float32)
+        instances = [light_instance(f"t{i}", "conifer") for i in range(crowns)]
+        scalars = rng.uniform(0.1, 1.0, size=(crowns, 2)).astype(np.float32)
+        dataset = LabeledDataset("views_reduced", instances, images[:, :aug], scalars)
+        run = EnsembleRun([TrainedNetwork(init_params(dataset.tag, seed=aug), 0.9, trained)])
+        probs, held = checked_holdout_probs(run, dataset)
+        assert held.sum() * aug in (257, 513)
+        reference = reference_instance_probs(run, dataset)[0]
+        np.testing.assert_array_equal(probs[0, held[0]], reference[held[0]])
+
+    def test_network_trained_on_every_crown_has_a_nan_row(self):
+        dataset = blob_dataset(2, 2, seed=12, aug=2)
+        run = EnsembleRun(
+            [
+                TrainedNetwork(init_params(dataset.tag, seed=26), 0.9, (0, 1, 2, 3)),
+                TrainedNetwork(init_params(dataset.tag, seed=27), 0.9, (1, 2)),
+            ]
+        )
+        probs, held = checked_holdout_probs(run, dataset)
+        assert not held[0].any()
+        assert np.isnan(probs[0]).all()
+        reference = reference_instance_probs(run, dataset)
+        np.testing.assert_array_equal(probs[1, [0, 3]], reference[1][[0, 3]])
 
     @settings(max_examples=50, deadline=None)
     @given(case=membership_runs())

@@ -615,6 +615,60 @@ class TestPredictProbs:
         assert min(batches) >= 2 and max(batches) <= PREDICT_CHUNK[tag] + 1
 
 
+@st.composite
+def store_rows(draw, count):
+    """A (crowns, rotations, C, H, W) store, either whole or the first
+    rotations of a larger one (a strided view), its scalars and one-hot
+    labels laid out alike, and sample rows into it, with repeats."""
+    tag = draw(st.sampled_from(["views_reduced", "dsm"]))
+    crowns, aug, extra = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    count = draw(st.integers(2, 40)) if count is None else count
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images, _ = crown_like_inputs(tag, rng, crowns * (aug + extra))
+    images = images.reshape(crowns, aug + extra, *images.shape[1:])[:, :aug]
+    scalar_dim = ARCHITECTURES[tag].scalar_dim
+    scalars = rng.uniform(0.1, 1.0, size=(crowns, aug, scalar_dim)).astype(np.float32)
+    onehots = np.eye(2, dtype=np.float32)[rng.integers(0, 2, (crowns, aug))]
+    rows = rng.integers(0, crowns * aug, count)
+    params = randomize_biases(init_params(tag, seed=count), rng)
+    return params, images, scalars, onehots, rows
+
+
+class TestStoreRows:
+    # 257 and 513 leave a one-row tail past 256; 1 is a lone row; None
+    # draws a count.
+    @pytest.mark.parametrize("count", [0, 1, 257, 513, None])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_bits_match_the_gathered_samples(self, count, data):
+        params, images, scalars, onehots, rows = data.draw(store_rows(count))
+        index = np.unravel_index(rows, images.shape[:2])
+        gathered = images[index], scalars[index], onehots[index]
+        probs = predict_probs(params, images, scalars, rows=rows)
+        assert probs.shape == (len(rows), 2)
+        assert probs.tobytes() == predict_probs(params, *gathered[:2]).tobytes()
+        if not len(rows):
+            return
+        trained, accuracy = train_network(
+            params, images, scalars, onehots, epochs=1, batch_size=7, seed=len(rows), rows=rows
+        )
+        reference, ref_accuracy = train_network(
+            params, *gathered, epochs=1, batch_size=7, seed=len(rows)
+        )
+        assert trained.flat.tobytes() == reference.flat.tobytes()
+        assert accuracy == ref_accuracy
+
+    def test_zero_samples_give_an_empty_table(self):
+        params = init_params("views", seed=3)
+        images, scalars = crown_like_inputs("views", np.random.default_rng(3), 2)
+        for rows in (np.array([], dtype=np.intp), None):
+            end = 0 if rows is None else 2
+            probs = predict_probs(params, images[:end], scalars[:end], rows=rows)
+            assert probs.shape == (0, 2) and probs.dtype == params.dtype
+        with pytest.raises(ValueError, match="no training samples"):
+            train_network(params, images[:0], scalars[:0], scalars[:0], epochs=1)
+
+
 class TestGradients:
     @pytest.mark.parametrize("tag", ["dsm", "views", "views_reduced"])
     def test_matches_finite_differences(self, tag):
