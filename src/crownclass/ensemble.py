@@ -56,9 +56,9 @@ SWEEP_VARIANTS = ("size", "augmentation", "ablation", "crown_class", "density")
 
 # Images are stored [aerial on, aerial off, profile on, profile off] and
 # DSM channels [on height, on intensity, off height, off intensity], so
-# season ablations keep these channel pairs.
-LEAF_ON_CHANNELS = (0, 2)
-LEAF_OFF_CHANNELS = (1, 3)
+# season ablations keep these channel pairs, as strided views.
+LEAF_ON_CHANNELS = slice(0, 4, 2)
+LEAF_OFF_CHANNELS = slice(1, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +79,21 @@ class Instance:
 @dataclass
 class LabeledDataset:
     """Crowns sharing one network architecture and augmentation count;
-    row i of images and scalars belongs to instances[i]."""
+    row crowns[i] of images and scalars belongs to instances[i]."""
 
     tag: str  # architecture the tensors fit: dsm | views | views_reduced
     instances: list[Instance]
-    images: np.ndarray  # (crowns, augmentations, channels, size, size) float32
-    scalars: np.ndarray  # (crowns, scalar_dim) float32, equal over augmentations
+    images: np.ndarray  # (store crowns, augmentations, channels, size, size) float32
+    scalars: np.ndarray  # (store crowns, scalar_dim) float32, equal over augmentations
+    crowns: "np.ndarray | None" = None  # instances' store rows; None: all, in order
 
     def __post_init__(self) -> None:
-        if not len(self.instances) == len(self.images) == len(self.scalars):
+        if self.crowns is None:
+            self.crowns = np.arange(len(self.images))
+        if len(self.instances) != len(self.crowns) or len(self.images) != len(self.scalars):
             raise ValueError(
-                f"{len(self.instances)} instances but {len(self.images)} image "
-                f"rows and {len(self.scalars)} scalar rows"
+                f"{len(self.instances)} instances of {len(self.crowns)} store rows, "
+                f"{len(self.images)} image rows and {len(self.scalars)} scalar rows"
             )
         for inst in self.instances:
             if inst.label not in CLASS_INDEX:
@@ -108,9 +111,8 @@ class LabeledDataset:
 
     def derive(self, tag: str, images: np.ndarray) -> "LabeledDataset":
         """Same crowns with other image tensors and copied instances."""
-        return LabeledDataset(
-            tag, [replace(inst) for inst in self.instances], images, self.scalars
-        )
+        instances = [replace(inst) for inst in self.instances]
+        return LabeledDataset(tag, instances, images, self.scalars, self.crowns)
 
 
 def from_store(images: np.ndarray, manifest: dict) -> LabeledDataset:
@@ -132,24 +134,25 @@ def from_store(images: np.ndarray, manifest: dict) -> LabeledDataset:
     return LabeledDataset(tag, instances, images, scalars)
 
 
-def select_channels(dataset: LabeledDataset, channels: tuple[int, ...]) -> LabeledDataset:
-    """Single-season variant of a views dataset (2 of 4 image channels)."""
-    if dataset.tag != "views" or len(channels) != 2:
+def select_channels(dataset: LabeledDataset, channels: slice) -> LabeledDataset:
+    """Single-season variant of a views dataset: a view of 2 of its 4
+    image channels."""
+    images = dataset.images[:, :, channels]
+    if dataset.tag != "views" or images.shape[2] != 2:
         raise ValueError("channel selection needs a views dataset and 2 channels")
-    return dataset.derive("views_reduced", dataset.images[:, :, list(channels)])
+    return dataset.derive("views_reduced", images)
 
 
 def binarize_intensity(dataset: LabeledDataset) -> LabeledDataset:
-    """Replace intensity values with {0, 1} presence.
+    """Replace intensity values with {0, 1} presence, in one float32
+    copy of the images.
 
     View images are intensity rasters, so every channel binarizes; DSM
     intensity channels (1 and 3) binarize while heights are kept.
     """
-    if dataset.tag == "dsm":
-        images = np.array(dataset.images)
-        images[:, :, [1, 3]] = images[:, :, [1, 3]] > 0
-    else:
-        images = (dataset.images > 0).astype(np.float32)
+    images = np.array(dataset.images, dtype=np.float32)
+    intensity = images[:, :, 1::2] if dataset.tag == "dsm" else images
+    np.greater(intensity, 0, out=intensity)
     return dataset.derive(dataset.tag, images)
 
 
@@ -267,22 +270,23 @@ class EnsembleRun:
     networks: list[TrainedNetwork]
 
 
-def _sample_rows(dataset: LabeledDataset, crowns) -> np.ndarray:
-    """The store rows of the crowns' samples, crown-major and
-    rotation-minor: row crown * rotations + rotation of the dataset's
-    (crowns, rotations) image store."""
+def _sample_rows(dataset: LabeledDataset, instances) -> np.ndarray:
+    """The sample rows of the instances, crown-major and rotation-minor:
+    row crown * rotations + rotation of the dataset's (store crowns,
+    rotations) images, crown the instance's store row."""
     aug = dataset.augmentations
-    crowns = np.asarray(crowns, dtype=np.intp)
+    crowns = dataset.crowns[np.asarray(instances, dtype=np.intp)]
     return (crowns[:, None] * aug + np.arange(aug)).reshape(-1)
 
 
 def _sample_store(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     """The scalars and one-hot labels laid out like the image store,
-    (crowns, rotations, k), so that a store row selects all three: views,
-    equal over rotations."""
-    shape = (len(dataset), dataset.augmentations)
-    classes = [CLASS_INDEX[inst.label] for inst in dataset.instances]
-    onehots = np.eye(2, dtype=np.float32)[classes]
+    (store crowns, rotations, k), so that a sample row selects all three:
+    views, equal over rotations. Store rows of no instance are labelled
+    zero."""
+    shape = (len(dataset.scalars), dataset.augmentations)
+    onehots = np.zeros((shape[0], 2), dtype=np.float32)
+    onehots[dataset.crowns, [CLASS_INDEX[inst.label] for inst in dataset.instances]] = 1
     return (
         np.broadcast_to(dataset.scalars[:, None], (*shape, dataset.scalars.shape[1])),
         np.broadcast_to(onehots[:, None], (*shape, 2)),
@@ -683,12 +687,12 @@ def run_sweep(
                 subset = LabeledDataset(
                     dataset.tag,
                     [dataset.instances[i] for i in rows_kept],
-                    dataset.images[rows_kept],
-                    dataset.scalars[rows_kept],
+                    dataset.images,
+                    dataset.scalars,
+                    dataset.crowns[rows_kept],
                 )
                 per_class = max(1, int(round(fraction * training.per_class)))
                 result = classify(subset, *seed_path, per_class=per_class)
-                del subset  # one repeat's copy of its crowns at a time
                 for label in (CONIFER, DECIDUOUS):
                     per_label_acc[label].append(result.accuracies[label].accuracy)
             stats = {}  # per label: mean accuracy and its 95% half-width

@@ -206,7 +206,7 @@ def write_representation_file(
                     f"{crown_id}: {kind} tensors {images.shape} do not fit "
                     f"the store's {shape[1:]}"
                 )
-            handle.write(images.astype("<f4", copy=False).tobytes())
+            handle.write(np.ascontiguousarray(images, dtype="<f4"))
             scalars = [float(value) for value in scalars]
             rows.append((crown_id, label, crown_class, density, scalars))
     if len(rows) != n_crowns:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,9 @@ BATCH_SIZE = 32
 # Intel Xeon, with one workspace per 256-sample call, the forward pass
 # takes per sample at chunks of 8 / 16 / 32: dsm 0.60 / 0.69 / 0.60 ms
 # (median of 7 fresh processes) and views 0.22 / 0.17 / 0.17 ms. dsm
-# stays at 8, as fast as 32 with a quarter of its activations.
+# stays at 8, as fast as 32 with a quarter of its activations: at 32 the
+# benchmark's classify-dsm peak RSS (its largest process, a prediction
+# worker) read 89.8-90.3 MB against 75.2 MB at 8.
 PREDICT_CHUNK = {"dsm": 8, "views": 32, "views_reduced": 32}
 # Input bytes per batch block of the depthwise conv and its kernel
 # gradients (_padded_blocks). On one thread of the same Xeon (2 MB L2
@@ -53,12 +54,6 @@ PREDICT_CHUNK = {"dsm": 8, "views": 32, "views_reduced": 32}
 # 16.0 / 16.2 ms. A dsm input image is 256 KB, so each block of the
 # first dsm layer holds one image.
 BLOCK_BYTES = 256 * 1024
-# A workspace takes buffers of at least this many bytes from anonymous
-# memory maps, returned to the system when the workspace is freed. From
-# malloc they would stay in the thread's arena once an earlier workspace
-# had raised glibc's mmap threshold, and the next stage's arrays would
-# add to them.
-MAPPED_BYTES = 1 << 20
 # Dense layers: the side stack maps the scalar features, the head stack
 # the flattened images and side output to logits. ReLU after all but "out".
 SIDE_LAYERS = ("side0", "side1")
@@ -164,8 +159,8 @@ class Workspace:
 
     A workspace serves one pass at a time: train_network and
     predict_probs each make one per call, and a pass given none makes
-    its own, whose arrays its results may then share. Buffers of
-    MAPPED_BYTES or more are memory maps.
+    its own, whose arrays its results may then share. Every buffer comes
+    from np.empty and is freed with the workspace.
     """
 
     def __init__(self):
@@ -183,10 +178,7 @@ class Workspace:
             if buffer.size >= size and buffer.dtype == dtype:
                 view = views[shape] = buffer.reshape(-1)[:size].reshape(shape)
                 return view
-        if (nbytes := math.prod(shape) * np.dtype(dtype).itemsize) >= MAPPED_BYTES:
-            buffer = np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
-        else:
-            buffer = np.empty(shape, dtype=dtype)
+        buffer = np.empty(shape, dtype=dtype)
         self._buffers[key] = (buffer, {shape: buffer})
         return buffer
 

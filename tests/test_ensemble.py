@@ -265,19 +265,53 @@ class TestFromRepresentations:
             self.build("pointcloud")
 
 
+def signed_zero_images(n, aug, channels, hw, seed):
+    """Images of +0, -0, negative and positive values, a quarter each."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, -0.5, 0.75], dtype=np.float32)
+    return values[rng.integers(0, 4, size=(n, aug, channels, hw, hw))]
+
+
 class TestDatasetTransforms:
     def test_select_channels_keeps_leaf_on_pair(self):
         dataset = blob_dataset(2, 2, channels=4, tag="views")
-        reduced = select_channels(dataset, (0, 2))
+        reduced = select_channels(dataset, ensemble.LEAF_ON_CHANNELS)
         assert reduced.tag == "views_reduced"
         np.testing.assert_array_equal(
             reduced.images, dataset.images[:, :, [0, 2]]
         )
 
+    @pytest.mark.parametrize(
+        "name, channels", [("no-leaf-off", [0, 2]), ("no-leaf-on", [1, 3])]
+    )
+    def test_season_ablations_are_views_of_the_store(self, name, channels):
+        dataset = blob_dataset(2, 2, seed=3, channels=4, tag="views")
+        dataset.images[:] = signed_zero_images(4, 2, 4, 64, seed=3)
+        reduced = ensemble.ablate(dataset, name)
+        assert np.shares_memory(reduced.images, dataset.images)
+        assert reduced.images.tobytes() == dataset.images[:, :, channels].tobytes()
+        assert reduced.scalars is dataset.scalars
+
     def test_select_channels_needs_views(self):
         dataset = blob_dataset(1, 1, channels=4, tag="dsm")
         with pytest.raises(ValueError, match="views"):
-            select_channels(dataset, (0, 2))
+            select_channels(dataset, ensemble.LEAF_ON_CHANNELS)
+
+    @pytest.mark.parametrize("tag, channels, hw", [("views", 4, 64), ("dsm", 4, 128)])
+    def test_binarize_matches_greater_than_zero(self, tag, channels, hw):
+        images = signed_zero_images(3, 2, channels, hw, seed=4)
+        before = images.copy()
+        instances = [light_instance(f"c{i}", "conifer") for i in range(3)]
+        dataset = LabeledDataset(tag, instances, images, np.zeros((3, 1), np.float32))
+        if tag == "views":
+            reference = (images > 0).astype(np.float32)
+        else:
+            reference = np.array(images)
+            reference[:, :, [1, 3]] = reference[:, :, [1, 3]] > 0
+        binary = binarize_intensity(dataset)
+        assert binary.images.dtype == np.float32
+        assert binary.images.tobytes() == reference.tobytes()
+        assert images.tobytes() == before.tobytes()  # the store is untouched
 
     def test_binarize_views_makes_masks(self):
         dataset = blob_dataset(2, 2, channels=4, tag="views")
@@ -913,6 +947,51 @@ class TestEnsemblePredictions:
         ]
 
 
+@st.composite
+def store_selections(draw):
+    """A views dataset of random images and a variant of it that selects
+    from its store (season channels, or a subset of its crowns), with the
+    same variant built as a copy."""
+    n_conifer, n_deciduous = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    aug = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dataset = blob_dataset(n_conifer, n_deciduous, seed % 100, aug, channels=4, tag="views")
+    dataset.images[:] = signed_zero_images(len(dataset), aug, 4, 64, seed)
+    dataset.scalars[:] = np.random.default_rng(seed).uniform(size=dataset.scalars.shape)
+    if draw(st.booleans()):
+        name, channels = draw(
+            st.sampled_from([("no-leaf-off", [0, 2]), ("no-leaf-on", [1, 3])])
+        )
+        copied = dataset.derive("views_reduced", dataset.images[:, :, channels])
+        return ensemble.ablate(dataset, name), copied, seed
+    pools = [dataset.pool(label) for label in ("conifer", "deciduous")]
+    kept = sorted(
+        i
+        for pool in pools
+        for i in draw(st.lists(st.sampled_from(pool), min_size=2, max_size=len(pool), unique=True))
+    )
+    instances = [dataset.instances[i] for i in kept]
+    selected = LabeledDataset("views", instances, dataset.images, dataset.scalars, np.array(kept))
+    copied = LabeledDataset("views", instances, dataset.images[kept], dataset.scalars[kept])
+    return selected, copied, seed
+
+
+class TestStoreSelections:
+    @settings(max_examples=6, deadline=None)
+    @given(case=store_selections())
+    def test_classify_bit_equal_to_copied_dataset(self, case):
+        selected, copied, seed = case
+        training = Training(3, 1, 1, seed=seed, batch_size=3, threads=1)
+        results = [ensemble_classify(d, training) for d in (selected, copied)]
+        (a, b) = [
+            [(p.crown_id, p.label, p.predicted, p.held_out_by) for p in r.predictions]
+            for r in results
+        ]
+        assert a == b
+        (a, b) = [np.array([p.p_conifer for p in r.predictions]) for r in results]
+        assert a.tobytes() == b.tobytes()
+
+
 class TestPearson:
     def test_perfect_correlation(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -1005,23 +1084,34 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="variant"):
             run_sweep(dataset, SweepSpec(variant="speed"), TINY_TRAINING)
 
-    def test_size_sweep_holds_one_copy_of_its_crowns_at_a_time(self, monkeypatch):
+    def test_size_sweep_copies_no_crown(self, monkeypatch):
         instances = [light_instance(f"c{i:03d}", "conifer") for i in range(10)]
         instances += [light_instance(f"d{i:03d}", "deciduous") for i in range(30)]
         images = np.zeros((40, 4, 4, 64, 64), dtype=np.float32)  # 10.5 MB
         dataset = LabeledDataset("views", instances, images, np.zeros((40, 2), np.float32))
         accuracies = {label: ClassAccuracy(label, 1.0, 0.0, 1) for label in ensemble.CLASS_INDEX}
-        result = ClassifyResult([], accuracies)
-        monkeypatch.setattr(ensemble, "ensemble_classify", lambda *_: result)
-        spec = SweepSpec(variant="size", fractions=(1.0,), repeats=2)
+        subsets = []
+
+        def recording_classify(subset, training):
+            subsets.append(subset)
+            return ClassifyResult([], accuracies)
+
+        monkeypatch.setattr(ensemble, "ensemble_classify", recording_classify)
+        spec = SweepSpec(variant="size", fractions=(0.5, 1.0), repeats=2)
+        np.random.default_rng(0)  # numpy.random imports its modules on first use
         tracemalloc.start()
         try:
             run_sweep(dataset, spec, TINY_TRAINING)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Every repeat at fraction 1 gathers all 40 crowns.
-        assert images.nbytes <= peak < 1.5 * images.nbytes
+        # Each subset names its crowns' store rows; gathering them would
+        # copy 262 KB per crown.
+        assert peak < images[0].nbytes
+        assert [len(subset) for subset in subsets] == [20, 20, 40, 40]
+        for subset in subsets:
+            assert subset.images is images and subset.scalars is dataset.scalars
+            assert subset.instances == [instances[i] for i in subset.crowns]
 
     def test_variants_train_with_derived_recipes(self, monkeypatch):
         dataset = blob_dataset(4, 6, seed=19)
