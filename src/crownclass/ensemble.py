@@ -270,26 +270,16 @@ class EnsembleRun:
     networks: list[TrainedNetwork]
 
 
-def _sample_rows(dataset: LabeledDataset, instances) -> np.ndarray:
-    """The sample rows of the instances, crown-major and rotation-minor:
-    row crown * rotations + rotation of the dataset's (store crowns,
-    rotations) images, crown the instance's store row."""
+def _samples(dataset: LabeledDataset, instances) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of the instances, crown-major and rotation-minor: their
+    rows of the dataset's (store crowns, rotations) images, row
+    crown * rotations + rotation with crown the instance's store row, and
+    their scalars, one row per sample."""
     aug = dataset.augmentations
     crowns = dataset.crowns[np.asarray(instances, dtype=np.intp)]
-    return (crowns[:, None] * aug + np.arange(aug)).reshape(-1)
-
-
-def _sample_store(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The scalars and one-hot labels laid out like the image store,
-    (store crowns, rotations, k), so that a sample row selects all three:
-    views, equal over rotations. Store rows of no instance are labelled
-    zero."""
-    shape = (len(dataset.scalars), dataset.augmentations)
-    onehots = np.zeros((shape[0], 2), dtype=np.float32)
-    onehots[dataset.crowns, [CLASS_INDEX[inst.label] for inst in dataset.instances]] = 1
     return (
-        np.broadcast_to(dataset.scalars[:, None], (*shape, dataset.scalars.shape[1])),
-        np.broadcast_to(onehots[:, None], (*shape, 2)),
+        (crowns[:, None] * aug + np.arange(aug)).reshape(-1),
+        np.repeat(dataset.scalars[crowns], aug, axis=0),
     )
 
 
@@ -314,10 +304,12 @@ def train_ensemble(dataset: LabeledDataset, training: Training) -> EnsembleRun:
     memberships = balanced_cyclic_sample(
         dataset, training.per_class, training.n_networks, seed
     )
-    scalars, onehots = _sample_store(dataset)
 
     def build(index: int) -> TrainedNetwork:
         membership = memberships[index]
+        rows, scalars = _samples(dataset, membership)
+        labels = [CLASS_INDEX[dataset.instances[i].label] for i in membership]
+        onehots = np.repeat(np.eye(2, dtype=np.float32)[labels], dataset.augmentations, axis=0)
         for attempt in range(DEGENERATE_RETRIES + 1):
             if attempt == 0:
                 net_seed = derive_seed(seed, "network", index)
@@ -333,7 +325,7 @@ def train_ensemble(dataset: LabeledDataset, training: Training) -> EnsembleRun:
                 batch_size=training.batch_size,
                 seed=net_seed,
                 lr=training.lr,
-                rows=_sample_rows(dataset, membership),
+                rows=rows,
             )
             if acc_n >= DEGENERATE_ACCURACY:
                 break
@@ -378,10 +370,9 @@ def holdout_probs(
     held = ~trained_on(run, len(dataset))
     aug = dataset.augmentations
     probs = np.full((*held.shape, aug, 2), np.nan, run.networks[0].params.dtype)
-    scalars, _ = _sample_store(dataset)
 
     def predict(j: int) -> np.ndarray:
-        rows = _sample_rows(dataset, np.flatnonzero(held[j]))
+        rows, scalars = _samples(dataset, np.flatnonzero(held[j]))
         return predict_probs(run.networks[j].params, dataset.images, scalars, rows=rows)
 
     jobs = list(range(len(run.networks)))

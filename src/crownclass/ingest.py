@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import SPECIES_CLASSES
 from .util import InputError, read_csv_rows, write_csv_rows
 
 logger = logging.getLogger(__name__)
@@ -423,6 +424,8 @@ def read_point_file(path: str | Path) -> PointCloud:
     season = _token_codes(columns["season"], SEASON_TOKENS)
     pclass = _token_codes(columns["pclass"], PCLASS_TOKENS)
     intensity, returns = columns["intensity"], columns["return_number"]
+    names = ("x", "y", "z", "scan_angle", "range")
+    floats = {name: np.asarray(columns[name], np.float64) for name in names}
     # Each rule and its problem, in the order a row is checked.
     rules = (
         (season == UNKNOWN_TOKEN, lambda i: f"unknown season {columns['season'][i]!r}"),
@@ -433,7 +436,11 @@ def read_point_file(path: str | Path) -> PointCloud:
         ),
         ((returns < 1) | (returns > 4), lambda i: f"return_number {returns[i]} outside 1..4"),
         ((season == LEAF_OFF) & (returns > 3), lambda i: "leaf-off return_number > 3"),
-        (np.asarray(columns["range"], np.float64) <= 0, lambda i: "range must be > 0"),
+        *(
+            (~np.isfinite(values), lambda i, name=name: f"{name} {floats[name][i]} is not finite")
+            for name, values in floats.items()
+        ),
+        (floats["range"] <= 0, lambda i: "range must be > 0"),
     )
     broken = np.logical_or.reduce([mask for mask, _ in rules])
     if broken.any():
@@ -470,7 +477,12 @@ def _parse_stem_row(fields: list[str]) -> FieldStem:
     stem = FieldStem(
         stem_id, float(x), float(y), float(height), species, crown_class, status
     )
-    if stem.species_class not in ("conifer", "deciduous"):
+    for name, value in (("x", stem.x), ("y", stem.y), ("height", stem.height)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value} is not finite")
+    if stem.height <= 0:
+        raise ValueError("height must be > 0")
+    if stem.species_class not in SPECIES_CLASSES:
         raise ValueError(f"unknown species {stem.species_class!r}")
     if stem.crown_class not in CROWN_CLASSES:
         raise ValueError(f"unknown crown_class {stem.crown_class!r}")

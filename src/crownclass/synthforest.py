@@ -177,15 +177,9 @@ def generate_crown(
         depth = height * _uniform(rng, params.conifer_depth_frac)
         sample = _cone_offsets
         intensity_on = params.conifer_intensity_on
-    elif species == CONIFER:
-        # Dome-crowned conifers: the whole leaf-on crown is drawn from the
+    elif species in (CONIFER, DECIDUOUS):
+        # Dome-crowned conifers draw the whole leaf-on crown from the
         # deciduous distributions, so only the winter crown separates them.
-        height = _uniform(rng, params.deciduous_height)
-        radius = _uniform(rng, params.deciduous_radius)
-        depth = _uniform(rng, params.deciduous_depth)
-        sample = _ellipsoid_offsets
-        intensity_on = params.deciduous_intensity_on
-    elif species == DECIDUOUS:
         height = _uniform(rng, params.deciduous_height)
         radius = _uniform(rng, params.deciduous_radius)
         depth = _uniform(rng, params.deciduous_depth)

@@ -656,26 +656,10 @@ def _gather(images: np.ndarray, index: tuple[np.ndarray, ...], ws: Workspace) ->
     return out
 
 
-def _predict(
-    params: NetworkParams,
-    images: np.ndarray,
-    index: tuple[np.ndarray, ...],
-    scalars: np.ndarray,
-    ws: Workspace,
-) -> np.ndarray:
-    """predict_probs of the samples at index, whose scalars are given one
-    row per sample."""
-    n = len(scalars)
-    if n == 1:
-        pair = tuple(np.repeat(i, 2) for i in index)
-        return _predict(params, images, pair, np.repeat(scalars, 2, axis=0), ws)[:1]
-    probs = np.empty((n, 2), params.dtype)
-    # No chunk starts on the last row, so a one-row tail joins the chunk before.
-    starts = list(range(0, n - 1, PREDICT_CHUNK[params.tag]))
-    for a, b in zip(starts, starts[1:] + [n]):
-        batch = _gather(images, tuple(i[a:b] for i in index), ws)
-        probs[a:b] = network_forward(params, batch, scalars[a:b], workspace=ws)
-    return probs
+def _check_samples(n: int, **arrays: np.ndarray) -> None:
+    for name, array in arrays.items():
+        if len(array) != n:
+            raise ValueError(f"{n} samples but {len(array)} rows of {name}")
 
 
 def predict_probs(
@@ -685,13 +669,13 @@ def predict_probs(
     workspace: "Workspace | None" = None,
     rows: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Class probabilities, (samples, 2), of the samples `rows` of images
-    and scalars, forwarded in PREDICT_CHUNK-sized chunks.
+    """Class probabilities, (samples, 2), of the samples `rows` of images,
+    forwarded in PREDICT_CHUNK-sized chunks.
 
     images may be a store with more than one leading axis, such as
-    (crowns, rotations, C, H, W), with scalars laid out alike, (crowns,
-    rotations, S); rows number its samples row-major, and None means
-    every sample in order. Each chunk's images are gathered into the
+    (crowns, rotations, C, H, W); rows number its samples row-major, and
+    None means every sample in order. scalars hold one row per sample,
+    in the same order. Each chunk's images are gathered into the
     workspace, so a call never holds more than one chunk of them.
 
     No chunk has one row: a one-row batch takes BLAS's matrix-vector path
@@ -700,7 +684,19 @@ def predict_probs(
     sample is forwarded twice and its first row kept.
     """
     index = _sample_index(images, rows)
-    return _predict(params, images, index, scalars[index], _workspace(workspace))
+    n = len(index[0])
+    _check_samples(n, scalars=scalars)
+    if n == 1:
+        index = tuple(np.repeat(i, 2) for i in index)
+        scalars = np.repeat(scalars, 2, axis=0)
+    ws = _workspace(workspace)
+    probs = np.empty((len(scalars), 2), params.dtype)
+    # No chunk starts on the last row, so a one-row tail joins the chunk before.
+    starts = list(range(0, len(scalars) - 1, PREDICT_CHUNK[params.tag]))
+    for a, b in zip(starts, starts[1:] + [len(scalars)]):
+        batch = _gather(images, tuple(i[a:b] for i in index), ws)
+        probs[a:b] = network_forward(params, batch, scalars[a:b], workspace=ws)
+    return probs[:n]
 
 
 def train_network(
@@ -716,9 +712,10 @@ def train_network(
 ) -> tuple[NetworkParams, float]:
     """Mini-batch Adam training over shuffled epochs, on a copy of params.
 
-    The training samples are `rows` of images, scalars and onehots, laid
-    out as in predict_probs (None: every sample in order); each batch's
-    images are gathered into the workspace, never the whole sample set.
+    The training samples are `rows` of images, numbered as in
+    predict_probs (None: every sample in order), with scalars and
+    onehots one row per sample in the same order; each batch's images
+    are gathered into the workspace, never the whole sample set.
     Returns the trained parameters and the training accuracy measured
     over all the (augmented) samples after the final epoch. One
     workspace serves every step and the accuracy pass.
@@ -727,7 +724,7 @@ def train_network(
     n = len(index[0])
     if n == 0:
         raise ValueError("no training samples")
-    scalars, onehots = scalars[index], onehots[index]  # one small row per sample
+    _check_samples(n, scalars=scalars, onehots=onehots)
     params = params.copy()
     state = init_adam(params, lr=lr)
     ws = Workspace()
@@ -741,7 +738,7 @@ def train_network(
                 params, batch, scalars[take], onehots[take], workspace=ws
             )
             adam_step(params, grads, state)
-    probs = _predict(params, images, index, scalars, ws)
+    probs = predict_probs(params, images, scalars, ws, rows)
     accuracy = float(
         np.mean(np.argmax(probs, axis=1) == np.argmax(onehots, axis=1))
     )

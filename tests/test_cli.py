@@ -769,6 +769,51 @@ class TestErrorPaths:
         assert run("register", config, tmp_path) == 1
         assert "stems.csv:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "column, name", [(1, "x"), (2, "y"), (3, "z"), (6, "scan_angle"), (7, "range")]
+    )
+    def test_non_finite_point_exits_1_naming_line(self, tmp_path, pipeline, capsys, column, name):
+        # A nan scan angle once passed and wrote an intensity of -2**63.
+        lines = (pipeline["out"] / "points.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = "nan"
+        lines[2] = ",".join(fields)
+        (tmp_path / "points.csv").write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path / "config.json", points_file=str(tmp_path / "points.csv")
+        )
+        assert run("normalize-intensity", config, tmp_path) == 1
+        assert f"points.csv:3: {name} nan is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, value, problem",
+        [
+            ("x", "nan", "x nan is not finite"),
+            ("y", "-inf", "y -inf is not finite"),
+            ("height", "inf", "height inf is not finite"),
+            ("height", "0", "height must be > 0"),
+            ("height", "-4.5", "height must be > 0"),
+        ],
+    )
+    def test_bad_stem_number_exits_1_naming_line(
+        self, tmp_path, pipeline, capsys, column, value, problem
+    ):
+        # An inf height once left its crown unregistered, and a 0 height
+        # exited 2 from inside the registration.
+        lines = (pipeline["out"] / "stems.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[("stem_id", "x", "y", "height").index(column)] = value
+        lines[2] = ",".join(fields)
+        stems = tmp_path / "stems.csv"
+        stems.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path / "config.json",
+            points_file=str(pipeline["out"] / "points.csv"),
+            stems_file=str(stems),
+        )
+        assert run("register", config, tmp_path) == 1
+        assert f"stems.csv:3: {problem}" in capsys.readouterr().err
+
     def test_registrations_missing_column_exits_1(self, tmp_path, pipeline, capsys):
         registrations = tmp_path / "registrations.csv"
         registrations.write_text("crown_id,stem_id,score,crown_class\n")

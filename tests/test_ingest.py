@@ -12,14 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crownclass import SPECIES_CLASSES
 from crownclass.ingest import (
     CLOUD_DTYPES,
+    CROWN_CLASSES,
     GROUND,
     LEAF_OFF,
     LEAF_ON,
     PCLASS_TOKENS,
     POINT_COLUMNS,
     SEASON_TOKENS,
+    STEM_COLUMNS,
     VEGETATION,
     FieldStem,
     PointCloud,
@@ -502,6 +505,53 @@ class TestPointFile:
             read_point_file(path)
 
 
+@st.composite
+def valid_stems(draw):
+    """A stem whose numbers survive write_stem_file's three decimals."""
+    number = st.integers(-10**6, 10**6).map(lambda v: v / 1000)
+    return FieldStem(
+        draw(st.text(alphabet="s0123456789", min_size=1, max_size=5)),
+        draw(number),
+        draw(number),
+        draw(st.integers(1, 10**5).map(lambda v: v / 1000)),
+        draw(st.sampled_from(SPECIES_CLASSES)),
+        draw(st.sampled_from(CROWN_CLASSES)),
+        draw(st.sampled_from(["live", "dead"])),
+    )
+
+
+@st.composite
+def stem_files(draw):
+    """(text, line, problem) of a stems file whose first bad row, at
+    ``line``, has a non-finite x, y or height or a height of at most 0."""
+    rows = [
+        [stem.stem_id, f"{stem.x:.3f}", f"{stem.y:.3f}", f"{stem.height:.3f}"]
+        + [stem.species_class, stem.crown_class, stem.status]
+        for stem in draw(st.lists(valid_stems(), min_size=1, max_size=6))
+    ]
+    at = draw(st.integers(0, len(rows) - 1))
+    column, text = draw(
+        st.one_of(
+            st.tuples(st.sampled_from(["x", "y", "height"]), NON_FINITE_TEXTS),
+            st.tuples(
+                st.just("height"),
+                st.one_of(
+                    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+                    st.sampled_from(["0", "-0.0", "0e5", "-3"]),
+                ),
+            ),
+        )
+    )
+    rows[at][STEM_COLUMNS.index(column)] = text
+    # A later row may be bad too; the first is named.
+    if at + 1 < len(rows):
+        rows[at + 1][3] = draw(st.sampled_from(["nan", "0", rows[at + 1][3]]))
+    value = float(text)
+    problem = "height must be > 0" if math.isfinite(value) else f"{column} {value} is not finite"
+    lines = [",".join(STEM_COLUMNS)] + [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n", at + 2, problem
+
+
 class TestStemFile:
     def test_round_trip_drops_dead(self, tmp_path):
         stems = [
@@ -530,6 +580,25 @@ class TestStemFile:
         with pytest.raises(InputError, match=r"stems\.csv:2: unknown species"):
             read_stem_file(path)
 
+    @settings(max_examples=200, deadline=None)
+    @given(stem_files())
+    def test_bad_position_or_height_names_its_line(self, case):
+        text, line, problem = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stems.csv"
+            path.write_text(text)
+            with pytest.raises(InputError) as raised:
+                read_stem_file(path)
+        assert str(raised.value) == f"{path}:{line}: {problem}"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(valid_stems(), max_size=6))
+    def test_valid_stems_round_trip(self, stems):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stems.csv"
+            write_stem_file(path, stems)
+            assert read_stem_file(path, drop_dead=False) == stems
+
 
 def reference_parse_point_row(fields):
     """One row, as the row-at-a-time reader parsed and checked it."""
@@ -546,6 +615,9 @@ def reference_parse_point_row(fields):
         raise ValueError(f"return_number {row[5]} outside 1..4")
     if season == "off" and row[5] > 3:
         raise ValueError("leaf-off return_number > 3")
+    for name, k in (("x", 1), ("y", 2), ("z", 3), ("scan_angle", 6), ("range", 7)):
+        if not math.isfinite(row[k]):
+            raise ValueError(f"{name} {row[k]} is not finite")
     if row[7] <= 0:
         raise ValueError("range must be > 0")
     return row
@@ -627,15 +699,19 @@ crown_ids = st.one_of(
     st.text(alphabet="xyz", min_size=40, max_size=300),
 )
 float_texts = st.one_of(
-    st.floats(width=64).map(repr),
+    st.floats(width=64, allow_nan=False, allow_infinity=False).map(repr),
     st.floats(-1e4, 1e4).map("{:.3f}".format),
     st.floats(-1e6, 1e6).map("{:.6e}".format),
-    st.sampled_from(["-nan", "+inf", "-Infinity", "+1.5", " 2.25 ", ".5", "5.", "-0"]),
+    st.sampled_from(["+1.5", " 2.25 ", ".5", "5.", "-0"]),
 )
 range_texts = st.one_of(
-    st.floats(min_value=1e-300, allow_nan=False).map(repr),
+    st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False).map(repr),
     st.floats(0.01, 2000.0).map("{:.2f}".format),
-    st.sampled_from(["nan", "inf", " 800 "]),
+    st.sampled_from([" 800 "]),
+)
+# Texts that Python's float and NumPy's parser both read as nan or +-inf.
+NON_FINITE_TEXTS = st.sampled_from(
+    ["nan", "-nan", "NaN", "inf", "+inf", "-inf", "-Infinity", " inf ", "1e999", "-1e400"]
 )
 # Valid (column, value) pairs that Python's float and int read and
 # NumPy's parser does not: digit-group underscores, non-ASCII digits and
@@ -674,6 +750,7 @@ def point_rows(draw):
 # (column, replacement) faults; some replacements leave the row valid.
 FAULTS = st.one_of(
     st.tuples(st.sampled_from([1, 2, 3, 6, 7]), st.sampled_from(["", "abc", "1.5.2", "0x10", "--1"])),
+    st.tuples(st.sampled_from([1, 2, 3, 6, 7]), NON_FINITE_TEXTS),
     st.tuples(st.sampled_from([4, 5]), st.sampled_from(["", "1.5", "3e2", "nan", "1 2", "x"])),
     st.tuples(st.just(4), st.sampled_from(["-1", "256", "99999999999999999999", "-9" * 25])),
     st.tuples(st.just(5), st.sampled_from(["0", "4", "5", "-2"])),
@@ -754,6 +831,12 @@ class TestPointReaderMatchesRowReader:
             ("c1,0,0,5,3,5,0,-1,off,ground", "return_number 5 outside 1..4"),
             ("c1,0,0,5,3,4,0,-1,off,ground", "leaf-off return_number > 3"),
             ("c1,0,0,5,3,4,0,-1,on,ground", "range must be > 0"),
+            ("c1,0,0,5,3,4,nan,-1,on,ground", "scan_angle nan is not finite"),
+            ("c1,inf,0,5,3,4,nan,-1,on,ground", "x inf is not finite"),
+            ("c1,0,-inf,5,3,4,0,1,on,ground", "y -inf is not finite"),
+            ("c1,0,0,1e999,3,4,0,1,on,ground", "z inf is not finite"),
+            ("c1,0,0,5,3,4,0,nan,on,ground", "range nan is not finite"),
+            ("c1,0,0,5,3,4,0,inf,off,ground", "leaf-off return_number > 3"),
             ("c1,0,0,5,3.0,4,0,-1,on,ground", "invalid literal for int() with base 10: '3.0'"),
             ("c1,0,zero,5,3,4,0,1,on,ground", "could not convert string to float: 'zero'"),
         ],

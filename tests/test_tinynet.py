@@ -618,8 +618,9 @@ class TestPredictProbs:
 @st.composite
 def store_rows(draw, count):
     """A (crowns, rotations, C, H, W) store, either whole or the first
-    rotations of a larger one (a strided view), its scalars and one-hot
-    labels laid out alike, and sample rows into it, with repeats."""
+    rotations of a larger one (a strided view), sample rows into it, with
+    repeats, and the samples' scalars and one-hot labels, one row per
+    sample, gathered from per-crown and per-image tables."""
     tag = draw(st.sampled_from(["views_reduced", "dsm"]))
     crowns, aug, extra = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
     count = draw(st.integers(2, 40)) if count is None else count
@@ -627,9 +628,11 @@ def store_rows(draw, count):
     images, _ = crown_like_inputs(tag, rng, crowns * (aug + extra))
     images = images.reshape(crowns, aug + extra, *images.shape[1:])[:, :aug]
     scalar_dim = ARCHITECTURES[tag].scalar_dim
-    scalars = rng.uniform(0.1, 1.0, size=(crowns, aug, scalar_dim)).astype(np.float32)
-    onehots = np.eye(2, dtype=np.float32)[rng.integers(0, 2, (crowns, aug))]
+    crown_scalars = rng.uniform(0.1, 1.0, size=(crowns, scalar_dim)).astype(np.float32)
+    labels = rng.integers(0, 2, crowns * aug)
     rows = rng.integers(0, crowns * aug, count)
+    scalars = crown_scalars[rows // aug]
+    onehots = np.eye(2, dtype=np.float32)[labels[rows]]
     params = randomize_biases(init_params(tag, seed=count), rng)
     return params, images, scalars, onehots, rows
 
@@ -642,18 +645,17 @@ class TestStoreRows:
     @given(data=st.data())
     def test_bits_match_the_gathered_samples(self, count, data):
         params, images, scalars, onehots, rows = data.draw(store_rows(count))
-        index = np.unravel_index(rows, images.shape[:2])
-        gathered = images[index], scalars[index], onehots[index]
+        gathered = images[np.unravel_index(rows, images.shape[:2])]
         probs = predict_probs(params, images, scalars, rows=rows)
         assert probs.shape == (len(rows), 2)
-        assert probs.tobytes() == predict_probs(params, *gathered[:2]).tobytes()
+        assert probs.tobytes() == predict_probs(params, gathered, scalars).tobytes()
         if not len(rows):
             return
         trained, accuracy = train_network(
             params, images, scalars, onehots, epochs=1, batch_size=7, seed=len(rows), rows=rows
         )
         reference, ref_accuracy = train_network(
-            params, *gathered, epochs=1, batch_size=7, seed=len(rows)
+            params, gathered, scalars, onehots, epochs=1, batch_size=7, seed=len(rows)
         )
         assert trained.flat.tobytes() == reference.flat.tobytes()
         assert accuracy == ref_accuracy
@@ -663,10 +665,28 @@ class TestStoreRows:
         images, scalars = crown_like_inputs("views", np.random.default_rng(3), 2)
         for rows in (np.array([], dtype=np.intp), None):
             end = 0 if rows is None else 2
-            probs = predict_probs(params, images[:end], scalars[:end], rows=rows)
+            probs = predict_probs(params, images[:end], scalars[:0], rows=rows)
             assert probs.shape == (0, 2) and probs.dtype == params.dtype
         with pytest.raises(ValueError, match="no training samples"):
             train_network(params, images[:0], scalars[:0], scalars[:0], epochs=1)
+
+    def test_sample_and_row_counts_must_agree(self):
+        params = init_params("views", seed=3)
+        images, scalars = crown_like_inputs("views", np.random.default_rng(3), 3)
+        onehots = np.eye(2, dtype=np.float32)[[0, 1, 0]]
+        two = np.array([0, 2])
+        with pytest.raises(ValueError, match="^3 samples but 2 rows of scalars$"):
+            predict_probs(params, images, scalars[:2])
+        with pytest.raises(ValueError, match="^2 samples but 3 rows of scalars$"):
+            predict_probs(params, images, scalars, rows=two)
+        with pytest.raises(ValueError, match="^2 samples but 3 rows of scalars$"):
+            train_network(params, images, scalars, onehots[:2], epochs=1, rows=two)
+        with pytest.raises(ValueError, match="^3 samples but 2 rows of onehots$"):
+            train_network(params, images, scalars, onehots[:2], epochs=1)
+        # A store-shaped table, one row per crown, is not one row per sample.
+        store = images[:, None]
+        with pytest.raises(ValueError, match="^6 samples but 3 rows of scalars$"):
+            predict_probs(params, store, scalars, rows=np.array([0, 0, 1, 1, 2, 2]))
 
 
 class TestGradients:
