@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,12 @@ POINT_FILE_DTYPE = np.dtype(
 POINT_COLUMNS = POINT_FILE_DTYPE.names
 # Python's rule for each column, which a file NumPy's parser refuses is held to.
 PYTHON_CONVERTERS = (str, float, float, float, int, int, float, float, str, str)
+# The point file's text columns held as codes, and each one's tokens.
+TOKEN_CODES = {"season": SEASON_TOKENS, "pclass": PCLASS_TOKENS}
+# Lines of the point file that read_point_file parses, and rows that
+# write_point_file formats, at a time; bounds their transient tables and
+# Python objects to a few MB whatever the file's length.
+POINT_CHUNK_ROWS = 8192
 STEM_COLUMNS = ("stem_id", "x", "y", "height", "species", "crown_class", "status")
 # The dtype of each PointCloud field, in field order.
 CLOUD_DTYPES = {
@@ -368,33 +374,84 @@ def crowns_from_points(points: PointCloud, source: str = "points") -> list[Crown
     if len(ground) == 0:
         raise InputError(f"{source} holds no ground returns; no DEM to build")
     try:
-        normalized = height_normalize(points.select(points.pclass == VEGETATION), build_dem(ground))
+        # The normalized vegetation dies here, so assembly holds one copy.
+        canopy = filter_canopy(
+            height_normalize(points.select(points.pclass == VEGETATION), build_dem(ground))
+        )
     except ValueError as error:
         raise InputError(f"{source}: {error}") from error
-    return assemble_crowns(filter_canopy(normalized))
+    return assemble_crowns(canopy)
 
 
-def _point_columns(path: str | Path) -> tuple[dict[str, np.ndarray], InputError | None]:
-    """The point file's columns from one C-level pass, and None. Where
-    NumPy's parser refuses a row, Python's csv and number rules parse the
-    file instead, up to the first header, field-count or number error,
-    which is returned with the columns of the rows above it."""
+def _record_chunks(handle) -> Iterator[list[str]]:
+    """The handle's remaining lines, POINT_CHUNK_ROWS at a time and then
+    one empty chunk. A chunk holding an odd number of quotes takes lines
+    until the count is even, so a quoted line break, and with it a
+    record, never spans two chunks. (A quote inside an unquoted field,
+    which csv writers do not produce, can upset the count; a valid record
+    split by it leaves its first part short of fields, which NumPy
+    refuses, so the file is read by Python's rules.)"""
+    while True:
+        lines = list(itertools.islice(handle, POINT_CHUNK_ROWS))
+        quotes = "".join(lines).count('"')
+        while quotes % 2 and (line := next(handle, "")):
+            lines.append(line)
+            quotes += line.count('"')
+        yield lines
+        if not lines:
+            return
+
+
+def _compact(table, unknown: dict[str, str]) -> dict[str, np.ndarray]:
+    """The columns of ``table`` (a structured array or a dict of columns)
+    in arrays of their own, season and pclass as codes. The first unknown
+    token of each of those two columns is kept in ``unknown``."""
+    columns = {}
+    for name in POINT_COLUMNS:
+        if name in TOKEN_CODES:
+            columns[name] = _token_codes(table[name], TOKEN_CODES[name])
+            bad = np.flatnonzero(columns[name] == UNKNOWN_TOKEN)
+            if bad.size:
+                unknown.setdefault(name, table[name][bad[0]])
+        else:
+            columns[name] = np.array(table[name])
+    return columns
+
+
+def _point_columns(
+    path: str | Path,
+) -> tuple[dict[str, np.ndarray], dict[str, str], InputError | None]:
+    """The point file's columns (season and pclass coded), the first
+    unknown season and pclass tokens, and None. NumPy's parser reads the
+    file a chunk of lines at a time; where it refuses a row, Python's csv
+    and number rules parse the file instead, up to the first header,
+    field-count or number error, which is returned with the columns of
+    the rows above it."""
     with open(path, newline="", encoding="utf-8") as handle:
         if next(csv.reader(handle), None) == list(POINT_COLUMNS):
+            chunks, unknown = [], {}
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # no rows
-                    table = np.loadtxt(
-                        handle,
-                        POINT_FILE_DTYPE,
-                        delimiter=",",
-                        quotechar='"',
-                        comments=None,
-                        ndmin=1,
-                    )
-                return {name: table[name] for name in POINT_COLUMNS}, None
+                    for lines in _record_chunks(handle):
+                        table = np.loadtxt(
+                            lines,
+                            POINT_FILE_DTYPE,
+                            delimiter=",",
+                            quotechar='"',
+                            comments=None,
+                            ndmin=1,
+                        )
+                        chunks.append(_compact(table, unknown))
             except ValueError:
                 pass
+            else:
+                # Popping each column's pieces frees them as it goes.
+                columns = {
+                    name: np.concatenate([chunk.pop(name) for chunk in chunks])
+                    for name in POINT_COLUMNS
+                }
+                return columns, unknown, None
     rows: list[list] = []
     failure = None
     try:
@@ -406,7 +463,8 @@ def _point_columns(path: str | Path) -> tuple[dict[str, np.ndarray], InputError 
     except InputError as error:
         failure = error
     table = np.array(rows, dtype=object).reshape(-1, len(POINT_COLUMNS))
-    return dict(zip(POINT_COLUMNS, table.T)), failure
+    unknown = {}
+    return _compact(dict(zip(POINT_COLUMNS, table.T)), unknown), unknown, failure
 
 
 def _token_codes(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
@@ -418,18 +476,19 @@ def _token_codes(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
 
 def read_point_file(path: str | Path) -> PointCloud:
     """Read the comma-separated point file; ground rows have an empty
-    crown_id. Rows are parsed in one C-level pass and checked column by
-    column; the first malformed row raises InputError naming path:line."""
-    columns, failure = _point_columns(path)
-    season = _token_codes(columns["season"], SEASON_TOKENS)
-    pclass = _token_codes(columns["pclass"], PCLASS_TOKENS)
+    crown_id. Rows are parsed by a C-level parser a chunk at a time and
+    checked column by column; the first malformed row raises InputError
+    naming path:line."""
+    columns, unknown, failure = _point_columns(path)
+    season, pclass = columns["season"], columns["pclass"]
     intensity, returns = columns["intensity"], columns["return_number"]
     names = ("x", "y", "z", "scan_angle", "range")
     floats = {name: np.asarray(columns[name], np.float64) for name in names}
-    # Each rule and its problem, in the order a row is checked.
+    # Each rule and its problem, in the order a row is checked. Where the
+    # first broken row holds an unknown token, it is its column's first.
     rules = (
-        (season == UNKNOWN_TOKEN, lambda i: f"unknown season {columns['season'][i]!r}"),
-        (pclass == UNKNOWN_TOKEN, lambda i: f"unknown pclass {columns['pclass'][i]!r}"),
+        (season == UNKNOWN_TOKEN, lambda i: f"unknown season {unknown['season']!r}"),
+        (pclass == UNKNOWN_TOKEN, lambda i: f"unknown pclass {unknown['pclass']!r}"),
         (
             (intensity < 0) | (intensity > 255),
             lambda i: f"intensity {intensity[i]} outside [0,255]",
@@ -455,21 +514,30 @@ def read_point_file(path: str | Path) -> PointCloud:
         read_csv_rows(path, POINT_COLUMNS, check)
     if failure is not None:
         raise failure
-    columns.update(range_m=columns.pop("range"), season=season, pclass=pclass)
-    return PointCloud.from_columns(**columns)
+    columns["range_m"] = columns.pop("range")
+    # asarray, not from_columns: a column already in its dtype is not copied.
+    return PointCloud(
+        **{name: np.asarray(columns[name], dtype) for name, dtype in CLOUD_DTYPES.items()}
+    )
 
 
 def write_point_file(path: str | Path, points: PointCloud) -> None:
-    """Write the point file, formatting each column in one pass."""
-    ids = [""] * len(points) if points.crown_id is None else points.crown_id.tolist()
+    """Write the point file POINT_CHUNK_ROWS rows at a time, formatting
+    each column of a chunk in one pass."""
     formats = (
         ("{:.3f}".format, points.x), ("{:.3f}".format, points.y), ("{:.3f}".format, points.z),
         (int, points.intensity), (int, points.return_number),
         ("{:.2f}".format, points.scan_angle), ("{:.2f}".format, points.range_m),
         (SEASON_NAMES.__getitem__, points.season), (PCLASS_NAMES.__getitem__, points.pclass),
     )
-    columns = [map(format_value, values.tolist()) for format_value, values in formats]
-    write_csv_rows(path, POINT_COLUMNS, zip(ids, *columns))
+
+    def rows(start: int) -> Iterator[tuple]:
+        chunk = slice(start, start + POINT_CHUNK_ROWS)
+        ids = itertools.repeat("") if points.crown_id is None else points.crown_id[chunk].tolist()
+        return zip(ids, *(map(fmt, values[chunk].tolist()) for fmt, values in formats))
+
+    starts = range(0, len(points), POINT_CHUNK_ROWS)
+    write_csv_rows(path, POINT_COLUMNS, itertools.chain.from_iterable(map(rows, starts)))
 
 
 def _parse_stem_row(fields: list[str]) -> FieldStem:

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from crownclass import cli
 from crownclass.ensemble import SweepRow, Training, read_history, read_predictions
-from crownclass.ingest import LEAF_ON, VEGETATION, PointCloud, write_point_file
+from crownclass.ingest import (
+    LEAF_ON,
+    POINT_CHUNK_ROWS,
+    VEGETATION,
+    PointCloud,
+    write_point_file,
+)
 from crownclass.rasterize import read_all_representations, read_manifest
 from crownclass.util import InputError, derive_seed
 
@@ -216,6 +222,16 @@ class TestPipelineOutputs:
             out / "points.csv"
         ).read_bytes()
         assert json.loads((target / "intensity_models.json").read_text()) == {}
+
+    def test_intensity_norm_false_copies_a_multi_chunk_file_byte_for_byte(self, tmp_path):
+        points = tmp_path / "points.csv"
+        config = write_config(
+            tmp_path / "config.json", n_deciduous=40, intensity_norm=False, points_file=str(points)
+        )
+        assert run("synth", config, tmp_path) == 0
+        assert points.read_bytes().count(b"\n") > 2 * POINT_CHUNK_ROWS + 1
+        assert run("normalize-intensity", config, tmp_path / "raw") == 0
+        assert (tmp_path / "raw" / "points_normalized.csv").read_bytes() == points.read_bytes()
 
 
 REQUIRED_INPUTS = [(c, key) for c, stage in cli.STAGES.items() for key in stage.requires]

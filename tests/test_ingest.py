@@ -5,22 +5,27 @@ import logging
 import math
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crownclass import SPECIES_CLASSES
+from crownclass import SPECIES_CLASSES, ingest
 from crownclass.ingest import (
     CLOUD_DTYPES,
     CROWN_CLASSES,
     GROUND,
     LEAF_OFF,
     LEAF_ON,
+    PCLASS_NAMES,
     PCLASS_TOKENS,
+    POINT_CHUNK_ROWS,
     POINT_COLUMNS,
+    SEASON_NAMES,
     SEASON_TOKENS,
     STEM_COLUMNS,
     VEGETATION,
@@ -39,7 +44,7 @@ from crownclass.ingest import (
     write_stem_file,
 )
 from crownclass.synthforest import concat_clouds
-from crownclass.util import InputError, read_csv_rows
+from crownclass.util import InputError, read_csv_rows, write_csv_rows
 
 
 def ground_cloud(coords):
@@ -504,6 +509,64 @@ class TestPointFile:
         with pytest.raises(InputError, match=r"bad\.csv:4: 3 fields, expected 10"):
             read_point_file(path)
 
+    @pytest.mark.parametrize(
+        "n", [0, 1, *(POINT_CHUNK_ROWS + d for d in (-1, 0, 1)), 2 * POINT_CHUNK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("named", [True, False])
+    def test_chunked_write_matches_one_pass(self, tmp_path, n, named):
+        cloud = random_cloud(n)
+        if not named:
+            cloud = cloud.replace(crown_id=None)
+        write_point_file(tmp_path / "chunked.csv", cloud)
+        reference_write_point_file(tmp_path / "whole.csv", cloud)
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    def test_quoted_line_breaks_keep_numpys_parser(self, tmp_path, chunk_rows):
+        """A record whose quoted id holds a line break stays in one chunk,
+        so a valid file never falls back to Python's csv rules."""
+        path = tmp_path / "points.csv"
+        written = random_cloud(60)
+        write_point_file(path, written)
+        with (
+            mock.patch.object(ingest, "POINT_CHUNK_ROWS", chunk_rows),
+            mock.patch.object(ingest, "read_csv_rows", side_effect=AssertionError("csv path")),
+        ):
+            cloud = read_point_file(path)
+        assert b"line\nbreak" in path.read_bytes()
+        assert cloud.crown_id.tolist() == written.crown_id.tolist()
+
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path):
+        """Rows are formatted a chunk at a time: the one-pass writer's
+        peak doubled from 20,000 to 40,000 rows (4.2 to 8.2 MB)."""
+        peaks = []
+        for n in (20_000, 40_000):
+            cloud = random_cloud(n)
+            tracemalloc.start()
+            try:
+                write_point_file(tmp_path / "points.csv", cloud)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0], peaks
+
+    def test_read_transient_is_below_the_cloud_it_returns(self, tmp_path):
+        """What a read allocates beyond the cloud it returns, at 40,000
+        rows: 2.1 times the cloud when the whole file was one table,
+        0.8 times in chunks."""
+        path = tmp_path / "points.csv"
+        written = random_cloud(40_000)
+        write_point_file(path, written)
+        tracemalloc.start()
+        try:
+            cloud = read_point_file(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Quoted ids with line breaks straddle chunk ends.
+        assert cloud.crown_id.tolist() == written.crown_id.tolist()
+        assert peak - kept < 0.9 * kept, (peak, kept)
+
 
 @st.composite
 def valid_stems(draw):
@@ -642,6 +705,38 @@ def reference_read_point_file(path):
         season=np.array([SEASON_TOKENS[row[8]] for row in rows], dtype=np.uint8),
         pclass=np.array([PCLASS_TOKENS[row[9]] for row in rows], dtype=np.uint8),
         crown_id=column(0, object),
+    )
+
+
+def reference_write_point_file(path, points):
+    """The one-pass writer that ``write_point_file`` replaced: every
+    column formatted at once, then written."""
+    ids = [""] * len(points) if points.crown_id is None else points.crown_id.tolist()
+    formats = (
+        ("{:.3f}".format, points.x), ("{:.3f}".format, points.y), ("{:.3f}".format, points.z),
+        (int, points.intensity), (int, points.return_number),
+        ("{:.2f}".format, points.scan_angle), ("{:.2f}".format, points.range_m),
+        (SEASON_NAMES.__getitem__, points.season), (PCLASS_NAMES.__getitem__, points.pclass),
+    )
+    columns = [map(format_value, values.tolist()) for format_value, values in formats]
+    write_csv_rows(path, POINT_COLUMNS, zip(ids, *columns))
+
+
+def random_cloud(n):
+    """``n`` points with every column drawn; some crown ids need quoting."""
+    rng = np.random.default_rng(0)
+    names = np.array(["", "c1", "c22", "a,b", 'q"uote', "line\nbreak", "\u00e9"], dtype=object)
+    return PointCloud.from_columns(
+        x=rng.uniform(-1e3, 1e3, n),
+        y=rng.uniform(-1e3, 1e3, n),
+        z=rng.uniform(-10.0, 40.0, n),
+        intensity=rng.integers(0, 256, n),
+        return_number=rng.integers(1, 4, n),
+        scan_angle=rng.uniform(-15.0, 15.0, n),
+        range_m=rng.uniform(800.0, 1200.0, n),
+        season=rng.integers(0, 2, n),
+        pclass=rng.integers(0, 2, n),
+        crown_id=rng.choice(names, n),
     )
 
 
@@ -800,25 +895,49 @@ def point_files(draw, max_faults=0):
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), newline
 
 
+def assert_valid_file_reads_bit_equal(case):
+    got = read_outcome(read_point_file, *case)
+    want = read_outcome(reference_read_point_file, *case)
+    assert isinstance(want, PointCloud), want
+    assert isinstance(got, PointCloud), got
+    assert_clouds_bit_equal(got, want)
+
+
+def assert_file_reads_the_same(case):
+    got = read_outcome(read_point_file, *case)
+    want = read_outcome(reference_read_point_file, *case)
+    if isinstance(want, PointCloud):
+        assert_clouds_bit_equal(got, want)
+    else:
+        assert got == want
+
+
 class TestPointReaderMatchesRowReader:
     @settings(max_examples=300, deadline=None)
     @given(point_files())
     def test_valid_files_give_bit_equal_columns(self, case):
-        got = read_outcome(read_point_file, *case)
-        want = read_outcome(reference_read_point_file, *case)
-        assert isinstance(want, PointCloud), want
-        assert isinstance(got, PointCloud), got
-        assert_clouds_bit_equal(got, want)
+        assert_valid_file_reads_bit_equal(case)
 
     @settings(max_examples=400, deadline=None)
     @given(point_files(max_faults=3))
     def test_malformed_files_give_the_same_error(self, case):
-        got = read_outcome(read_point_file, *case)
-        want = read_outcome(reference_read_point_file, *case)
-        if isinstance(want, PointCloud):
-            assert_clouds_bit_equal(got, want)
-        else:
-            assert got == want
+        assert_file_reads_the_same(case)
+
+    # Chunks of one or two lines: quoted line breaks, blank lines, CRLF,
+    # Python-only values and faults fall on chunk ends.
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    @settings(max_examples=200, deadline=None)
+    @given(case=point_files())
+    def test_valid_files_in_small_chunks(self, chunk_rows, case):
+        with mock.patch.object(ingest, "POINT_CHUNK_ROWS", chunk_rows):
+            assert_valid_file_reads_bit_equal(case)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    @settings(max_examples=300, deadline=None)
+    @given(case=point_files(max_faults=3))
+    def test_malformed_files_in_small_chunks(self, chunk_rows, case):
+        with mock.patch.object(ingest, "POINT_CHUNK_ROWS", chunk_rows):
+            assert_file_reads_the_same(case)
 
     @pytest.mark.parametrize(
         "row, problem",
@@ -850,6 +969,27 @@ class TestPointReaderMatchesRowReader:
         with pytest.raises(InputError) as raised:
             read_point_file(path)
         assert str(raised.value) == f"{path}:4: {problem}"
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    @pytest.mark.parametrize(
+        "first, second, problem",
+        [
+            ("summer,vegetation", "winter,ground", "unknown season 'summer'"),
+            ("on,shrub", "off,tree", "unknown pclass 'shrub'"),
+        ],
+    )
+    def test_first_unknown_token_is_named_across_chunks(
+        self, tmp_path, chunk_rows, first, second, problem
+    ):
+        """Lines 3 and 4 hold unknown tokens in different chunks; line 3's is named."""
+        path = tmp_path / "bad.csv"
+        prefix = "c1,0,0,5,100,1,0,1000,"
+        lines = [",".join(POINT_COLUMNS), prefix + "on,vegetation", prefix + first, prefix + second]
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(ingest, "POINT_CHUNK_ROWS", chunk_rows):
+            with pytest.raises(InputError) as raised:
+                read_point_file(path)
+        assert str(raised.value) == f"{path}:3: {problem}"
 
 
 class WarningLines(logging.Handler):
