@@ -46,7 +46,7 @@ POINT_COLUMNS = POINT_FILE_DTYPE.names
 PYTHON_CONVERTERS = (str, float, float, float, int, int, float, float, str, str)
 # The point file's text columns held as codes, and each one's tokens.
 TOKEN_CODES = {"season": SEASON_TOKENS, "pclass": PCLASS_TOKENS}
-# Lines of the point file that read_point_file parses, and rows that
+# Records of the point file that read_point_file parses, and rows that
 # write_point_file formats, at a time; bounds their transient tables and
 # Python objects to a few MB whatever the file's length.
 POINT_CHUNK_ROWS = 8192
@@ -369,80 +369,59 @@ def assemble_crowns(
 def crowns_from_points(points: PointCloud, source: str = "points") -> list[CrownCloud]:
     """A plot's crowns: a DEM from its ground returns, the vegetation's
     heights above it, then its canopy grouped by crown. No ground returns,
-    or vegetation outside their extent, raise InputError naming ``source``."""
+    or vegetation outside their extent, raise InputError naming ``source``.
+    Only the ground and vegetation are kept, so a cloud the caller does not
+    hold is freed before the DEM is built."""
     ground = points.select(points.pclass == GROUND)
+    canopy = points.select(points.pclass == VEGETATION)
+    del points
     if len(ground) == 0:
         raise InputError(f"{source} holds no ground returns; no DEM to build")
     try:
-        # The normalized vegetation dies here, so assembly holds one copy.
-        canopy = filter_canopy(
-            height_normalize(points.select(points.pclass == VEGETATION), build_dem(ground))
-        )
+        # Each step's input dies as the next is made, so assembly holds one copy.
+        canopy = filter_canopy(height_normalize(canopy, build_dem(ground)))
     except ValueError as error:
         raise InputError(f"{source}: {error}") from error
     return assemble_crowns(canopy)
 
 
-def _record_chunks(handle) -> Iterator[list[str]]:
-    """The handle's remaining lines, POINT_CHUNK_ROWS at a time and then
-    one empty chunk. A chunk holding an odd number of quotes takes lines
-    until the count is even, so a quoted line break, and with it a
-    record, never spans two chunks. (A quote inside an unquoted field,
-    which csv writers do not produce, can upset the count; a valid record
-    split by it leaves its first part short of fields, which NumPy
-    refuses, so the file is read by Python's rules.)"""
-    while True:
-        lines = list(itertools.islice(handle, POINT_CHUNK_ROWS))
-        quotes = "".join(lines).count('"')
-        while quotes % 2 and (line := next(handle, "")):
-            lines.append(line)
-            quotes += line.count('"')
-        yield lines
-        if not lines:
-            return
-
-
-def _compact(table, unknown: dict[str, str]) -> dict[str, np.ndarray]:
+def _compact(table) -> dict[str, np.ndarray]:
     """The columns of ``table`` (a structured array or a dict of columns)
-    in arrays of their own, season and pclass as codes. The first unknown
-    token of each of those two columns is kept in ``unknown``."""
-    columns = {}
-    for name in POINT_COLUMNS:
-        if name in TOKEN_CODES:
-            columns[name] = _token_codes(table[name], TOKEN_CODES[name])
-            bad = np.flatnonzero(columns[name] == UNKNOWN_TOKEN)
-            if bad.size:
-                unknown.setdefault(name, table[name][bad[0]])
-        else:
-            columns[name] = np.array(table[name])
-    return columns
+    in arrays of their own, season and pclass as codes."""
+    return {
+        name: _token_codes(table[name], TOKEN_CODES[name])
+        if name in TOKEN_CODES
+        else np.array(table[name])
+        for name in POINT_COLUMNS
+    }
 
 
-def _point_columns(
-    path: str | Path,
-) -> tuple[dict[str, np.ndarray], dict[str, str], InputError | None]:
-    """The point file's columns (season and pclass coded), the first
-    unknown season and pclass tokens, and None. NumPy's parser reads the
-    file a chunk of lines at a time; where it refuses a row, Python's csv
-    and number rules parse the file instead, up to the first header,
-    field-count or number error, which is returned with the columns of
-    the rows above it."""
+def _point_columns(path: str | Path) -> tuple[dict[str, np.ndarray], InputError | None]:
+    """The point file's columns (season and pclass coded) and None.
+    NumPy's parser takes POINT_CHUNK_ROWS records at a time off the open
+    file, a quoted line break kept inside its record; where it refuses a
+    row, Python's csv and number rules parse the file instead, up to the
+    first header, field-count or number error, which is returned with the
+    columns of the rows above it."""
     with open(path, newline="", encoding="utf-8") as handle:
         if next(csv.reader(handle), None) == list(POINT_COLUMNS):
-            chunks, unknown = [], {}
+            chunks = []
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # no rows
-                    for lines in _record_chunks(handle):
+                    # Up to and with the first empty table, which gives a
+                    # header-only file its typed empty columns.
+                    while not chunks or len(chunks[-1]["x"]):
                         table = np.loadtxt(
-                            lines,
+                            handle,
                             POINT_FILE_DTYPE,
                             delimiter=",",
                             quotechar='"',
                             comments=None,
                             ndmin=1,
+                            max_rows=POINT_CHUNK_ROWS,
                         )
-                        chunks.append(_compact(table, unknown))
+                        chunks.append(_compact(table))
             except ValueError:
                 pass
             else:
@@ -451,7 +430,7 @@ def _point_columns(
                     name: np.concatenate([chunk.pop(name) for chunk in chunks])
                     for name in POINT_COLUMNS
                 }
-                return columns, unknown, None
+                return columns, None
     rows: list[list] = []
     failure = None
     try:
@@ -463,8 +442,7 @@ def _point_columns(
     except InputError as error:
         failure = error
     table = np.array(rows, dtype=object).reshape(-1, len(POINT_COLUMNS))
-    unknown = {}
-    return _compact(dict(zip(POINT_COLUMNS, table.T)), unknown), unknown, failure
+    return _compact(dict(zip(POINT_COLUMNS, table.T))), failure
 
 
 def _token_codes(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
@@ -479,37 +457,40 @@ def read_point_file(path: str | Path) -> PointCloud:
     crown_id. Rows are parsed by a C-level parser a chunk at a time and
     checked column by column; the first malformed row raises InputError
     naming path:line."""
-    columns, unknown, failure = _point_columns(path)
+    columns, failure = _point_columns(path)
     season, pclass = columns["season"], columns["pclass"]
     intensity, returns = columns["intensity"], columns["return_number"]
     names = ("x", "y", "z", "scan_angle", "range")
     floats = {name: np.asarray(columns[name], np.float64) for name in names}
-    # Each rule and its problem, in the order a row is checked. Where the
-    # first broken row holds an unknown token, it is its column's first.
+    # Each rule and its problem, in the order a row is checked; a problem
+    # quotes the broken row's csv fields, by column.
     rules = (
-        (season == UNKNOWN_TOKEN, lambda i: f"unknown season {unknown['season']!r}"),
-        (pclass == UNKNOWN_TOKEN, lambda i: f"unknown pclass {unknown['pclass']!r}"),
+        (season == UNKNOWN_TOKEN, lambda row: f"unknown season {row['season']!r}"),
+        (pclass == UNKNOWN_TOKEN, lambda row: f"unknown pclass {row['pclass']!r}"),
         (
             (intensity < 0) | (intensity > 255),
-            lambda i: f"intensity {intensity[i]} outside [0,255]",
+            lambda row: f"intensity {int(row['intensity'])} outside [0,255]",
         ),
-        ((returns < 1) | (returns > 4), lambda i: f"return_number {returns[i]} outside 1..4"),
-        ((season == LEAF_OFF) & (returns > 3), lambda i: "leaf-off return_number > 3"),
+        (
+            (returns < 1) | (returns > 4),
+            lambda row: f"return_number {int(row['return_number'])} outside 1..4",
+        ),
+        ((season == LEAF_OFF) & (returns > 3), lambda row: "leaf-off return_number > 3"),
         *(
-            (~np.isfinite(values), lambda i, name=name: f"{name} {floats[name][i]} is not finite")
+            (~np.isfinite(values), lambda row, k=name: f"{k} {float(row[k])} is not finite")
             for name, values in floats.items()
         ),
-        (floats["range"] <= 0, lambda i: "range must be > 0"),
+        (floats["range"] <= 0, lambda row: "range must be > 0"),
     )
     broken = np.logical_or.reduce([mask for mask, _ in rules])
     if broken.any():
         first = int(np.argmax(broken))
-        problem = next(message(first) for mask, message in rules if mask[first])
+        problem = next(message for mask, message in rules if mask[first])
         rows = itertools.count()
 
         def check(fields: list[str]) -> None:  # the rows again, for the line
             if next(rows) == first:
-                raise ValueError(problem)
+                raise ValueError(problem(dict(zip(POINT_COLUMNS, fields))))
 
         read_csv_rows(path, POINT_COLUMNS, check)
     if failure is not None:

@@ -35,6 +35,7 @@ from crownclass.ingest import (
     assemble_crowns,
     build_dem,
     crown_features,
+    crowns_from_points,
     filter_canopy,
     height_normalize,
     make_crown_cloud,
@@ -43,7 +44,7 @@ from crownclass.ingest import (
     write_point_file,
     write_stem_file,
 )
-from crownclass.synthforest import concat_clouds
+from crownclass.synthforest import SynthParams, concat_clouds, generate_dataset
 from crownclass.util import InputError, read_csv_rows, write_csv_rows
 
 
@@ -424,6 +425,25 @@ class TestMakeCrownCloud:
         assert [c.crown_id for c in crowns] == ["a", "b"]
 
 
+class TestCrownsFromPoints:
+    def test_a_temporary_cloud_is_freed_once_split(self):
+        """A cloud only the call holds dies after its ground/vegetation
+        split: the call's peak, with the cloud, was 3.0 times the cloud
+        while it was kept to the end, 2.0 times now (8,433 points)."""
+        points = generate_dataset(SynthParams(seed=11, n_conifer=4, n_deciduous=12)).points
+        crowns_from_points(points)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            held = [points.select(np.ones(len(points), dtype=bool))]
+            cloud = tracemalloc.get_traced_memory()[0]
+            crowns = crowns_from_points(held.pop())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.crown_id for c in crowns] == [c.crown_id for c in crowns_from_points(points)]
+        assert peak < 2.5 * cloud, (peak, cloud)
+
+
 class TestPointFile:
     def test_round_trip(self, tmp_path):
         cloud = veg_cloud([(1.25, 2.5, 10.0), (3.0, 4.0, 12.0)], crown_id="c7")
@@ -781,8 +801,12 @@ def read_outcome(reader, text, newline):
             return type(error), str(error).replace(str(path), "<path>")
 
 
-def quoted(field, force=False):
-    if force or any(c in field for c in ',"\r\n'):
+def quoted(field, force=False, bare_quotes=False):
+    """``field`` as csv text: quoted when forced or when it holds a comma,
+    a quote or a line break; ``bare_quotes`` leaves a quote after the
+    first character unquoted, which no csv writer does."""
+    specials = ",\r\n" if bare_quotes and not field.startswith('"') else ',"\r\n'
+    if force or any(c in field for c in specials):
         return '"' + field.replace('"', '""') + '"'
     return field
 
@@ -879,8 +903,9 @@ def point_files(draw, max_faults=0):
             fields[:] = [value]
         elif where < len(fields):
             fields[where] = value
-    # Quote fields only where needed, every text field, every field, or at random.
-    quoting = draw(st.sampled_from(["minimal", "text", "all", "random"]))
+    # Quote fields only where needed, every text field, every field, at
+    # random, or where needed except for a quote inside a crown id.
+    quoting = draw(st.sampled_from(["minimal", "text", "all", "random", "bare"]))
     lines = [",".join(POINT_COLUMNS)]
     for fields in rows:
         lines.extend([""] * draw(st.integers(0, 2)))
@@ -889,8 +914,14 @@ def point_files(draw, max_faults=0):
             "text": lambda k: k in (0, 8, 9),
             "all": lambda k: True,
             "random": lambda k: draw(st.booleans()),
+            "bare": lambda k: False,
         }[quoting]
-        lines.append(",".join(quoted(field, force(k)) for k, field in enumerate(fields)))
+        lines.append(
+            ",".join(
+                quoted(field, force(k), quoting == "bare" and k == 0)
+                for k, field in enumerate(fields)
+            )
+        )
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), newline
 
