@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import itertools
 import logging
 import math
@@ -42,6 +43,9 @@ POINT_FILE_DTYPE = np.dtype(
     + [("season", object), ("pclass", object)]
 )
 POINT_COLUMNS = POINT_FILE_DTYPE.names
+# One point row as write_point_file writes it: the crown id already
+# quoted, then each number as "{:.3f}", "{:d}" or "{:.2f}" formats it.
+POINT_ROW = "%s,%.3f,%.3f,%.3f,%d,%d,%.2f,%.2f,%s,%s\r\n"
 # Python's rule for each column, which a file NumPy's parser refuses is held to.
 PYTHON_CONVERTERS = (str, float, float, float, int, int, float, float, str, str)
 # The point file's text columns held as codes, and each one's tokens.
@@ -502,23 +506,45 @@ def read_point_file(path: str | Path) -> PointCloud:
     )
 
 
+def _csv_field(value) -> str:
+    """``value`` as csv.writer writes the first field of a row: quoted
+    where it holds a comma, a quote or a line break."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerow((value, ""))
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
 def write_point_file(path: str | Path, points: PointCloud) -> None:
-    """Write the point file POINT_CHUNK_ROWS rows at a time, formatting
-    each column of a chunk in one pass."""
-    formats = (
-        ("{:.3f}".format, points.x), ("{:.3f}".format, points.y), ("{:.3f}".format, points.z),
-        (int, points.intensity), (int, points.return_number),
-        ("{:.2f}".format, points.scan_angle), ("{:.2f}".format, points.range_m),
-        (SEASON_NAMES.__getitem__, points.season), (PCLASS_NAMES.__getitem__, points.pclass),
+    """Write the point file POINT_CHUNK_ROWS rows at a time, each row one
+    POINT_ROW; the header, and each distinct crown id once, are quoted by
+    the csv module."""
+    quoted: dict[str, str] = {}
+    numbers = (
+        points.x, points.y, points.z, points.intensity, points.return_number,
+        points.scan_angle, points.range_m,
     )
 
     def rows(start: int) -> Iterator[tuple]:
+        # One chunk's lists, freed once its rows are written.
         chunk = slice(start, start + POINT_CHUNK_ROWS)
-        ids = itertools.repeat("") if points.crown_id is None else points.crown_id[chunk].tolist()
-        return zip(ids, *(map(fmt, values[chunk].tolist()) for fmt, values in formats))
+        if points.crown_id is None:
+            ids = itertools.repeat("")
+        else:
+            ids = points.crown_id[chunk].tolist()
+            for crown_id in set(ids).difference(quoted):
+                quoted[crown_id] = _csv_field(crown_id)
+            ids = map(quoted.__getitem__, ids)
+        return zip(
+            ids,
+            *(values[chunk].tolist() for values in numbers),
+            map(SEASON_NAMES.__getitem__, points.season[chunk].tolist()),
+            map(PCLASS_NAMES.__getitem__, points.pclass[chunk].tolist()),
+        )
 
-    starts = range(0, len(points), POINT_CHUNK_ROWS)
-    write_csv_rows(path, POINT_COLUMNS, itertools.chain.from_iterable(map(rows, starts)))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(POINT_COLUMNS)
+        for start in range(0, len(points), POINT_CHUNK_ROWS):
+            handle.writelines(map(POINT_ROW.__mod__, rows(start)))
 
 
 def _parse_stem_row(fields: list[str]) -> FieldStem:

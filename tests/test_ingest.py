@@ -28,6 +28,7 @@ from crownclass.ingest import (
     SEASON_NAMES,
     SEASON_TOKENS,
     STEM_COLUMNS,
+    UNKNOWN_TOKEN,
     VEGETATION,
     FieldStem,
     PointCloud,
@@ -486,6 +487,17 @@ class TestPointFile:
         path = tmp_path / "points.csv"
         write_point_file(path, cloud)
         assert path.read_bytes().splitlines()[1] == b",1.000,2.000,3.000,50,1,0.00,1000.00,on,ground"
+
+    @pytest.mark.parametrize("column", ["season", "pclass"])
+    def test_unknown_code_raises_and_writes_no_empty_token(self, tmp_path, column):
+        cloud = veg_cloud([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)], crown_id="c1")
+        codes = getattr(cloud, column).copy()
+        codes[1] = UNKNOWN_TOKEN
+        path = tmp_path / "points.csv"
+        with pytest.raises(KeyError):
+            write_point_file(path, cloud.replace(**{column: codes}))
+        tokens = read_csv_rows(path, POINT_COLUMNS, lambda fields: fields[8:])
+        assert all(all(pair) for pair in tokens), tokens
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "points.csv"
@@ -1021,6 +1033,62 @@ class TestPointReaderMatchesRowReader:
             with pytest.raises(InputError) as raised:
                 read_point_file(path)
         assert str(raised.value) == f"{path}:3: {problem}"
+
+
+def near_ties(decimals):
+    """Floats at or one ulp either side of a rounding tie at ``decimals``
+    places (a ``.0005`` boundary at three)."""
+    ties = st.integers(-10**9, 10**9).map(lambda k: (k + 0.5) / 10**decimals)
+    return st.tuples(ties, st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda pair: pair[0] if pair[1] is None else math.nextafter(*pair)
+    )
+
+
+written_floats = st.one_of(
+    st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    near_ties(3),
+    near_ties(2),
+)
+
+
+@st.composite
+def written_clouds(draw):
+    """A cloud of any finite numbers and codes write_point_file can
+    name; crown ids that need quoting, the empty id, or none at all."""
+    n = draw(st.integers(0, 7))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    cloud = PointCloud.from_columns(
+        x=column(written_floats),
+        y=column(written_floats),
+        z=column(written_floats),
+        intensity=column(st.integers(0, 2**62)),
+        return_number=column(st.integers(0, 255)),
+        scan_angle=column(written_floats),
+        range_m=column(written_floats),
+        season=column(st.sampled_from([LEAF_ON, LEAF_OFF])),
+        pclass=column(st.sampled_from([GROUND, VEGETATION])),
+        crown_id=column(st.text(alphabet=',"\r\n éa1', max_size=5)),
+    )
+    return cloud.replace(crown_id=None) if draw(st.booleans()) else cloud
+
+
+class TestPointWriterMatchesOnePassWriter:
+    @pytest.mark.parametrize("chunk_rows", [1, 2, POINT_CHUNK_ROWS])
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=written_clouds())
+    def test_same_bytes_and_ids_read_back(self, chunk_rows, cloud):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = Path(tmp) / "points.csv", Path(tmp) / "reference.csv"
+            with mock.patch.object(ingest, "POINT_CHUNK_ROWS", chunk_rows):
+                write_point_file(path, cloud)
+            reference_write_point_file(reference, cloud)
+            assert path.read_bytes() == reference.read_bytes()
+            ids = read_csv_rows(path, POINT_COLUMNS, lambda fields: fields[0])
+        assert ids == ([""] * len(cloud) if cloud.crown_id is None else cloud.crown_id.tolist())
 
 
 class WarningLines(logging.Handler):
