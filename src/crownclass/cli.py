@@ -37,6 +37,7 @@ from .intensity import (
     write_models,
 )
 from .rasterize import (
+    KIND_ARCHITECTURES,
     rasterize_crown,
     read_all_representations,
     read_manifest,
@@ -52,9 +53,6 @@ logger = logging.getLogger(__name__)
 SUMMARY_COLUMNS = ("label", "accuracy", "ci_half_width", "n")
 LABEL_COLUMNS = ("crown_id", "label", "original_label")
 FIGURE_COLUMNS = ("figure", "series", "x", "y")
-
-REPRESENTATIONS = ("views4", "dsm4")
-ABLATIONS = ens.ABLATION_NAMES
 
 # A rule is (accepts, wanted): the test a key's value must pass and what
 # the error says it must be. The rules check type(), not isinstance():
@@ -115,10 +113,9 @@ CONFIG_KEYS = {
     "leaf_on_density": (_SYNTH.leaf_on_density, *_number("(0, inf)")),
     "conifer_retention": (_SYNTH.conifer_retention, *_number("[0, 1]")),
     "deciduous_retention": (_SYNTH.deciduous_retention, *_number("[0, 1]")),
-    "intensity_norm": (True, lambda v: type(v) is bool, "true or false"),
     "grid_cell": (GRID_CELL, *_number("(0, inf)")),
     "significance_alpha": (SIGNIFICANCE_ALPHA, *_number("(0, 1)")),
-    "representation": ("views4", *_one_of(REPRESENTATIONS)),
+    "representation": ("views4", *_one_of(tuple(KIND_ARCHITECTURES))),
     "n_rotations": (180, *_count()),
     "rotation_step": (2.0, *_number("(-inf, inf)")),
     # mislabel correction, then ensemble classification
@@ -132,12 +129,12 @@ CONFIG_KEYS = {
     "epochs": (None, *_count(unset=True)),  # unset: 5 for views4, 15 for dsm4
     "lr": (ADAM_LR, *_number("(0, inf)")),
     "batch_size": (BATCH_SIZE, *_count()),
-    "ablation": ("none", *_one_of(ABLATIONS)),
+    "ablation": ("none", *_one_of(ens.ABLATION_NAMES)),
     "sweep_variant": ("size", *_one_of(ens.SWEEP_VARIANTS)),
     "fractions": (list(_SWEEP.fractions), *_list_of(_number("(0, 1]"), non_empty=True)),
     "repeats": (_SWEEP.repeats, *_count()),
     "augmentations": (list(_SWEEP.augmentations), *_list_of(_count())),
-    "ablations": (list(_SWEEP.ablations), *_list_of(_one_of(ABLATIONS))),
+    "ablations": (list(_SWEEP.ablations), *_list_of(_one_of(ens.ABLATION_NAMES))),
     "threads": (None, *_count(unset=True)),
 }
 CONFIG_DEFAULTS = {key: default for key, (default, _, _) in CONFIG_KEYS.items()}
@@ -199,16 +196,6 @@ def training(config: dict, command: str) -> ens.Training:
     )
 
 
-def require_input(config: dict, key: str) -> Path:
-    value = config.get(key)
-    if not value:
-        raise InputError(f"config key {key} is required for this command")
-    path = Path(value)
-    if not path.exists():
-        raise InputError(f"{key} does not exist: {path}")
-    return path
-
-
 def write_manifest(out_dir: Path, command: str, config: dict, outputs: tuple[str, ...]) -> None:
     manifest = {
         "command": command,
@@ -243,13 +230,10 @@ def cmd_synth(config: dict, out_dir: Path) -> None:
 
 
 def cmd_normalize_intensity(config: dict, out_dir: Path) -> None:
-    points, models = read_point_file(Path(config["points_file"])), {}
-    if config["intensity_norm"]:
-        seed = derive_seed(config["seed"], "intensity")
-        models = fit_all_models(points, cell=float(config["grid_cell"]), seed=seed)
-        points = apply_residualization(points, models, alpha=float(config["significance_alpha"]))
-    else:
-        logger.info("intensity normalization bypassed; copying points through")
+    points = read_point_file(Path(config["points_file"]))
+    seed = derive_seed(config["seed"], "intensity")
+    models = fit_all_models(points, cell=float(config["grid_cell"]), seed=seed)
+    points = apply_residualization(points, models, alpha=float(config["significance_alpha"]))
     write_point_file(out_dir / "points_normalized.csv", points)
     write_models(out_dir / "intensity_models.json", models)
 
@@ -300,10 +284,8 @@ def cmd_rasterize(config: dict, out_dir: Path) -> None:
 
 
 def load_dataset(config: dict, tensor_key="tensor_file", manifest_key="manifest_file"):
-    """The store the two keys name, relabelled by labels_file when that is
-    set. The keys are checked here too, since STAGES does not list the raw store's."""
-    tensor_path = require_input(config, tensor_key)
-    manifest_path = require_input(config, manifest_key)
+    """The store the two keys name, relabelled by labels_file when that is set."""
+    tensor_path, manifest_path = Path(config[tensor_key]), Path(config[manifest_key])
     manifest = read_manifest(manifest_path)
     if manifest["kind"] != config["representation"]:
         raise InputError(
@@ -349,12 +331,12 @@ def _parse_label_row(fields: list[str], stored: set[str], seen: set[str]) -> tup
 def load_raw_dataset(config: dict):
     """The store rasterized from points without intensity normalization,
     which the raw-intensity ablation trains on."""
-    if not config.get("raw_tensor_file"):
+    if not all(config[key] for key in RAW_STORE):
         raise InputError(
             "the raw-intensity ablation needs raw_tensor_file and "
             "raw_manifest_file rasterized from unnormalized points"
         )
-    return load_dataset(config, "raw_tensor_file", "raw_manifest_file")
+    return load_dataset(config, *RAW_STORE)
 
 
 def cmd_correct_labels(config: dict, out_dir: Path) -> None:
@@ -455,6 +437,7 @@ class Stage:
 # The pipeline graph: each command's inputs and outputs. main checks that
 # every required or set input exists before the command starts.
 STORE = ("tensor_file", "manifest_file")  # the input keys of a raster store
+RAW_STORE = ("raw_tensor_file", "raw_manifest_file")  # the raw-intensity ablation's store
 STAGES = {
     "synth": Stage(cmd_synth, (), (), ("points.csv", "stems.csv", "truth.csv")),
     "normalize-intensity": Stage(
@@ -470,8 +453,10 @@ STAGES = {
     "correct-labels": Stage(
         cmd_correct_labels, STORE, ("labels_file",), ("corrected_labels.csv", "history.csv")
     ),
-    "classify": Stage(cmd_classify, STORE, ("labels_file",), ("predictions.csv", "summary.csv")),
-    "sweep": Stage(cmd_sweep, STORE, ("labels_file",), ("sweep.csv",)),
+    "classify": Stage(
+        cmd_classify, STORE, ("labels_file", *RAW_STORE), ("predictions.csv", "summary.csv")
+    ),
+    "sweep": Stage(cmd_sweep, STORE, ("labels_file", *RAW_STORE), ("sweep.csv",)),
     "report": Stage(
         cmd_report, (), ("history_file", "summary_file", "sweep_file"), ("figures.csv",)
     ),
@@ -496,13 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="worker processes forked per ensemble fan-out (default: one per CPU)",
         )
-        sub.add_argument(
-            "--no-intensity-norm",
-            action="store_true",
-            help="bypass intensity normalization",
-        )
-        sub.add_argument("--representation", choices=REPRESENTATIONS, default=None)
-        sub.add_argument("--ablation", choices=ABLATIONS, default=None)
     return parser
 
 
@@ -513,20 +491,16 @@ def main(argv: "list[str] | None" = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as error:
         return 0 if error.code in (0, None) else 1
-    overrides = {
-        "threads": args.threads,
-        "representation": args.representation,
-        "ablation": args.ablation,
-    }
-    if args.no_intensity_norm:
-        overrides["intensity_norm"] = False
     stage = STAGES[args.command]
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, {"threads": args.threads})
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for key in stage.requires + tuple(k for k in stage.reads_if_set if config[k]):
-            require_input(config, key)
+            if not config[key]:
+                raise InputError(f"config key {key} is required for this command")
+            if not Path(config[key]).exists():
+                raise InputError(f"{key} does not exist: {Path(config[key])}")
         stage.run(config, out_dir)
     except InputError as error:
         print(f"error: {error}", file=sys.stderr)

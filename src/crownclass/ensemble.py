@@ -14,6 +14,7 @@ import numpy as np
 
 from . import CLASS_INDEX, CONIFER, DECIDUOUS, INDEX_CLASS
 from .ingest import OVERSTORY_CLASSES
+from .rasterize import KIND_ARCHITECTURES
 from .tinynet import (
     ADAM_LR,
     ARCHITECTURES,
@@ -119,7 +120,7 @@ def from_store(images: np.ndarray, manifest: dict) -> LabeledDataset:
     """Dataset over a raster store's images, (crowns, rotations, C, H, W),
     and the kind and per-crown columns of its manifest (``read_manifest``
     has checked that the images are scaled)."""
-    tag = "views" if manifest["kind"] == "views4" else "dsm"
+    tag = KIND_ARCHITECTURES[manifest["kind"]]
     instances = [
         Instance(crown_id, label, crown_class, label, float(density))
         for crown_id, label, crown_class, density in zip(

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import SPECIES_CLASSES
-from .util import InputError, read_csv_rows, write_csv_rows
+from .util import InputError, open_replacing, read_csv_rows, write_csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -541,7 +541,7 @@ def write_point_file(path: str | Path, points: PointCloud) -> None:
             map(PCLASS_NAMES.__getitem__, points.pclass[chunk].tolist()),
         )
 
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open_replacing(path, newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(POINT_COLUMNS)
         for start in range(0, len(points), POINT_CHUNK_ROWS):
             handle.writelines(map(POINT_ROW.__mod__, rows(start)))

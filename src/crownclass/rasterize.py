@@ -21,7 +21,8 @@ from numpy.lib.format import open_memmap, write_array_header_1_0
 
 from . import SPECIES_CLASSES
 from .ingest import LEAF_OFF, LEAF_ON, CrownCloud
-from .util import InputError, write_json
+from .tinynet import ARCHITECTURES
+from .util import InputError, open_replacing, write_json
 
 DSM_SIZE = 128
 DSM_CELL = 0.125
@@ -39,10 +40,11 @@ DSM_CHANNEL_SCALES = np.array(
     [HEIGHT_SCALE, INTENSITY_SCALE, HEIGHT_SCALE, INTENSITY_SCALE], dtype=np.float32
 )[:, None, None]
 
-# Per-rotation image shape of each representation kind in the store.
-KIND_SHAPES = {"views4": (4, VIEW_SIZE, VIEW_SIZE), "dsm4": (4, DSM_SIZE, DSM_SIZE)}
-# Scalar features per crown of each kind (rasterize_crown).
-KIND_SCALARS = {"views4": 2, "dsm4": 1}
+# The tinynet architecture each representation kind feeds. A store row's
+# per-rotation image shape and scalar width are that network's inputs.
+KIND_ARCHITECTURES = {"views4": "views", "dsm4": "dsm"}
+_KIND_SPECS = {kind: ARCHITECTURES[arch] for kind, arch in KIND_ARCHITECTURES.items()}
+KIND_SHAPES = {k: (s.input_channels, s.image_hw, s.image_hw) for k, s in _KIND_SPECS.items()}
 # Store manifest: these facts plus one list per crown column, row order.
 STORE_KEYS = ("kind", "n_rotations", "step", "scaled")
 CROWN_COLUMNS = ("crown_id", "label", "crown_class", "density", "scalars")
@@ -191,7 +193,7 @@ def write_representation_file(
     """
     shape = (n_crowns, n_rotations) + KIND_SHAPES[kind]
     rows = []  # per crown, its values of CROWN_COLUMNS in that order
-    with open(tensor_path, "wb") as handle:
+    with open_replacing(tensor_path, "wb") as handle:
         write_array_header_1_0(
             handle, {"descr": "<f4", "fortran_order": False, "shape": shape}
         )
@@ -209,8 +211,8 @@ def write_representation_file(
             handle.write(np.ascontiguousarray(images, dtype="<f4"))
             scalars = [float(value) for value in scalars]
             rows.append((crown_id, label, crown_class, density, scalars))
-    if len(rows) != n_crowns:
-        raise ValueError(f"{len(rows)} crowns written to a store of {n_crowns}")
+        if len(rows) != n_crowns:
+            raise ValueError(f"{len(rows)} crowns written to a store of {n_crowns}")
     manifest = {"kind": kind, "n_rotations": n_rotations, "step": step, "scaled": True}
     for index, column in enumerate(CROWN_COLUMNS):
         manifest[column] = [row[index] for row in rows]
@@ -225,7 +227,7 @@ def _check_crown_columns(manifest_path, manifest: dict) -> None:
     """Each crown column must be a list with one value per crown_id, of
     the column's kind; the first that is not raises InputError naming
     the file and the column."""
-    width = KIND_SCALARS[manifest["kind"]]
+    width = _KIND_SPECS[manifest["kind"]].scalar_dim
     rules = {
         "crown_id": (lambda v: type(v) is str, "a string"),
         "label": (lambda v: v in SPECIES_CLASSES, " or ".join(SPECIES_CLASSES)),

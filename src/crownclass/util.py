@@ -1,7 +1,7 @@
 """Small shared helpers: seed derivation, an order-preserving map over a
 per-call pool of forked worker processes, the Student t CDF, the CSV
-reader and writer every pipeline table uses, and the JSON writer every
-manifest uses."""
+reader and writer every pipeline table uses, the JSON writer every
+manifest uses, and the file opener every writer goes through."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import json
 import math
 import os
 import traceback
-from typing import Callable, Iterable, Sequence, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -265,11 +266,26 @@ def read_csv_rows(path, columns: Sequence[str], parse: Callable[[list[str]], R])
     return records
 
 
+@contextmanager
+def open_replacing(path, mode: str = "w", **kwargs) -> Iterator:
+    """Write ``path`` through ``path + ".tmp"``, renamed onto it when the
+    block succeeds and removed when it raises, so a failed write leaves
+    what ``path`` held before, never a truncated file."""
+    temporary = f"{os.fspath(path)}.tmp"
+    try:
+        with open(temporary, mode, **kwargs) as handle:
+            yield handle
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):  # the block raised
+            os.remove(temporary)
+
+
 def write_csv_rows(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header of ``columns`` and then ``rows`` as UTF-8 CSV with
     CRLF line ends; a float field is written with ``str``, which
     round-trips it exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open_replacing(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -278,6 +294,6 @@ def write_csv_rows(path, columns: Sequence[str], rows: Iterable[Sequence]) -> No
 def write_json(path, doc) -> None:
     """Write ``doc`` as UTF-8 JSON with sorted keys, two-space indents and
     a trailing newline."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_replacing(path, encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -18,7 +18,6 @@ from crownclass import cli
 from crownclass.ensemble import SweepRow, Training, read_history, read_predictions
 from crownclass.ingest import (
     LEAF_ON,
-    POINT_CHUNK_ROWS,
     VEGETATION,
     PointCloud,
     write_point_file,
@@ -201,37 +200,31 @@ class TestPipelineOutputs:
         }
         assert predictions[first_crown].label == "conifer"
 
-    def test_dsm4_rasterize_flag(self, pipeline):
+    def test_dsm4_rasterize_config_key(self, pipeline):
+        config = json.loads(pipeline["config"].read_text())
+        config = write_config(pipeline["root"] / "dsm4.json", **config, representation="dsm4")
         target = pipeline["root"] / "dsm"
-        assert run(
-            "rasterize", pipeline["config"], target, "--representation", "dsm4"
-        ) == 0
+        assert run("rasterize", config, target) == 0
         manifest = read_manifest(target / "rasters.json")
         images = read_all_representations(target / "rasters.bin", manifest)
         assert manifest["kind"] == "dsm4"
         assert images.shape == (24, 4, 4, 128, 128)
         assert manifest["crown_id"] == sorted(manifest["crown_id"])
 
-    def test_no_intensity_norm_passthrough(self, pipeline):
+    def test_raw_intensity_ablation_trains_on_the_raw_store(self, pipeline, tmp_path):
+        # The fixture rasterized the unnormalized points.csv, so its store
+        # serves as the raw one.
         out = pipeline["out"]
-        target = pipeline["root"] / "raw"
-        assert run(
-            "normalize-intensity", pipeline["config"], target, "--no-intensity-norm"
-        ) == 0
-        assert (target / "points_normalized.csv").read_bytes() == (
-            out / "points.csv"
-        ).read_bytes()
-        assert json.loads((target / "intensity_models.json").read_text()) == {}
-
-    def test_intensity_norm_false_copies_a_multi_chunk_file_byte_for_byte(self, tmp_path):
-        points = tmp_path / "points.csv"
         config = write_config(
-            tmp_path / "config.json", n_deciduous=40, intensity_norm=False, points_file=str(points)
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+            raw_tensor_file=str(out / "rasters.bin"),
+            raw_manifest_file=str(out / "rasters.json"),
+            ablation="raw-intensity",
         )
-        assert run("synth", config, tmp_path) == 0
-        assert points.read_bytes().count(b"\n") > 2 * POINT_CHUNK_ROWS + 1
-        assert run("normalize-intensity", config, tmp_path / "raw") == 0
-        assert (tmp_path / "raw" / "points_normalized.csv").read_bytes() == points.read_bytes()
+        assert run("classify", config, tmp_path) == 0
+        assert len(cli.read_summary(tmp_path / "summary.csv")) == 2
 
 
 REQUIRED_INPUTS = [(c, key) for c, stage in cli.STAGES.items() for key in stage.requires]
@@ -277,6 +270,24 @@ class TestStages:
         assert run(command, config, out) == 1
         assert f"error: {key} does not exist: {absent}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_absent_raw_store_exits_1_without_the_ablation(
+        self, tmp_path, pipeline, capsys, command
+    ):
+        """main checks the raw store's keys like any other set input, so a
+        run that would never read them still exits before it starts."""
+        out, absent = pipeline["out"], tmp_path / "absent.bin"
+        config = write_config(
+            tmp_path / "config.json",
+            tensor_file=str(out / "rasters.bin"),
+            manifest_file=str(out / "rasters.json"),
+            raw_tensor_file=str(absent),
+            raw_manifest_file=str(out / "rasters.json"),
+        )
+        assert run(command, config, tmp_path / "out") == 1
+        assert f"error: raw_tensor_file does not exist: {absent}" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("command", list(cli.STAGES))
     def test_manifest_lists_the_table_outputs(self, pipeline, command):
@@ -428,8 +439,8 @@ class TestErrorPaths:
             ("dome_fraction", 2),
             ("dome_fraction", -1),
             ("jitter_sigma", -1),
-            ("intensity_norm", "no"),
-            ("intensity_norm", 1),
+            ("representation", "views"),
+            ("ablation", "raw"),
             ("points_file", 5),
             ("labels_file", ["labels.csv"]),
             pytest.param("lr", 10**400, id="lr-beyond-float-range"),
@@ -439,6 +450,28 @@ class TestErrorPaths:
         config = write_config(tmp_path / "config.json", **{key: value})
         assert run("classify", config, tmp_path) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+
+    def test_removed_intensity_norm_key_exits_1_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", intensity_norm=False)
+        assert run("normalize-intensity", config, tmp_path) == 1
+        assert "error: unknown config keys: intensity_norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--no-intensity-norm"], ["--representation", "dsm4"], ["--ablation", "none"]],
+        ids=lambda flags: flags[0][2:],
+    )
+    def test_config_key_flags_are_gone(self, tmp_path, capsys, flags):
+        config = write_config(tmp_path / "config.json")
+        assert run("synth", config, tmp_path / "out", *flags) == 1
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(cli.STAGES))
+    def test_stage_flags_are_config_out_and_threads(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--out", "--threads"}
 
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -547,6 +580,27 @@ class TestErrorPaths:
         assert run("sweep", config, tmp_path) == 1
         assert "raw_tensor_file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    @pytest.mark.parametrize("present", cli.RAW_STORE)
+    def test_raw_ablation_with_one_raw_key_exits_1_naming_both(
+        self, tmp_path, pipeline, capsys, command, present
+    ):
+        out = pipeline["out"]
+        store = {
+            "tensor_file": str(out / "rasters.bin"),
+            "manifest_file": str(out / "rasters.json"),
+        }
+        ablation = {"classify": {"ablation": "raw-intensity"}}.get(
+            command, {"sweep_variant": "ablation", "ablations": ["raw-intensity"]}
+        )
+        config = write_config(
+            tmp_path / "config.json", **store, **{present: store[present[4:]]}, **ablation
+        )
+        assert run(command, config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "needs raw_tensor_file and raw_manifest_file" in err
+        assert not (tmp_path / cli.STAGES[command].writes[0]).exists()
+
     def test_augmentations_beyond_store_rotations_exit_1(
         self, tmp_path, pipeline, capsys
     ):
@@ -598,9 +652,11 @@ class TestErrorPaths:
             tmp_path / "config.json",
             tensor_file=str(out / "rasters.bin"),
             manifest_file=str(out / "rasters.json"),
+            representation="dsm4",
         )
-        assert run(command, config, tmp_path, "--representation", "dsm4") == 1
-        assert "representation" in capsys.readouterr().err
+        assert run(command, config, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{out / 'rasters.json'} holds views4 rasters but representation is dsm4" in err
 
     @pytest.mark.parametrize("command", ["correct-labels", "classify", "sweep"])
     def test_one_class_store_exits_1_naming_manifest(

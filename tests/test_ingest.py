@@ -490,14 +490,28 @@ class TestPointFile:
 
     @pytest.mark.parametrize("column", ["season", "pclass"])
     def test_unknown_code_raises_and_writes_no_empty_token(self, tmp_path, column):
-        cloud = veg_cloud([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)], crown_id="c1")
-        codes = getattr(cloud, column).copy()
-        codes[1] = UNKNOWN_TOKEN
+        """A code without a name in the third point raises part way; the
+        file an earlier write left stays as it was, with no temporary file
+        beside it."""
         path = tmp_path / "points.csv"
+        write_point_file(path, random_cloud(5))
+        before = path.read_bytes()
+        cloud = veg_cloud([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)], crown_id="c1")
+        codes = getattr(cloud, column).copy()
+        codes[2] = UNKNOWN_TOKEN
         with pytest.raises(KeyError):
             write_point_file(path, cloud.replace(**{column: codes}))
-        tokens = read_csv_rows(path, POINT_COLUMNS, lambda fields: fields[8:])
-        assert all(all(pair) for pair in tokens), tokens
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_synth_file_of_several_chunks_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "points.csv"
+        forest = generate_dataset(SynthParams(seed=7, n_conifer=6, n_deciduous=40))
+        write_point_file(path, forest.points)
+        text = path.read_bytes()
+        assert text.count(b"\n") > 2 * POINT_CHUNK_ROWS + 1
+        write_point_file(tmp_path / "again.csv", read_point_file(path))
+        assert (tmp_path / "again.csv").read_bytes() == text
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "points.csv"

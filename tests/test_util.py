@@ -42,6 +42,21 @@ def test_round_trip_keeps_text_and_float_bits(rows):
     assert [bits(value) for _, value, _ in back] == [bits(value) for _, value, _ in rows]
 
 
+def test_failed_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv_rows(path, COLUMNS, [("a", 1.0, "")])
+    before = path.read_bytes()
+
+    def rows():
+        yield ("b", 2.0, "")
+        raise Odd("no third row")
+
+    with pytest.raises(Odd):
+        write_csv_rows(path, COLUMNS, rows())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_header_only_for_no_rows(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv_rows(path, COLUMNS, [])
