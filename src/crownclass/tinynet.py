@@ -16,6 +16,12 @@ Every convolution is depthwise: one 3x3 kernel per channel, zero padding
 arithmetic is float32; passing float64 parameters switches the whole
 graph to float64 (used by gradient checks).
 
+The first conv/pool pair, the largest, runs only on the support box of
+each batch: the bounding box of its nonzero pixels, per branch, grown by
+the conv's reach. A crown raster is mostly zero background, where that
+pair's output is known exactly. Its forward bits are those of the whole
+canvas; its kernel and bias gradients sum in another order.
+
 A network's parameters are one vector with named views (FlatTensors),
 and so are its gradients, so Adam updates the whole network in a few
 vector operations. Forward and backward passes write their arrays into
@@ -39,20 +45,21 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BATCH_SIZE = 32
 # Samples per forward pass in predict_probs. On one thread of a 2-CPU
-# Intel Xeon, with one workspace per 256-sample call, the forward pass
-# takes per sample at chunks of 8 / 16 / 32: dsm 0.60 / 0.69 / 0.60 ms
-# (median of 7 fresh processes) and views 0.22 / 0.17 / 0.17 ms. dsm
-# stays at 8, as fast as 32 with a quarter of its activations: at 32 the
-# benchmark's classify-dsm peak RSS (its largest process, a prediction
-# worker) read 89.8-90.3 MB against 75.2 MB at 8.
+# Intel Xeon, with one workspace per 256-sample call on store samples,
+# the forward pass takes per sample at chunks of 8 / 16 / 32: dsm
+# 0.36 / 0.38 / 0.41 ms and views 0.18 / 0.14 / 0.12 ms (median of 7
+# fresh processes). A smaller dsm chunk has a smaller support box, and
+# at 32 the benchmark's classify-dsm peak RSS (its largest process, a
+# prediction worker) read 89.8-90.3 MB against 75.2 MB at 8.
 PREDICT_CHUNK = {"dsm": 8, "views": 32, "views_reduced": 32}
 # Input bytes per batch block of the depthwise conv and its kernel
 # gradients (_padded_blocks). On one thread of the same Xeon (2 MB L2
 # per core), a batch-32 float32 train step took, before the workspace,
 # at 64 KB / 128 KB / 256 KB / 512 KB / 1 MB, dsm
 # 73.0 / 71.5 / 69.7 / 75.0 / 80.2 ms and views 16.9 / 16.5 / 16.2 /
-# 16.0 / 16.2 ms. A dsm input image is 256 KB, so each block of the
-# first dsm layer holds one image.
+# 16.0 / 16.2 ms, when the first layer ran on the whole canvas. The
+# first layer's support box runs with the canvas's block count: one
+# image per block for dsm (an input image is 256 KB), 16 for views.
 BLOCK_BYTES = 256 * 1024
 # Dense layers: the side stack maps the scalar features, the head stack
 # the flattened images and side output to logits. ReLU after all but "out".
@@ -243,9 +250,17 @@ def _tap_offsets(row: int) -> tuple[int, ...]:
     return tuple(di * row + dj for di in range(3) for dj in range(3))
 
 
-def _padded_blocks(x: np.ndarray, ws: Workspace) -> tuple[int, np.ndarray, np.ndarray]:
-    """Batch block size for x, a zeroed buffer of one block, and the view
-    of its interior.
+def _block_count(shape: tuple[int, ...], itemsize: int) -> int:
+    """Images per batch block of _padded_blocks: about BLOCK_BYTES of
+    input, at least one."""
+    return max(1, BLOCK_BYTES // (itemsize * math.prod(shape[1:])))
+
+
+def _padded_blocks(
+    x: np.ndarray, ws: Workspace, block: "int | None" = None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Batch block size for x (block, if given), a zeroed buffer of one
+    block, and the view of its interior.
 
     Each image of the block is padded into a flat run of h + 2 rows of
     w + 2 values and 2 spare zeros, so tap (di, dj) is one contiguous
@@ -254,7 +269,7 @@ def _padded_blocks(x: np.ndarray, ws: Workspace) -> tuple[int, np.ndarray, np.nd
     """
     n, c, h, w = x.shape
     row = w + 2
-    block = max(1, BLOCK_BYTES // (x.itemsize * c * h * w))
+    block = block or _block_count(x.shape, x.itemsize)
     flat = ws.take("conv.padded", (min(block, n), c, (h + 2) * row + 2), x.dtype)
     flat.fill(0)
     interior = flat[..., : (h + 2) * row].reshape(len(flat), c, h + 2, row)[
@@ -269,6 +284,7 @@ def _correlate3x3(
     bias: "np.ndarray | None" = None,
     out: "np.ndarray | None" = None,
     workspace: "Workspace | None" = None,
+    block: "int | None" = None,
 ) -> np.ndarray:
     """Per-channel 3x3 cross-correlation, zero padding 1, stride 1, plus
     an optional per-channel bias, written into out (fresh if None).
@@ -283,7 +299,7 @@ def _correlate3x3(
     n, c, h, w = x.shape
     row = w + 2
     span = h * row
-    block, flat, interior = _padded_blocks(x, ws)
+    block, flat, interior = _padded_blocks(x, ws, block)
     acc, tap = ws.take("conv.sums", (2, len(flat), c, span), x.dtype)
     taps = kernels.reshape(c, 9, 1)
     offsets = _tap_offsets(row)
@@ -320,7 +336,7 @@ def conv3x3_depthwise(
 
 
 def _conv3x3_param_grads(
-    x: np.ndarray, grad: np.ndarray, workspace: Workspace
+    x: np.ndarray, grad: np.ndarray, workspace: Workspace, block: "int | None" = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_biases) of the depthwise conv.
 
@@ -334,7 +350,7 @@ def _conv3x3_param_grads(
     n, c, h, w = x.shape
     row = w + 2
     span = h * row
-    block, flat, interior = _padded_blocks(x, workspace)
+    block, flat, interior = _padded_blocks(x, workspace, block)
     rows = workspace.take("conv.grad_rows", (len(flat), c, h, row), x.dtype)
     rows[..., w:] = 0
     d_taps = np.zeros((9, c), dtype=x.dtype)
@@ -384,20 +400,28 @@ def maxpool2x2(
     if h % 2 or w % 2:
         raise AssertionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
     ws = _workspace(workspace)
+    shape = (*x.shape[:-2], h // 2, w // 2)
+    masks = ws.take((layer, "record"), (3, *shape), bool) if record else None
+    return _maxpool_into(x, ws.take((layer, "pooled"), shape, x.dtype), masks, ws), masks
+
+
+def _maxpool_into(
+    x: np.ndarray, out: np.ndarray, masks: "np.ndarray | None", ws: Workspace
+) -> np.ndarray:
+    """maxpool2x2 of x written into out, and its record into masks
+    unless None; returns out."""
     a = x[..., 0::2, 0::2]
     b = x[..., 0::2, 1::2]
     c = x[..., 1::2, 0::2]
     d = x[..., 1::2, 1::2]
     # top is computed in the output, which then takes max(top, bottom).
-    top = np.maximum(a, b, out=ws.take((layer, "pooled"), a.shape, x.dtype))
+    top = np.maximum(a, b, out=out)
     bottom = np.maximum(c, d, out=ws.take("pool.rows", (2, *a.shape), x.dtype)[0])
-    masks = None
-    if record:
-        masks = ws.take((layer, "record"), (3, *a.shape), bool)
+    if masks is not None:
         np.greater(b, a, out=masks[0])
         np.greater(d, c, out=masks[1])
         np.greater(bottom, top, out=masks[2])
-    return np.maximum(top, bottom, out=top), masks
+    return np.maximum(top, bottom, out=top)
 
 
 def maxpool2x2_backward(
@@ -420,6 +444,88 @@ def maxpool2x2_backward(
     np.multiply(low, right_bottom, out=out[..., 1::2, 1::2])
     np.subtract(low, out[..., 1::2, 1::2], out=out[..., 1::2, 0::2])
     return out
+
+
+def _support_box(x: np.ndarray) -> tuple[int, int, int, int]:
+    """Rows r0:r1 and columns c0:c1 of x's canvas that hold every nonzero
+    pixel of x, over every sample and channel: their bounding box, grown
+    by one pixel for the conv's reach and widened to even bounds for the
+    pool grid. An all-zero x gets the box 0:2, 0:2."""
+    h, w = x.shape[-2:]
+    nonzero = np.any(x, axis=(0, 1))
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    if not len(rows):
+        return 0, 2, 0, 2
+    return (
+        int(max(rows[0] - 1, 0)) // 2 * 2,
+        int(min(rows[-1] + 3, h)) // 2 * 2,
+        int(max(cols[0] - 1, 0)) // 2 * 2,
+        int(min(cols[-1] + 3, w)) // 2 * 2,
+    )
+
+
+def _take_canvas_arrays(
+    ws: Workspace, shape, dtype, layer: str, block: int, record: bool
+) -> None:
+    """Takes, at the canvas's shape, every workspace array that layer 0
+    takes at its support box's shape. Buffers only grow, so no later
+    batch's larger box replaces one, and the workspace holds what a
+    whole-canvas pass holds."""
+    n, c, h, w = shape
+    block = min(block, n)
+    pooled = (n, c, h // 2, w // 2)
+    ws.take("pre", shape, dtype)
+    ws.take("conv.padded", (block, c, (h + 2) * (w + 2) + 2), dtype)
+    ws.take("conv.sums", (2, block, c, h * (w + 2)), dtype)
+    ws.take("pool.rows", (2, *pooled), dtype)
+    if record:
+        ws.take((layer, "record"), (3, *pooled), bool)
+        ws.take("conv.grad_rows", (block, c, h, w + 2), dtype)
+
+
+def _first_conv_pool(x, kernel, bias, ws: Workspace, layer: str, record: bool):
+    """Layer 0's conv and max pool, computed on the support box of x
+    alone; returns (pooled, record, the box of x, the box's window of
+    pooled).
+
+    Outside the box the conv reads only zeros, so it gives +0 + bias
+    there (the tap sum on zeros is +0, signed zeros included, for finite
+    kernels), every window there pools to that value, and its record
+    sends the gradient to the window's first element. The conv runs with
+    the canvas's block count, so its buffers never outgrow the canvas's.
+    """
+    n, c, h, w = x.shape
+    r0, r1, c0, c1 = _support_box(x)
+    block = _block_count(x.shape, x.itemsize)
+    _take_canvas_arrays(ws, x.shape, x.dtype, layer, block, record)
+    box = x[..., r0:r1, c0:c1]
+    pre = _correlate3x3(box, kernel, bias, ws.take("pre", box.shape, x.dtype), ws, block)
+    pooled = ws.take((layer, "pooled"), (n, c, h // 2, w // 2), x.dtype)
+    pooled[...] = (bias + 0)[:, None, None]
+    window = (slice(r0 // 2, r1 // 2), slice(c0 // 2, c1 // 2))
+    masks = None
+    if record:
+        masks = ws.take((layer, "record"), (3, n, c, (r1 - r0) // 2, (c1 - c0) // 2), bool)
+    _maxpool_into(pre, pooled[(..., *window)], masks, ws)
+    return pooled, masks, box, window
+
+
+def _first_conv_pool_grads(
+    box: np.ndarray, d_pooled: np.ndarray, record: np.ndarray, window, ws: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Layer 0's (d_kernels, d_biases) from the gradient at its pooled
+    output (relu mask applied), given what _first_conv_pool returned.
+
+    Each pooled gradient goes to one pre-activation, so d_pooled sums to
+    the bias gradient. The pool backward and kernel gradients run on the
+    box alone: outside it every input is zero. The images need no
+    gradient.
+    """
+    n, c, h, w = d_pooled.shape
+    d_pre = maxpool2x2_backward(d_pooled[(..., *window)], record, box.shape, ws)
+    block = _block_count((n, c, 2 * h, 2 * w), box.itemsize)
+    return _conv3x3_param_grads(box, d_pre, ws, block)[0], d_pooled.sum(axis=(0, 2, 3))
 
 
 def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
@@ -455,7 +561,7 @@ def _dense_forward(params, x, names, widths, note) -> list[np.ndarray]:
         x = dense(x, weight, bias, relu)
         name = name if relu else "logits"
         _check_shape(name, x, (len(x), out))
-        note(name, x)
+        note(name, x.shape)
         acts.append(x)
     return acts
 
@@ -481,12 +587,12 @@ def _forward(
     )
     _check_shape("scalars", scalars, (batch, spec.scalar_dim))
 
-    def note(name, arr):
+    def note(name, shape):
         if trace is not None:
-            trace.append((name, tuple(arr.shape)))
+            trace.append((name, tuple(shape)))
 
-    note("input.images", images)
-    note("input.scalars", scalars)
+    note("input.images", images.shape)
+    note("input.scalars", scalars.shape)
 
     flats = []
     offset = 0
@@ -497,34 +603,38 @@ def _forward(
         offset += channels
         hw = spec.image_hw
         for i in range(spec.conv_pairs):
-            pre = conv3x3_depthwise(
-                x,
-                params.tensors[f"{prefix}conv{i}.kernel"],
-                params.tensors[f"{prefix}conv{i}.bias"],
-                ws,
-            )
-            _check_shape(f"{prefix}conv{i}", pre, (batch, channels, hw, hw))
-            note(f"{prefix}conv{i}", pre)
+            layer = f"{prefix}layer{i}"
+            kernel = params.tensors[f"{prefix}conv{i}.kernel"]
+            bias = params.tensors[f"{prefix}conv{i}.bias"]
+            note(f"{prefix}conv{i}", (batch, channels, hw, hw))
+            if i == 0:
+                pooled, record, x, window = _first_conv_pool(
+                    x, kernel, bias, ws, layer, cache is not None
+                )
+            else:
+                pre = conv3x3_depthwise(x, kernel, bias, ws)
+                _check_shape(f"{prefix}conv{i}", pre, (batch, channels, hw, hw))
+                pooled, record = maxpool2x2(pre, ws, layer, cache is not None)
+                window = None
             # max and relu commute, so the relu runs on the pooled quarter.
-            pooled, record = maxpool2x2(pre, ws, f"{prefix}layer{i}", cache is not None)
             np.maximum(pooled, 0, out=pooled)
             hw //= 2
             _check_shape(f"{prefix}pool{i}", pooled, (batch, channels, hw, hw))
-            note(f"{prefix}pool{i}", pooled)
+            note(f"{prefix}pool{i}", pooled.shape)
             if cache is not None:
-                cache[f"{prefix}layer{i}"] = (x, record, pooled)
+                cache[layer] = (x, record, pooled, window)
             x = pooled
         flats.append(x.reshape(batch, -1))
 
     flat = np.concatenate(flats, axis=1) if len(flats) > 1 else flats[0]
     _check_shape("flatten", flat, (batch, spec.flatten_dim))
-    note("flatten", flat)
+    note("flatten", flat.shape)
 
     side_stack, head_stack = _dense_stacks(spec)
     side = _dense_forward(params, scalars, *side_stack, note)
     concat = np.concatenate([flat, side[-1]], axis=1)
     _check_shape("concat", concat, (batch, spec.concat_dim))
-    note("concat", concat)
+    note("concat", concat.shape)
     head = _dense_forward(params, concat, *head_stack, note)
 
     if cache is not None:
@@ -597,15 +707,14 @@ def network_gradients(
         d_x = d_flat[:, offset : offset + width].reshape(batch, channels, final, final)
         offset += width
         for i in reversed(range(spec.conv_pairs)):
-            x_in, record, pooled = cache[f"{prefix}layer{i}"]
+            x_in, record, pooled, window = cache[f"{prefix}layer{i}"]
             # d_x is dead after this layer, so the relu mask applies in place.
             alive = np.greater(pooled, 0, out=ws.take("relu", pooled.shape, bool))
             np.multiply(d_x, alive, out=d_x)
-            d_pre = maxpool2x2_backward(d_x, record, x_in.shape, ws)
             if i == 0:
-                # The images need no gradient.
-                d_kernel, d_bias = _conv3x3_param_grads(x_in, d_pre, ws)
+                d_kernel, d_bias = _first_conv_pool_grads(x_in, d_x, record, window, ws)
             else:
+                d_pre = maxpool2x2_backward(d_x, record, x_in.shape, ws)
                 d_kernel, d_bias, d_x = conv3x3_depthwise_backward(
                     x_in, d_pre, params.tensors[f"{prefix}conv{i}.kernel"], ws
                 )

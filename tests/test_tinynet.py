@@ -5,6 +5,7 @@ behavior, and snapshots."""
 import math
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ class TestCorrelateBlocks:
                 results.append(predict_probs(params, images, scalars).tobytes())
             return results
 
-        def reference_into(x, kernels, bias=None, out=None, workspace=None):
+        def reference_into(x, kernels, bias=None, out=None, workspace=None, block=None):
             result = reference_correlate3x3(x, kernels, bias)
             if out is None:
                 return result
@@ -398,6 +399,24 @@ def param_grads(x, grad, block_bytes):
         tinynet.BLOCK_BYTES = saved
 
 
+def assert_within_summation_bound(x, grad, d_kernels, d_biases):
+    """d_kernels and d_biases, the conv's parameter gradients at x for the
+    output gradient grad, computed in x's dtype, are within the summation
+    bound of the float64 scatter-add reference."""
+    x64, grad64 = x.astype(np.float64), grad.astype(np.float64)
+    zero = np.zeros((x.shape[1], 3, 3))
+    ref_kernels, ref_biases, _ = reference_conv_backward(x64, grad64, zero)
+    abs_kernels, abs_biases, _ = reference_conv_backward(np.abs(x64), np.abs(grad64), zero)
+    # n products summed in any order are off by at most
+    # n * (eps * sum |terms| + the smallest subnormal).
+    terms = x.shape[0] * x.shape[2] * x.shape[3]
+    info = np.finfo(x.dtype)
+    bound = terms * (info.eps * abs_kernels + info.smallest_subnormal)
+    assert np.all(np.abs(d_kernels - ref_kernels) <= bound)
+    bound = terms * (info.eps * abs_biases + info.smallest_subnormal)
+    assert np.all(np.abs(d_biases - ref_biases) <= bound)
+
+
 class TestConvParamGrads:
     """Flat-shift kernel gradients against the float64 scatter-add
     reference, at every block size."""
@@ -418,18 +437,7 @@ class TestConvParamGrads:
         grad = data.draw(hnp.arrays(np.float32, shape, elements=elements))
         d_kernels, d_biases = param_grads(x, grad, block_bytes)
         assert d_kernels.dtype == d_biases.dtype == np.float32
-        x64, grad64 = x.astype(np.float64), grad.astype(np.float64)
-        zero = np.zeros((shape[1], 3, 3))
-        ref_kernels, ref_biases, _ = reference_conv_backward(x64, grad64, zero)
-        abs_kernels, abs_biases, _ = reference_conv_backward(np.abs(x64), np.abs(grad64), zero)
-        # n float32 products summed in any order are off by at most
-        # n * (eps * sum |terms| + the smallest subnormal).
-        terms = shape[0] * shape[2] * shape[3]
-        info = np.finfo(np.float32)
-        bound = terms * (info.eps * abs_kernels + info.smallest_subnormal)
-        assert np.all(np.abs(d_kernels - ref_kernels) <= bound)
-        bound = terms * (info.eps * abs_biases + info.smallest_subnormal)
-        assert np.all(np.abs(d_biases - ref_biases) <= bound)
+        assert_within_summation_bound(x, grad, d_kernels, d_biases)
 
     @pytest.mark.parametrize("channels, side", LAYER_SIZES)
     @settings(max_examples=4, deadline=None)
@@ -687,6 +695,276 @@ class TestStoreRows:
         store = images[:, None]
         with pytest.raises(ValueError, match="^6 samples but 3 rows of scalars$"):
             predict_probs(params, store, scalars, rows=np.array([0, 0, 1, 1, 2, 2]))
+
+
+def whole_canvas(x):
+    """A support box that is always the whole canvas: the reference path."""
+    return 0, x.shape[-2], 0, x.shape[-1]
+
+
+SUPPORTS = ("crown", "disc", "top", "bottom", "left", "right", "odd pixel", "zero", "dense")
+
+
+def sparse_images(tag, support, rng, rows):
+    """float32 images of one architecture whose nonzero pixels take the
+    shape `support`: crown_like_inputs blobs, dsm_like discs, a blob
+    touching one edge of the canvas, one pixel at an odd row and column,
+    none, or every pixel."""
+    images, _ = crown_like_inputs(tag, rng, rows)
+    shape, hw = images.shape, images.shape[-1]
+    if support == "crown":
+        return images
+    if support == "disc":
+        return dsm_like(rng, shape, np.float32)
+    images[...] = 0.0
+    if support == "dense":
+        images[...] = rng.uniform(0.1, 1.0, size=shape)
+    elif support == "odd pixel":
+        row, col = 2 * rng.integers(0, hw // 2, size=2) + 1
+        images[rng.integers(rows), rng.integers(shape[1]), row, col] = rng.uniform(0.1, 1.0)
+    elif support != "zero":
+        side = int(rng.integers(1, hw // 4))
+        row, col = rng.integers(0, hw - side, size=2)
+        row = {"top": 0, "bottom": hw - side}.get(support, row)
+        col = {"left": 0, "right": hw - side}.get(support, col)
+        sample, channel = rng.integers(rows), rng.integers(shape[1])
+        images[sample, channel, row : row + side, col : col + side] = rng.uniform(
+            0.1, 1.0, size=(side, side)
+        )
+    return images
+
+
+@st.composite
+def sparse_batches(draw):
+    """Parameters of a random architecture and dtype, with conv and dense
+    biases negative, zero (of either sign) and positive, and a batch of
+    sparse_images, its background +0.0 or -0.0, with scalars and one-hot
+    labels."""
+    tag = draw(st.sampled_from(sorted(ARCHITECTURES)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    support = draw(st.sampled_from(SUPPORTS))
+    rows = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = sparse_images(tag, support, rng, rows)
+    if draw(st.booleans()):
+        images[images == 0] = -0.0
+    params = init_params(tag, seed=rows, dtype=dtype)
+    for name, tensor in params.tensors.items():
+        if name.endswith("bias"):
+            sign = rng.choice([-1.0, -0.0, 0.0, 1.0], size=tensor.shape)
+            tensor[...] = sign * rng.uniform(0.01, 0.1, size=tensor.shape)
+    scalars = rng.uniform(0.1, 1.0, size=(rows, ARCHITECTURES[tag].scalar_dim)).astype(np.float32)
+    onehots = np.eye(2, dtype=np.float32)[rng.integers(0, 2, rows)]
+    return params, images, scalars, onehots
+
+
+def first_layer_grads(x, kernel, bias, d_pooled):
+    """Layer 0's forward and its (d_kernels, d_biases) for the gradient
+    d_pooled at its pooled output."""
+    ws = tinynet.Workspace()
+    _, record, box, window = tinynet._first_conv_pool(x, kernel, bias, ws, "layer0", True)
+    return tinynet._first_conv_pool_grads(box, d_pooled, record, window, ws)
+
+
+def canvas_pre_grad(x, kernel, bias, d_pooled):
+    """The gradient at layer 0's conv output over the whole canvas."""
+    pre = conv3x3_depthwise(x, kernel, bias)
+    _, record = maxpool2x2(pre)
+    return maxpool2x2_backward(d_pooled, record, x.shape)
+
+
+@st.composite
+def first_layer_cases(draw):
+    """A float32 batch that is zero outside a random box, layer 0's
+    kernels and biases, and a gradient at its pooled output."""
+    n, c = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    h, w = draw(even_side.map(lambda k: 3 * k)), draw(even_side.map(lambda k: 3 * k))
+    elements = signed_zero_floats(np.float32)
+    bh, bw = draw(st.integers(1, h)), draw(st.integers(1, w))
+    r, col = draw(st.integers(0, h - bh)), draw(st.integers(0, w - bw))
+    x = np.zeros((n, c, h, w), np.float32)
+    blob = draw(hnp.arrays(np.float32, (n, c, bh, bw), elements=elements))
+    x[..., r : r + bh, col : col + bw] = blob
+    kernel = draw(hnp.arrays(np.float32, (c, 3, 3), elements=elements))
+    bias = draw(hnp.arrays(np.float32, (c,), elements=elements))
+    d_pooled = draw(hnp.arrays(np.float32, (n, c, h // 2, w // 2), elements=elements))
+    return x, kernel, bias, d_pooled
+
+
+class TestSupportBox:
+    """Layer 0 runs on the box of the batch's nonzero pixels: forward bits
+    and every gradient but the layer-0 kernels' are those of the whole
+    canvas, and the workspace holds what a whole-canvas pass holds."""
+
+    @pytest.mark.parametrize(
+        "pixels, box",
+        [
+            ([], (0, 2, 0, 2)),
+            ([(0, 0, 5, 9)], (4, 8, 8, 12)),
+            ([(0, 0, 4, 4)], (2, 6, 2, 6)),
+            ([(1, 2, 0, 15)], (0, 2, 14, 16)),
+            ([(0, 1, 15, 0)], (14, 16, 0, 2)),
+            ([(0, 0, 3, 7), (1, 2, 12, 1)], (2, 14, 0, 10)),
+        ],
+    )
+    def test_box_bounds(self, pixels, box):
+        x = np.full((2, 3, 16, 16), -0.0)
+        for at in pixels:
+            x[at] = 0.5
+        assert tinynet._support_box(x) == box
+        if pixels:
+            x[pixels[0]] = np.nan
+            assert tinynet._support_box(x) == box
+        assert tinynet._support_box(np.ones_like(x)) == (0, 16, 0, 16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sparse_batches())
+    def test_forward_bits_match_whole_canvas(self, case):
+        params, images, scalars, _ = case
+
+        def outputs():
+            trace = []
+            probs = network_forward(params, images, scalars, trace=trace)
+            return probs.tobytes(), predict_probs(params, images, scalars).tobytes(), trace
+
+        boxed = outputs()
+        with mock.patch.object(tinynet, "_support_box", whole_canvas):
+            assert outputs() == boxed
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=sparse_batches())
+    def test_gradients_match_whole_canvas(self, case):
+        """Every gradient but the layer-0 kernels' keeps its bits; those
+        are within the summation bound of the whole canvas's exact sums."""
+        params, images, scalars, onehots = case
+        canvas_calls = []
+
+        def recording(x, grad, workspace, block=None):
+            if x.shape[-1] == params.spec.image_hw:
+                canvas_calls.append((x.copy(), grad.copy()))
+            return param_grads_of(x, grad, workspace, block)
+
+        param_grads_of = tinynet._conv3x3_param_grads
+        grads, probs, losses = network_gradients(params, images, scalars, onehots)
+        boxed = {name: g.copy() for name, g in grads.items()}
+        with mock.patch.object(tinynet, "_support_box", whole_canvas):
+            with mock.patch.object(tinynet, "_conv3x3_param_grads", recording):
+                ref, ref_probs, ref_losses = network_gradients(params, images, scalars, onehots)
+        assert probs.tobytes() == ref_probs.tobytes() and losses.tobytes() == ref_losses.tobytes()
+        first = [name for name in params.tensors if name.endswith("conv0.kernel")]
+        for name in params.tensors:
+            if name not in first:
+                assert boxed[name].tobytes() == ref[name].tobytes(), name
+        assert len(canvas_calls) == len(first)
+        for name, (x, grad) in zip(first, canvas_calls):
+            bias = name.replace("kernel", "bias")
+            assert_within_summation_bound(x, grad, boxed[name], boxed[bias])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=first_layer_cases())
+    def test_layer_pooled_bits_match_whole_canvas(self, case):
+        x, kernel, bias, _ = case
+        pooled = tinynet._first_conv_pool(x, kernel, bias, tinynet.Workspace(), "layer0", False)[0]
+        reference, _ = maxpool2x2(conv3x3_depthwise(x, kernel, bias))
+        assert pooled.tobytes() == reference.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=first_layer_cases())
+    def test_layer_grads_within_float32_summation_bound(self, case):
+        x, kernel, bias, d_pooled = case
+        d_kernels, d_biases = first_layer_grads(x, kernel, bias, d_pooled)
+        assert d_kernels.dtype == d_biases.dtype == np.float32
+        grad = canvas_pre_grad(x, kernel, bias, d_pooled)
+        assert_within_summation_bound(x, grad, d_kernels, d_biases)
+
+    @pytest.mark.parametrize("channels, side", [(4, 128), (1, 64)])
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_layer_grads_exact_on_quantized_inputs(self, channels, side, n):
+        """Quarter-step inputs and half-step gradients keep every partial
+        sum exact, so the box and the whole canvas give the reference."""
+        rng = np.random.default_rng(n * side)
+        x = quantized(rng, (n, channels, side, side), 0.25, 2.0)
+        x[..., : side // 4, :] = 0.0
+        x[..., :, side // 2 + 3 :] = -0.0
+        kernel = rng.normal(size=(channels, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=channels).astype(np.float32)
+        d_pooled = quantized(rng, (n, channels, side // 2, side // 2), 0.5, 1.0)
+        assert tinynet._support_box(x) != whole_canvas(x)
+        boxed = first_layer_grads(x, kernel, bias, d_pooled)
+        with mock.patch.object(tinynet, "_support_box", whole_canvas):
+            canvas = first_layer_grads(x, kernel, bias, d_pooled)
+        grad = canvas_pre_grad(x, kernel, bias, d_pooled).astype(np.float64)
+        ref_kernels, ref_biases, _ = reference_conv_backward(
+            x.astype(np.float64), grad, np.zeros((channels, 3, 3))
+        )
+        for got in (boxed, canvas):
+            np.testing.assert_array_equal(got[0], ref_kernels)
+            np.testing.assert_array_equal(got[1], ref_biases)
+
+    @pytest.mark.parametrize("tag", sorted(ARCHITECTURES))
+    def test_nan_outside_the_crown_raises(self, tag):
+        rng = np.random.default_rng(9)
+        params = init_params(tag, seed=9)
+        images = dsm_like(rng, crown_like_inputs(tag, rng, 4)[0].shape, np.float32)
+        scalars = crown_like_inputs(tag, rng, 4)[1]
+        images[2, 0, 0, -1] = np.nan  # a corner, outside every disc
+        with pytest.raises(AssertionError, match="non-finite probabilities"):
+            network_forward(params, images, scalars)
+        with pytest.raises(AssertionError, match="non-finite probabilities"):
+            predict_probs(params, images, scalars)
+
+    # The middle blobs give boxes of 90x90 (dsm) and 48x48 (views), whose
+    # own block counts would need larger conv buffers than the canvas's.
+    @pytest.mark.parametrize("tag, middle", [("dsm", 88), ("views", 46)])
+    def test_growing_box_replaces_no_buffer(self, tag, middle):
+        """Train steps on batches whose boxes are small, then larger, then
+        small again: after the first, no step replaces a workspace buffer
+        or allocates 1 MB, and the workspace holds the buffers of
+        whole-canvas steps."""
+        hw = ARCHITECTURES[tag].image_hw
+        rng = np.random.default_rng(11)
+        batches = []
+        for side in (8, middle, hw - 6, 12):
+            images, scalars = crown_like_inputs(tag, rng, 32)
+            images[...] = 0.0
+            images[:, :, 3 : 3 + side, 5 : 5 + side] = rng.uniform(0.1, 1.0, size=(side, side))
+            batches.append((images, scalars))
+        r0, r1, c0, c1 = np.array([tinynet._support_box(images) for images, _ in batches]).T
+        areas = (r1 - r0) * (c1 - c0)
+        assert areas[0] < min(areas[1:]) and max(areas) < hw * hw
+        onehots = np.eye(2, dtype=np.float32)[np.arange(32) % 2]
+        params = init_params(tag, seed=11)
+        state = init_adam(params)
+
+        def step(workspace, images, scalars):
+            grads, _, _ = network_gradients(params, images, scalars, onehots, workspace=workspace)
+            adam_step(params, grads, state)
+
+        def buffers(workspace):
+            return {key: entry[0] for key, entry in workspace._buffers.items()}
+
+        workspace = tinynet.Workspace()
+        tracemalloc.start()
+        try:
+            step(workspace, *batches[0])
+            first = buffers(workspace)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for batch in batches[1:]:
+                step(workspace, *batch)
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra < 1 << 20
+        second = buffers(workspace)
+        assert second.keys() == first.keys()
+        assert all(second[key] is first[key] for key in first)
+        canvas = tinynet.Workspace()
+        with mock.patch.object(tinynet, "_support_box", whole_canvas):
+            for batch in batches:
+                step(canvas, *batch)
+        sizes = lambda workspace: {key: b.nbytes for key, b in buffers(workspace).items()}
+        assert sizes(workspace) == sizes(canvas)
 
 
 class TestGradients:
